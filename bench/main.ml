@@ -386,6 +386,29 @@ let kernel_thunks () =
        in
        built.Etransform.Lp_builder.model)
   in
+  (* Local search from a round-robin start on line estates shaped like
+     perfbench's cold_plans classes (line 48, DR line 24): every round
+     screens all m*n reassignments and m^2/2 swaps, and enough of them
+     are accepted that the exact check and state rebuild are timed too. *)
+  let ls_line groups =
+    Harness.Line_estate.make
+      {
+        Harness.Line_estate.default with
+        Harness.Line_estate.n_groups = groups;
+        capacity = groups * 4;
+        space_step = 40.0;
+        frac_at_0 = 0.4;
+        latency_penalty = Harness.Line_estate.banded_penalty 40.0;
+      }
+  in
+  let ls_line48 = ls_line 48 and ls_dr_line24 = ls_line 24 in
+  let round_robin k = Array.init k (fun i -> i mod 10) in
+  let ls_line48_start = Etransform.Placement.non_dr (round_robin 48) in
+  let ls_dr_line24_start =
+    Etransform.Placement.with_dr ~primary:(round_robin 24)
+      ~secondary:(Array.init 24 (fun i -> (i + 5) mod 10))
+      ()
+  in
   let federal_root_opts =
     { Lp.Milp.default_options with
       Lp.Milp.node_limit = 1;
@@ -454,6 +477,13 @@ let kernel_thunks () =
              (Etransform.Greedy.plan_dr fixture)) );
     ( "e3_exact_evaluation",
       fun () -> ignore (Etransform.Evaluate.plan fixture greedy_plan) );
+    ( "e3_local_search_line48",
+      fun () ->
+        ignore (Etransform.Local_search.improve ls_line48 ls_line48_start) );
+    ( "e3_local_search_dr_line24",
+      fun () ->
+        ignore
+          (Etransform.Local_search.improve ls_dr_line24 ls_dr_line24_start) );
     ( "e5_lp_file_roundtrip",
       fun () ->
         ignore

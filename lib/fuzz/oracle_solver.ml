@@ -393,6 +393,316 @@ let pool_workers_equivalence c =
     in
     cmp 0 (seq, par)
 
+(* ---------------------------------------- local search equivalence *)
+
+(* [Local_search.improve] screens each candidate move against incremental
+   loads and sends only the survivors to the exact check.  The reference
+   below is the plain hill-climb it replaced: every candidate copied,
+   validated and priced by [Evaluate.plan].  Both must accept the same
+   moves in the same order, so the plans and move counts must be equal on
+   any estate: line estates (identical groups, so zero-delta swaps abound)
+   and synthetic ones (volume discounts), non-DR and DR plans with shared
+   or dedicated pools, pins and forbids, omega, allowed-DC lists and
+   one-sided shared-risk lists, swaps on and off. *)
+
+let reference_improve ?(max_rounds = 6) ?(swaps = true)
+    ?(may_place = fun _ _ -> true) ?omega asis (plan : Etransform.Placement.t) =
+  let open Etransform in
+  let m = Asis.num_groups asis and n = Asis.num_targets asis in
+  let plan_cost p = Evaluate.total (Evaluate.plan asis p).Evaluate.cost in
+  let omega_ok (p : Placement.t) =
+    match omega with
+    | None -> true
+    | Some w ->
+        let counts = Array.make n 0 in
+        Array.iter (fun j -> counts.(j) <- counts.(j) + 1) p.Placement.primary;
+        Array.for_all
+          (fun c -> float_of_int c <= (w *. float_of_int m) +. 1e-9)
+          counts
+  in
+  let current = ref plan and cost = ref (plan_cost plan) and moves = ref 0 in
+  let try_plan p' =
+    Placement.validate asis p' = []
+    && omega_ok p'
+    &&
+    let c' = plan_cost p' in
+    c' < !cost -. 1e-6
+    && begin
+         current := p';
+         cost := c';
+         incr moves;
+         true
+       end
+  in
+  let round () =
+    let improved = ref false in
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let p = !current in
+        if p.Placement.primary.(i) <> j
+           && App_group.allowed asis.Asis.groups.(i) j
+           && may_place i j
+        then begin
+          let primary = Array.copy p.Placement.primary in
+          primary.(i) <- j;
+          let secondary =
+            Option.map
+              (fun sec ->
+                let sec = Array.copy sec in
+                if sec.(i) = j then sec.(i) <- p.Placement.primary.(i);
+                sec)
+              p.Placement.secondary
+          in
+          if try_plan { p with Placement.primary; secondary } then
+            improved := true
+        end
+      done
+    done;
+    if !current.Placement.secondary <> None then
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let p = !current in
+          match p.Placement.secondary with
+          | Some sec when sec.(i) <> j && p.Placement.primary.(i) <> j ->
+              let sec' = Array.copy sec in
+              sec'.(i) <- j;
+              if try_plan { p with Placement.secondary = Some sec' } then
+                improved := true
+          | _ -> ()
+        done
+      done;
+    if swaps then
+      for i = 0 to m - 1 do
+        for k = i + 1 to m - 1 do
+          let p = !current in
+          let ji = p.Placement.primary.(i) and jk = p.Placement.primary.(k) in
+          if ji <> jk
+             && App_group.allowed asis.Asis.groups.(i) jk
+             && App_group.allowed asis.Asis.groups.(k) ji
+             && may_place i jk && may_place k ji
+          then begin
+            let primary = Array.copy p.Placement.primary in
+            primary.(i) <- jk;
+            primary.(k) <- ji;
+            if try_plan { p with Placement.primary } then improved := true
+          end
+        done
+      done;
+    !improved
+  in
+  let rec loop r = if r > 0 && round () then loop (r - 1) in
+  loop max_rounds;
+  (!current, !moves)
+
+type ls_case = {
+  ls_seed : int;
+  ls_line : bool;         (* line estate, else synthetic *)
+  ls_groups : int;
+  ls_sites : int;
+  ls_tight : bool;        (* capacity close to the load *)
+  ls_dr : int;            (* 0 none, 1 shared pools, 2 dedicated backups *)
+  ls_greedy : bool;       (* start from the greedy plan, else random *)
+  ls_pins : int;          (* pins plus forbids behind may_place *)
+  ls_omega : float option;
+  ls_allowed : bool;
+  ls_avoid : bool;
+  ls_swaps : bool;
+}
+
+let pp_ls_case ppf c =
+  Format.fprintf ppf
+    "seed=%d %s m=%d n=%d tight=%b dr=%d greedy=%b pins=%d omega=%s \
+     allowed=%b avoid=%b swaps=%b"
+    c.ls_seed
+    (if c.ls_line then "line" else "synth")
+    c.ls_groups c.ls_sites c.ls_tight c.ls_dr c.ls_greedy c.ls_pins
+    (match c.ls_omega with None -> "-" | Some w -> Printf.sprintf "%g" w)
+    c.ls_allowed c.ls_avoid c.ls_swaps
+
+let gen_ls_case : ls_case Gen.t =
+ fun rng ->
+  let ls_sites = Gen.int_range 2 7 rng in
+  {
+    ls_seed = Gen.int_range 0 1_000_000 rng;
+    ls_line = Gen.bool rng;
+    ls_groups = Gen.int_range 2 18 rng;
+    ls_sites;
+    ls_tight = Gen.bool rng;
+    ls_dr = Gen.int_range 0 2 rng;
+    ls_greedy = Gen.bool rng;
+    ls_pins = Gen.choose [ 0; 0; 2; 5 ] rng;
+    ls_omega =
+      Gen.choose
+        [ None; None; Some (1.5 /. float_of_int ls_sites); Some 0.5 ]
+        rng;
+    ls_allowed = Gen.bool rng;
+    ls_avoid = Gen.bool rng;
+    ls_swaps = Gen.choose [ true; true; false ] rng;
+  }
+
+let arb_ls_case =
+  Check.arb ~pp:pp_ls_case
+    ~shrink:(fun c ->
+      List.to_seq
+        (List.filter
+           (fun c' -> c' <> c)
+           [
+             { c with ls_groups = max 2 (c.ls_groups / 2) };
+             { c with ls_groups = max 2 (c.ls_groups - 1) };
+             { c with ls_pins = 0 };
+             { c with ls_omega = None };
+             { c with ls_allowed = false };
+             { c with ls_avoid = false };
+             { c with ls_swaps = false };
+           ]))
+    gen_ls_case
+
+(* The estate, start plan and may_place of a case, all drawn from its
+   seed. *)
+let ls_instance c =
+  let open Etransform in
+  let rng = Datasets.Prng.create c.ls_seed in
+  let n = c.ls_sites in
+  (* Synthetic estates may split a group, so m is read back below. *)
+  let servers = Array.init c.ls_groups (fun _ -> 1 + Datasets.Prng.int rng 6) in
+  let total = Array.fold_left ( + ) 0 servers in
+  let need = if c.ls_dr > 0 then 2 * total else total in
+  let cap = max 6 ((if c.ls_tight then 13 else 30) * need / (10 * n)) in
+  let base =
+    if c.ls_line then
+      Harness.Line_estate.make
+        {
+          Harness.Line_estate.default with
+          Harness.Line_estate.n_dcs = n;
+          n_groups = c.ls_groups;
+          capacity = cap;
+          frac_at_0 = Datasets.Prng.float rng;
+          latency_penalty =
+            Harness.Line_estate.banded_penalty
+              (Datasets.Prng.pick rng [| 0.0; 40.0; 120.0 |]);
+        }
+    else
+      Datasets.Synth.generate
+        {
+          Datasets.Synth.default with
+          Datasets.Synth.seed = c.ls_seed;
+          n_groups = c.ls_groups;
+          n_current = 3;
+          n_targets = n;
+          total_servers = total;
+          capacity_range = (cap, cap + (cap / 2));
+        }
+  in
+  let m = Asis.num_groups base in
+  let groups =
+    Array.mapi
+      (fun i (g : App_group.t) ->
+        (* Line groups are identical; keep about half of them that way. *)
+        let servers =
+          if c.ls_line && Datasets.Prng.float rng < 0.5 then servers.(i)
+          else g.App_group.servers
+        in
+        let allowed_dcs =
+          if c.ls_allowed && Datasets.Prng.float rng < 0.3 then
+            Some
+              (Array.of_list
+                 (List.filter
+                    (fun j -> j = i mod n || Datasets.Prng.float rng < 0.5)
+                    (List.init n Fun.id)))
+          else g.App_group.allowed_dcs
+        in
+        let colocate_avoid =
+          if c.ls_avoid && m > 1 && Datasets.Prng.float rng < 0.3 then
+            [ (i + 1 + Datasets.Prng.int rng (m - 1)) mod m ]
+          else []
+        in
+        { g with App_group.servers; allowed_dcs; colocate_avoid })
+      base.Asis.groups
+  in
+  let asis = { base with Asis.groups } in
+  let admissible i =
+    List.filter (App_group.allowed groups.(i)) (List.init n Fun.id)
+  in
+  let random_plan () =
+    (* First fit from a random offset, so most starts fit. *)
+    let load = Array.make n 0 in
+    let primary =
+      Array.init m (fun i ->
+          let choices = Array.of_list (admissible i) in
+          let k = Array.length choices in
+          let off = Datasets.Prng.int rng k in
+          let pick = ref choices.(off) in
+          (try
+             for t = 0 to k - 1 do
+               let j = choices.((off + t) mod k) in
+               if load.(j) + groups.(i).App_group.servers <= cap then begin
+                 pick := j;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          load.(!pick) <- load.(!pick) + groups.(i).App_group.servers;
+          !pick)
+    in
+    Placement.non_dr primary
+  in
+  let start =
+    let p =
+      if c.ls_greedy then
+        try if c.ls_dr > 0 then Greedy.plan_dr asis else Greedy.plan asis
+        with Failure _ -> random_plan ()
+      else random_plan ()
+    in
+    match (c.ls_dr, p.Placement.secondary) with
+    | 0, _ -> Placement.non_dr p.Placement.primary
+    | dr, Some secondary ->
+        Placement.with_dr ~dedicated_backups:(dr = 2)
+          ~primary:p.Placement.primary ~secondary ()
+    | dr, None ->
+        let secondary =
+          Array.map
+            (fun a -> (a + 1 + Datasets.Prng.int rng (n - 1)) mod n)
+            p.Placement.primary
+        in
+        Placement.with_dr ~dedicated_backups:(dr = 2)
+          ~primary:p.Placement.primary ~secondary ()
+  in
+  let pinned = Hashtbl.create 8 and banned = Hashtbl.create 8 in
+  for _ = 1 to c.ls_pins do
+    let i = Datasets.Prng.int rng m and j = Datasets.Prng.int rng n in
+    if Datasets.Prng.float rng < 0.5 then Hashtbl.replace pinned i j
+    else Hashtbl.replace banned (i, j) ()
+  done;
+  let may_place i j =
+    (not (Hashtbl.mem banned (i, j)))
+    && match Hashtbl.find_opt pinned i with None -> true | Some j' -> j = j'
+  in
+  (asis, start, may_place)
+
+let local_search_equivalence c =
+  let asis, start, may_place = ls_instance c in
+  let swaps = c.ls_swaps and omega = c.ls_omega in
+  let (fast : Etransform.Placement.t), fast_moves =
+    Etransform.Local_search.improve ~swaps ~may_place ?omega asis start
+  in
+  let slow, slow_moves =
+    reference_improve ~swaps ~may_place ?omega asis start
+  in
+  let show a =
+    String.concat "," (List.map string_of_int (Array.to_list a))
+  in
+  if fast_moves <> slow_moves then
+    failf "improve made %d moves, reference %d" fast_moves slow_moves
+  else if fast.Etransform.Placement.primary <> slow.Etransform.Placement.primary
+  then
+    failf "primaries differ: improve [%s], reference [%s]"
+      (show fast.Etransform.Placement.primary)
+      (show slow.Etransform.Placement.primary)
+  else if
+    fast.Etransform.Placement.secondary <> slow.Etransform.Placement.secondary
+  then failf "secondaries differ after %d moves" fast_moves
+  else Ok ()
+
 (* ---------------------------------------------------------- the suite *)
 
 let props =
@@ -411,4 +721,6 @@ let props =
       milp_steal_chaos;
     prop ~count:4 ~smoke_count:1 "pool_workers_equivalence" arb_pool_case
       pool_workers_equivalence;
+    prop ~count:300 ~smoke_count:60 "local_search_equivalence" arb_ls_case
+      local_search_equivalence;
   ]

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "etransform"
     [
-      ("pqueue", Test_pqueue.suite);
       ("wsched", Test_wsched.suite);
       ("simplex", Test_simplex.suite);
       ("milp", Test_milp.suite);

@@ -65,6 +65,103 @@ let test_local_search_respects_constraints () =
   let improved, _ = Local_search.improve asis start in
   Alcotest.(check int) "pinned group stays" 1 improved.Placement.primary.(0)
 
+(* Edge cases of the local search's incremental screen.  Sites below
+   differ only where a test says so: power 10 and labor 10 per server
+   everywhere, so a site's per-server cost is its space price + 20. *)
+let site ?(lat = 5.0) name cap space =
+  Fixtures.dc name cap space 1e-3 1.0 1300.0 [| lat; lat |]
+
+let ls_estate ?(penalty = Latency_penalty.none) targets servers =
+  let groups =
+    Array.mapi
+      (fun i s ->
+        App_group.v ~latency:penalty ~name:(Printf.sprintf "g%d" i)
+          ~servers:s ~data_mb_month:100.0 ~users:[| 5.0; 5.0 |] ())
+      servers
+  in
+  Asis.v ~params:Fixtures.params ~name:"screen" ~groups ~targets
+    ~user_locations:[| "east"; "west" |]
+    ~current:[| site "legacy" 100 200.0 |]
+    ~current_placement:(Array.make (Array.length servers) 0)
+    ()
+
+let test_local_search_fills_to_capacity () =
+  (* Both groups fit the cheap site only together, at exactly its
+     capacity. *)
+  let asis = ls_estate [| site "cheap" 5 50.0; site "dear" 10 100.0 |] [| 2; 3 |] in
+  let improved, moves = Local_search.improve asis (Placement.non_dr [| 1; 1 |]) in
+  Alcotest.(check int) "both moved" 2 moves;
+  Alcotest.(check (array int)) "cheap site full" [| 0; 0 |]
+    improved.Placement.primary
+
+let test_local_search_omega_tight () =
+  (* omega 0.5 over four groups allows two per site.  The start breaks
+     that on the dear site; one move onto the cheap site repairs it, and a
+     second would break it there. *)
+  let asis =
+    ls_estate [| site "cheap" 100 50.0; site "dear" 100 100.0 |] [| 1; 1; 1; 1 |]
+  in
+  let improved, moves =
+    Local_search.improve ~omega:0.5 asis (Placement.non_dr [| 0; 1; 1; 1 |])
+  in
+  Alcotest.(check int) "one move" 1 moves;
+  Alcotest.(check (array int)) "two per site" [| 0; 0; 1; 1 |]
+    improved.Placement.primary
+
+let test_local_search_swap_back () =
+  (* The group's users are near site 0, which holds its backup.  Moving
+     the primary there sends the secondary back to the old primary rather
+     than leaving primary and secondary on one site. *)
+  let asis =
+    ls_estate
+      ~penalty:(Latency_penalty.step ~threshold_ms:10.0 ~penalty_per_user:100.0)
+      [| site "near" 10 100.0; site ~lat:20.0 "far" 10 100.0;
+         site ~lat:20.0 "far2" 10 100.0 |]
+      [| 4 |]
+  in
+  let start = Placement.with_dr ~primary:[| 1 |] ~secondary:[| 0 |] () in
+  let improved, moves = Local_search.improve asis start in
+  Alcotest.(check int) "one move" 1 moves;
+  Alcotest.(check (array int)) "primary near" [| 0 |] improved.Placement.primary;
+  Alcotest.(check (option (array int))) "secondary swapped back"
+    (Some [| 1 |]) improved.Placement.secondary;
+  Alcotest.(check (list string)) "valid" [] (Placement.validate asis improved)
+
+let test_local_search_pool_max_moves () =
+  (* Shared pools: site 3's pool is 2, set by primary site 1.  Moving
+     group 0's backup from the dear site 2 to site 3 makes primary site 0
+     set that pool instead (4 servers) and empties site 2.  Sites 0 and 1
+     are full of primaries, and the backup sites are too far for them. *)
+  let penalty = Latency_penalty.step ~threshold_ms:10.0 ~penalty_per_user:1000.0 in
+  let asis =
+    ls_estate ~penalty
+      [| site "p0" 4 100.0; site "p1" 2 100.0;
+         site ~lat:50.0 "dear" 10 150.0; site ~lat:50.0 "cheap" 10 50.0 |]
+      [| 4; 2 |]
+  in
+  let start =
+    Placement.with_dr ~primary:[| 0; 1 |] ~secondary:[| 2; 3 |] ()
+  in
+  let improved, moves = Local_search.improve asis start in
+  Alcotest.(check int) "one move" 1 moves;
+  Alcotest.(check (option (array int))) "backups share site 3"
+    (Some [| 3; 3 |]) improved.Placement.secondary;
+  Alcotest.(check (array (float 0.0))) "pool set by site 0"
+    [| 0.0; 0.0; 0.0; 4.0 |]
+    (Placement.backup_servers asis improved)
+
+let test_local_search_zero_delta () =
+  (* Identical sites: every reassignment and swap costs exactly the same,
+     and a move that saves nothing is not a move. *)
+  let asis =
+    ls_estate [| site "a" 10 100.0; site "b" 10 100.0 |] [| 3; 3; 2 |]
+  in
+  let start = Placement.non_dr [| 0; 1; 1 |] in
+  let improved, moves = Local_search.improve asis start in
+  Alcotest.(check int) "no moves" 0 moves;
+  Alcotest.(check (array int)) "unchanged" start.Placement.primary
+    improved.Placement.primary
+
 let test_solver_optimal_small () =
   (* On the fixture the engine must land on the global optimum of the exact
      (flat-pricing) cost: compare against exhaustive search over plans. *)
@@ -115,6 +212,11 @@ let suite =
     Alcotest.test_case "local search monotone" `Quick test_local_search_improves_or_ties;
     Alcotest.test_case "local search repairs" `Quick test_local_search_fixes_bad_plan;
     Alcotest.test_case "local search respects constraints" `Quick test_local_search_respects_constraints;
+    Alcotest.test_case "local search fills to capacity" `Quick test_local_search_fills_to_capacity;
+    Alcotest.test_case "local search omega tight" `Quick test_local_search_omega_tight;
+    Alcotest.test_case "local search swap-back" `Quick test_local_search_swap_back;
+    Alcotest.test_case "local search pool max moves" `Quick test_local_search_pool_max_moves;
+    Alcotest.test_case "local search zero delta" `Quick test_local_search_zero_delta;
     Alcotest.test_case "optimal on fixture" `Quick test_solver_optimal_small;
     Alcotest.test_case "gap reported" `Quick test_gap_reported;
     QCheck_alcotest.to_alcotest prop_solver_never_worse_than_greedy;
