@@ -340,21 +340,22 @@ let arb_pool_case =
       | _ -> Seq.empty)
     gen_pool_case
 
-let strip_delivery json =
-  match json with
-  | Service.Json.Obj fields ->
-      Service.Json.Obj
-        (List.filter
-           (fun (k, _) ->
-             k <> "queue_s" && k <> "solve_s" && k <> "cache")
-           fields)
-  | j -> j
+(* A result line without the fields that depend on delivery (timings,
+   cache hit) rather than on the job. *)
+let strip_delivery line =
+  match Service.Json.parse line with
+  | Ok (Service.Json.Obj fields) ->
+      Service.Json.to_string
+        (Service.Json.Obj
+           (List.filter
+              (fun (k, _) -> k <> "queue_s" && k <> "solve_s" && k <> "cache")
+              fields))
+  | _ -> line
 
 let pool_lines ~workers jobs =
   Service.Pool.with_pool ~workers ~cache_capacity:16 (fun pool ->
       List.map
-        (fun r ->
-          Service.Json.to_string (strip_delivery (Service.Batch.result_to_json r)))
+        (fun r -> strip_delivery (Service.Batch.result_to_line r))
         (Service.Pool.run_batch pool jobs))
 
 let pool_workers_equivalence c =

@@ -84,131 +84,104 @@ let error_body code reason =
     (Json.Obj [ ("code", Json.Str code); ("reason", Json.Str reason) ])
   ^ "\n"
 
+(* Answer with a complete response; returns [status] for the request
+   counter. *)
+let respond ?(headers = json_headers) out ~keep status body =
+  Http.respond out ~status ~headers ~keep_alive:keep body;
+  status
+
+let respond_error ?headers out ~keep status code reason =
+  respond ?headers out ~keep status (error_body code reason)
+
+(* Queue full: shed load instead of stalling the connection (and
+   transitively the reactor) on a blocking submit. *)
+let shed out ~keep =
+  respond_error
+    ~headers:(("Retry-After", "1") :: json_headers)
+    out ~keep 503 "busy" "job queue is full; retry shortly"
+
+(* Read and decode a JSON request body, answering 400 when it is not
+   JSON or [decode] rejects it; [k] handles the decoded value. *)
+let with_json_body out body ~keep decode k =
+  match Json.parse (Http.read_all body) with
+  | Error msg ->
+      respond_error out ~keep 400 "invalid" ("body is not JSON: " ^ msg)
+  | Ok j -> (
+      match decode j with
+      | Error msg -> respond_error out ~keep 400 "invalid" msg
+      | Ok v -> k v)
+
 (* POST /solve: one job spec in, one result line out — byte-compatible
    with the line `etransform batch` prints for the same job.  The body
    is fully read before submission; the fiber then parks on the pool
    ticket's completion hook instead of blocking a thread in await. *)
 let handle_solve t rc out body ~keep =
-  let text = Http.read_all body in
-  match Json.parse text with
-  | Error msg ->
-      Http.respond out ~status:400 ~headers:json_headers ~keep_alive:keep
-        (error_body "invalid" ("body is not JSON: " ^ msg));
-      400
-  | Ok j -> (
-      match Batch.job_of_json ?resolve:t.resolve j with
-      | Error msg ->
-          Http.respond out ~status:400 ~headers:json_headers ~keep_alive:keep
-            (error_body "invalid" msg);
-          400
-      | Ok job -> (
-          match Pool.try_submit t.pool job with
-          | None ->
-              (* Queue full: shed load instead of stalling the connection
-                 (and transitively the reactor) on a blocking submit. *)
-              Http.respond out ~status:503
-                ~headers:(("Retry-After", "1") :: json_headers)
-                ~keep_alive:keep
-                (error_body "busy" "job queue is full; retry shortly");
-              503
-          | Some ticket ->
-              let r =
-                match Pool.poll ticket with
-                | Some r -> r  (* inline pool / cache hit: no parking *)
-                | None ->
-                    Pool.on_complete ticket (fun _ -> Reactor.notify rc);
-                    let rec wait () =
-                      match Pool.poll ticket with
-                      | Some r -> r
-                      | None ->
-                          Reactor.wait_signal rc;
-                          wait ()
-                    in
-                    wait ()
-              in
-              Http.respond out ~status:200 ~headers:json_headers
-                ~keep_alive:keep
-                (Batch.result_to_line r ^ "\n");
-              200))
+  with_json_body out body ~keep (Batch.job_of_json ?resolve:t.resolve)
+  @@ fun job ->
+  match Pool.try_submit t.pool job with
+  | None -> shed out ~keep
+  | Some ticket ->
+      let r =
+        match Pool.poll ticket with
+        | Some r -> r  (* inline pool / cache hit: no parking *)
+        | None ->
+            Pool.on_complete ticket (fun _ -> Reactor.notify rc);
+            let rec wait () =
+              match Pool.poll ticket with
+              | Some r -> r
+              | None ->
+                  Reactor.wait_signal rc;
+                  wait ()
+            in
+            wait ()
+      in
+      respond out ~keep 200 (Batch.result_to_line r ^ "\n")
 
-(* POST /batch: NDJSON request body -> chunked NDJSON response, one line
-   per job in input order.  Full-duplex on a single fiber: a sliding
-   window of submitted tickets (bounded by the pool queue capacity) is
-   flushed head-first whenever a completion notify arrives — including
-   while the fiber is parked reading the request body, via the
-   [on_signal] read hook — so result chunks go out while the request is
-   still arriving. *)
-let handle_batch t rc out body ~keep =
+(* The event-loop driver of [Pool.stream]: each admitted ticket's
+   completion hook notifies this connection's fiber, which parks in
+   [wait_signal] (or, with nothing of its own in flight and the pool
+   full, naps briefly and retries).  The stream's flush becomes the
+   [on_signal] read hook, so result chunks go out while the fiber is
+   parked reading the request body.  [first] is a ticket admitted
+   before the response started; it stands in for the first job. *)
+let fiber_driver ?first t rc =
+  let watch ticket = Pool.on_complete ticket (fun _ -> Reactor.notify rc) in
+  Option.iter watch first;
+  let first = ref first in
+  {
+    Pool.admit =
+      (fun job ->
+        match !first with
+        | Some ticket ->
+            first := None;
+            Some ticket
+        | None ->
+            let ticket = Pool.try_submit t.pool job in
+            Option.iter watch ticket;
+            ticket);
+    wait =
+      (function
+      | Some _ -> Reactor.wait_signal rc | None -> Reactor.sleep rc 0.005);
+    reading = (fun flush -> Reactor.set_on_signal rc (Some flush));
+  }
+
+(* Start a chunked NDJSON answer; returns the line writer. *)
+let start_stream out ~keep ~streaming =
+  streaming := true;
   let ch =
     Http.start_chunked_out out ~status:200 ~headers:ndjson_headers
       ~keep_alive:keep ()
   in
-  let window = max 1 (Pool.queue_capacity t.pool) in
-  let pending : (Pool.ticket, string) result Queue.t = Queue.create () in
-  let emit line = Http.write_chunk ch (line ^ "\n") in
-  (* Flush everything emittable from the head of the window: invalid
-     lines immediately, tickets once resolved.  In-order by
-     construction — an unresolved head blocks everything behind it. *)
-  let rec emit_ready () =
-    match Queue.peek_opt pending with
-    | Some (Error msg) ->
-        ignore (Queue.pop pending);
-        emit (Json.to_string (Batch.invalid_line msg));
-        emit_ready ()
-    | Some (Ok ticket) -> (
-        match Pool.poll ticket with
-        | Some r ->
-            ignore (Queue.pop pending);
-            emit (Batch.result_to_line r);
-            emit_ready ()
-        | None -> ())
-    | None -> ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Reactor.set_on_signal rc None)
-    (fun () ->
-      Reactor.set_on_signal rc (Some emit_ready);
-      let rec submit job =
-        match Pool.try_submit t.pool job with
-        | Some ticket ->
-            Pool.on_complete ticket (fun _ -> Reactor.notify rc);
-            Queue.push (Ok ticket) pending
-        | None ->
-            (* Pool queue full.  With tickets of our own in flight their
-               completions will notify us; otherwise other connections
-               own the queue — back off briefly and retry. *)
-            if Queue.is_empty pending then Reactor.sleep rc 0.005
-            else Reactor.wait_signal rc;
-            emit_ready ();
-            submit job
-      in
-      let rec main () =
-        emit_ready ();
-        if Queue.length pending >= window then begin
-          (* Window full; after [emit_ready] the head is necessarily an
-             unresolved ticket, so a notify is guaranteed. *)
-          Reactor.wait_signal rc;
-          main ()
-        end
-        else
-          match Http.read_line body with
-          | None ->
-              let rec drain_window () =
-                emit_ready ();
-                if not (Queue.is_empty pending) then begin
-                  Reactor.wait_signal rc;
-                  drain_window ()
-                end
-              in
-              drain_window ()
-          | Some line ->
-              if not (Batch.skippable line) then
-                (match Batch.job_of_line ?resolve:t.resolve line with
-                | Error msg -> Queue.push (Error msg) pending
-                | Ok job -> submit job);
-              main ()
-      in
-      main ());
+  (ch, fun line -> Http.write_chunk ch (line ^ "\n"))
+
+(* POST /batch: NDJSON request body -> chunked NDJSON response, one line
+   per job in input order: [Batch.run_lines] on the fiber driver. *)
+let handle_batch t rc out body ~keep ~streaming =
+  let ch, write = start_stream out ~keep ~streaming in
+  ignore
+    (Batch.run_lines ?resolve:t.resolve ~driver:(fiber_driver t rc) t.pool
+       ~read_line:(fun () -> Http.read_line body)
+       ~write);
   Http.finish_chunked ch;
   200
 
@@ -217,102 +190,21 @@ let handle_batch t rc out body ~keep =
    terminal frontier line.  The first point is admitted with [try_submit]
    BEFORE any response bytes leave, so a saturated pool sheds the whole
    sweep as a clean 503 + Retry-After — exactly like /solve — instead of
-   aborting a started stream.  Subsequent points ride the same sliding
-   window discipline as /batch. *)
-let handle_sweep t rc out body ~keep =
-  let t0 = now () in
-  let text = Http.read_all body in
-  match Json.parse text with
-  | Error msg ->
-      Http.respond out ~status:400 ~headers:json_headers ~keep_alive:keep
-        (error_body "invalid" ("body is not JSON: " ^ msg));
-      400
-  | Ok j -> (
-      match Sweep.request_of_json ?resolve:t.resolve j with
-      | Error msg ->
-          Http.respond out ~status:400 ~headers:json_headers ~keep_alive:keep
-            (error_body "invalid" msg);
-          400
-      | Ok (base, grid) -> (
-          let points = Sweep.expand base grid in
-          let tag0, job0 = List.hd points in
-          match Pool.try_submit t.pool job0 with
-          | None ->
-              Http.respond out ~status:503
-                ~headers:(("Retry-After", "1") :: json_headers)
-                ~keep_alive:keep
-                (error_body "busy" "job queue is full; retry shortly");
-              503
-          | Some ticket0 ->
-              let ctx = Sweep.ctx base grid in
-              let ch =
-                Http.start_chunked_out out ~status:200 ~headers:ndjson_headers
-                  ~keep_alive:keep ()
-              in
-              let window = max 1 (Pool.queue_capacity t.pool) in
-              let pending : (string * Pool.ticket) Queue.t = Queue.create () in
-              let acc = ref [] in
-              let emit line = Http.write_chunk ch (line ^ "\n") in
-              let rec emit_ready () =
-                match Queue.peek_opt pending with
-                | Some (tag, ticket) -> (
-                    match Pool.poll ticket with
-                    | Some r ->
-                        ignore (Queue.pop pending);
-                        let p = Sweep.point ctx ~tag r in
-                        acc := p :: !acc;
-                        emit (Sweep.point_line p);
-                        emit_ready ()
-                    | None -> ())
-                | None -> ()
-              in
-              Fun.protect
-                ~finally:(fun () -> Reactor.set_on_signal rc None)
-                (fun () ->
-                  Reactor.set_on_signal rc (Some emit_ready);
-                  let watch ticket =
-                    Pool.on_complete ticket (fun _ -> Reactor.notify rc)
-                  in
-                  watch ticket0;
-                  Queue.push (tag0, ticket0) pending;
-                  let rec submit tag job =
-                    match Pool.try_submit t.pool job with
-                    | Some ticket ->
-                        watch ticket;
-                        Queue.push (tag, ticket) pending
-                    | None ->
-                        if Queue.is_empty pending then Reactor.sleep rc 0.005
-                        else Reactor.wait_signal rc;
-                        emit_ready ();
-                        submit tag job
-                  in
-                  let rec main todo =
-                    emit_ready ();
-                    if Queue.length pending >= window then begin
-                      Reactor.wait_signal rc;
-                      main todo
-                    end
-                    else
-                      match todo with
-                      | [] ->
-                          let rec drain () =
-                            emit_ready ();
-                            if not (Queue.is_empty pending) then begin
-                              Reactor.wait_signal rc;
-                              drain ()
-                            end
-                          in
-                          drain ()
-                      | (tag, job) :: rest ->
-                          submit tag job;
-                          main rest
-                  in
-                  main (List.tl points));
-              let s = Sweep.summarize ~wall_s:(now () -. t0) (List.rev !acc) in
-              emit (Sweep.frontier_line s);
-              Sweep.emit_trace t.pool s;
-              Http.finish_chunked ch;
-              200))
+   aborting a started stream. *)
+let handle_sweep t rc out body ~keep ~streaming =
+  with_json_body out body ~keep (Sweep.request_of_json ?resolve:t.resolve)
+  @@ fun (base, grid) ->
+  match Pool.try_submit t.pool (snd (List.hd (Sweep.expand base grid))) with
+  | None -> shed out ~keep
+  | Some first ->
+      let ch, write = start_stream out ~keep ~streaming in
+      let s =
+        Sweep.run ~driver:(fiber_driver ~first t rc) t.pool base grid
+          ~f:(fun p -> write (Sweep.point_line p))
+      in
+      write (Sweep.frontier_line s);
+      Http.finish_chunked ch;
+      200
 
 (* GET /cache/<fingerprint>: the peer-transfer endpoint.  Answers from
    local tiers only (memory + disk, via [find_local]) so a probe from a
@@ -322,15 +214,12 @@ let handle_sweep t rc out body ~keep =
 let handle_cache t out fp ~keep =
   match Tiered.find_local (Pool.tiered t.pool) fp with
   | Some outcome ->
-      Http.respond out ~status:200
+      respond
         ~headers:[ ("Content-Type", "application/octet-stream") ]
-        ~keep_alive:keep
-        (Cluster.Codec.encode outcome);
-      200
+        out ~keep 200
+        (Cluster.Codec.encode outcome)
   | None ->
-      Http.respond out ~status:404 ~headers:json_headers ~keep_alive:keep
-        (error_body "miss" "fingerprint not cached on this node");
-      404
+      respond_error out ~keep 404 "miss" "fingerprint not cached on this node"
 
 (* POST /gossip: one digest exchange.  The sender's Bloom digest is
    installed (so our future probes to it are gated) and ours comes back
@@ -338,60 +227,51 @@ let handle_cache t out fp ~keep =
 let handle_gossip t out body ~keep =
   match t.node with
   | None ->
-      Http.respond out ~status:404 ~headers:json_headers ~keep_alive:keep
-        (error_body "not_found" "cluster gossip is not enabled");
-      404
+      respond_error out ~keep 404 "not_found" "cluster gossip is not enabled"
   | Some node -> (
       match Cluster.Node.gossip_receive node (Http.read_all body) with
-      | Some reply ->
-          Http.respond out ~status:200 ~headers:json_headers ~keep_alive:keep
-            (reply ^ "\n");
-          200
-      | None ->
-          Http.respond out ~status:400 ~headers:json_headers ~keep_alive:keep
-            (error_body "invalid" "malformed gossip body");
-          400)
+      | Some reply -> respond out ~keep 200 (reply ^ "\n")
+      | None -> respond_error out ~keep 400 "invalid" "malformed gossip body")
 
 let handle_healthz t out ~keep =
-  let body =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "status",
-             Json.Str (if Atomic.get t.stop then "draining" else "ok") );
-           ("workers", Json.Num (float_of_int (Pool.workers t.pool)));
-           ( "queue_depth",
-             Json.Num (float_of_int (Pool.queue_depth t.pool)) );
-           ( "queue_capacity",
-             Json.Num (float_of_int (Pool.queue_capacity t.pool)) );
-         ])
-    ^ "\n"
-  in
-  Http.respond out ~status:200 ~headers:json_headers ~keep_alive:keep body;
-  200
+  respond out ~keep 200
+    (Json.to_string
+       (Json.Obj
+          [
+            ( "status",
+              Json.Str (if Atomic.get t.stop then "draining" else "ok") );
+            ("workers", Json.Num (float_of_int (Pool.workers t.pool)));
+            ( "queue_depth",
+              Json.Num (float_of_int (Pool.queue_depth t.pool)) );
+            ( "queue_capacity",
+              Json.Num (float_of_int (Pool.queue_capacity t.pool)) );
+          ])
+    ^ "\n")
 
 let handle_metrics t out ~keep =
-  Http.respond out ~status:200
+  respond
     ~headers:[ ("Content-Type", "text/plain; version=0.0.4") ]
-    ~keep_alive:keep
-    (Metrics.render t.metrics);
-  200
+    out ~keep 200
+    (Metrics.render t.metrics)
 
 (* Dispatch one parsed request.  Returns [true] to keep the connection
-   open for the next request.  [started] records whether response bytes
-   already left, so late error paths (408/413/400) know not to splice a
-   second head into a stream. *)
+   open for the next request.  [started] records that a handler ran, so
+   the connection's late error paths (408/400) know not to splice a
+   second head after its answer.  [streaming] records that a chunked
+   response head went out: a body error after that point (413/400)
+   ends the stream by closing the connection instead of answering. *)
 let handle_request t rc out conn req ~started =
   let body = Http.body_of_request conn req in
+  let streaming = ref false in
   let keep = Http.keep_alive req && not (Atomic.get t.stop) in
   let route, handler =
     match (req.Http.meth, req.Http.path) with
     | Http.POST, "/solve" ->
         ("/solve", fun () -> handle_solve t rc out body ~keep)
     | Http.POST, "/batch" ->
-        ("/batch", fun () -> handle_batch t rc out body ~keep)
+        ("/batch", fun () -> handle_batch t rc out body ~keep ~streaming)
     | Http.POST, "/sweep" ->
-        ("/sweep", fun () -> handle_sweep t rc out body ~keep)
+        ("/sweep", fun () -> handle_sweep t rc out body ~keep ~streaming)
     | Http.GET, "/healthz" -> ("/healthz", fun () -> handle_healthz t out ~keep)
     | Http.GET, "/metrics" -> ("/metrics", fun () -> handle_metrics t out ~keep)
     | Http.POST, "/gossip" ->
@@ -404,15 +284,19 @@ let handle_request t rc out conn req ~started =
       ->
         ( req.Http.path,
           fun () ->
-            Http.respond out ~status:405 ~headers:json_headers ~keep_alive:keep
-              (error_body "method_not_allowed" "unsupported method");
-            405 )
+            respond_error out ~keep 405 "method_not_allowed"
+              "unsupported method" )
     | _ ->
         ( "other",
-          fun () ->
-            Http.respond out ~status:404 ~headers:json_headers ~keep_alive:keep
-              (error_body "not_found" "unknown route");
-            404 )
+          fun () -> respond_error out ~keep 404 "not_found" "unknown route" )
+  in
+  (* After a chunked head went out, a second head would land inside the
+     stream: end it by closing the connection instead. *)
+  let refuse status code reason =
+    if not !streaming then
+      (try ignore (respond_error out ~keep:false status code reason)
+       with _ -> ());
+    (status, false)
   in
   let t0 = now () in
   let status, keep =
@@ -425,18 +309,8 @@ let handle_request t rc out conn req ~started =
       (status, keep)
     with
     | Http.Payload_too_large ->
-        (try
-           Http.respond out ~status:413 ~headers:json_headers
-             ~keep_alive:false
-             (error_body "too_large" "request body exceeds the limit")
-         with _ -> ());
-        (413, false)
-    | Http.Bad_request msg ->
-        (try
-           Http.respond out ~status:400 ~headers:json_headers
-             ~keep_alive:false (error_body "bad_request" msg)
-         with _ -> ());
-        (400, false)
+        refuse 413 "too_large" "request body exceeds the limit"
+    | Http.Bad_request msg -> refuse 400 "bad_request" msg
   in
   count_request t ~route ~status;
   Metrics.observe t.metrics request_seconds
@@ -468,7 +342,9 @@ let handle_connection t rc =
         Reactor.set_in_request rc true;
         let keep =
           Fun.protect
-            ~finally:(fun () -> Reactor.set_in_request rc false)
+            ~finally:(fun () ->
+              Reactor.set_on_signal rc None;
+              Reactor.set_in_request rc false)
             (fun () -> handle_request t rc out conn req ~started)
         in
         if keep && not (Atomic.get t.stop) then loop ()
@@ -477,9 +353,7 @@ let handle_connection t rc =
   | Http.Bad_request msg ->
       (* Unparseable request head: best-effort 400, then hang up. *)
       if not !started then
-        (try
-           Http.respond out ~status:400 ~headers:json_headers
-             ~keep_alive:false (error_body "bad_request" msg)
+        (try ignore (respond_error out ~keep:false 400 "bad_request" msg)
          with _ -> ())
   | Http.Payload_too_large -> ()
   | Reactor.Idle_timeout ->
@@ -487,9 +361,9 @@ let handle_connection t rc =
          no response bytes are in flight, say why before closing. *)
       if not !started then
         (try
-           Http.respond out ~status:408 ~headers:json_headers
-             ~keep_alive:false
-             (error_body "timeout" "connection idle too long")
+           ignore
+             (respond_error out ~keep:false 408 "timeout"
+                "connection idle too long")
          with _ -> ())
   | Unix.Unix_error
       ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _) ->

@@ -12,7 +12,9 @@
     - [POST /batch] — an NDJSON body streamed through the pool with a
       sliding window bounded by the queue capacity; the response is
       chunked, one result line per job in input order, and lines start
-      flowing while the request body is still being received.
+      flowing while the request body is still being received.  A body
+      that overruns [max_body] or breaks chunk framing after the stream
+      started ends it by closing the connection.
     - [POST /sweep] — one job spec plus a ["grid"] member
       ({!Service.Sweep}); the response is chunked NDJSON, one line per
       grid point in grid order as each completes, closed by a

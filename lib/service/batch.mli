@@ -29,49 +29,52 @@ val job_of_json : ?resolve:resolver -> Json.t -> (Job.t, string) result
 (** [job_of_line ?resolve line] parses then decodes. *)
 val job_of_line : ?resolve:resolver -> string -> (Job.t, string) result
 
-(** One NDJSON result line: id, fingerprint, code, cache hit/miss, spans,
-    cost summary, solver status, and the placement vector. *)
-val result_to_json : Pool.result -> Json.t
+(** The fields of one NDJSON result line, in output order: id,
+    fingerprint, code, cache hit/miss, spans, then — when a plan exists —
+    cost summary, solver status and the placement vector, then the
+    reason a job degraded or failed.  Front-ends that add fields (sweep
+    points) append to this list. *)
+val result_fields : Pool.result -> (string * Json.t) list
 
-(** [result_to_line r] is [Json.to_string (result_to_json r)] byte for
-    byte, but memoizes the rendered outcome details (the placement
-    vector above all) per physically-shared outcome, so cache-hit
-    responses skip re-serializing the plan.  This is the serializer the
-    server and {!run_lines} use on their hot paths. *)
+(** [result_to_line r] renders {!result_fields} as one JSON object — the
+    line [etransform batch] prints, [/solve] answers and [/batch]
+    streams. *)
 val result_to_line : Pool.result -> string
 
-(** The result line for an unparseable input line, exactly as
-    {!run_lines} emits it — the HTTP /batch route reuses it so its
-    streams stay byte-compatible with the CLI. *)
-val invalid_line : string -> Json.t
+(** [run_lines pool ~read_line ~write] streams a batch through the
+    pool's in-order window ({!Pool.stream}): [read_line] yields input
+    lines ([None] = end of input), blank lines and [#] comments are
+    skipped, and every other line takes one slot — a job, or, when it
+    fails to decode, an ["invalid"] result line that keeps its place
+    (the batch keeps going).  Each completed line (without trailing
+    newline) is handed to [write] in input order.  At most the pool's
+    queue capacity is outstanding at once, so memory is bounded by the
+    window, not by the input.
 
-(** [true] for blank lines and [#] comments, which consume no output
-    line. *)
-val skippable : string -> bool
+    [driver] defaults to {!Pool.blocking}: the loop reads a line,
+    submits it, and writes whatever the head of the window has
+    finished; it waits on the head ticket only when the window is full
+    or the input has ended.  So when [read_line] stalls (an operator
+    typing specs, a slow pipe), a finished result is written when the
+    next line or the end of input arrives.  The HTTP [/batch] route
+    passes an event-loop driver instead, which also writes results
+    while it is parked reading the request body.
 
-(** [run_lines pool ~read_line ~write] streams a batch through the pool
-    in full duplex: a producer thread pulls lines from [read_line]
-    ([None] = end of input) and submits jobs, while the calling thread
-    awaits results in input order and hands each completed line (without
-    trailing newline) to [write].  At most the pool's queue capacity is
-    outstanding at once, so memory is bounded by the window, and results
-    for completed predecessors are written even while [read_line] blocks
-    — this is what lets the HTTP [/batch] route answer before the
-    request body is fully consumed.  Lines that fail to parse produce an
-    ["invalid"] result line (the batch keeps going).  If [write] raises
-    (e.g. [EPIPE] on a closed pipe) the stream shuts down cleanly — the
-    producer stops, every submitted ticket is drained — and the first
-    write exception is re-raised.  Returns [(ok, degraded, failed)]
-    counts, where [failed] includes invalid lines. *)
+    If [write] raises (e.g. [EPIPE] on a closed pipe) the stream winds
+    down — reading stops, every submitted ticket resolves — and the
+    first write exception is re-raised.  Exceptions from [read_line]
+    propagate.  Returns [(ok, degraded, failed)] counts, where [failed]
+    includes invalid lines. *)
 val run_lines :
   ?resolve:resolver ->
+  ?driver:Pool.driver ->
   Pool.t ->
   read_line:(unit -> string option) ->
   write:(string -> unit) ->
   int * int * int
 
 (** [run pool ic oc] is {!run_lines} over channels: one result line per
-    job is written (and flushed) to [oc] in input order as each
-    completes, so long-lived pipes see output before [ic] reaches
-    EOF. *)
+    job is written (and flushed) to [oc] in input order.  A read error
+    on [ic] ends the input and is reported as a final ["invalid"] line
+    after every result before it. *)
 val run : ?resolve:resolver -> Pool.t -> in_channel -> out_channel -> int * int * int

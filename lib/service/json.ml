@@ -244,7 +244,10 @@ let number_to_string f =
   (* JSON has no NaN/Infinity; emit null for any non-finite value. *)
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+    (* [Printf.sprintf "%.0f" f] byte for byte, at a fraction of the
+       cost: result lines carry a dozen integers (the placement). *)
+    if f = 0.0 && Float.sign_bit f then "-0"
+    else string_of_int (int_of_float f)
   else
     (* Shortest representation that round-trips. *)
     let s = Printf.sprintf "%.12g" f in

@@ -391,36 +391,110 @@ let poll ticket =
   Mutex.unlock ticket.tm;
   r
 
-let stream_batch t jobs ~f =
+(* ------------------------------------------------------ in-order stream *)
+
+type driver = {
+  admit : Job.t -> ticket option;
+  wait : ticket option -> unit;
+  reading : (unit -> unit) -> unit;
+}
+
+let blocking t =
+  {
+    admit = (fun job -> Some (submit t job));
+    wait = Option.iter (fun ticket -> ignore (await ticket));
+    reading = ignore;
+  }
+
+(* The one in-order window.  Slots enter at the tail as [read] yields
+   them (a job is admitted to the pool, an undecodable input keeps its
+   place as an [Error]) and leave at the head through [emit], so output
+   order is input order whatever order the workers finish in.  At most
+   [queue_capacity] slots are outstanding, which bounds memory by the
+   window rather than by the input.  Every time the loop would block it
+   first flushes whatever the head has resolved.
+
+   If [emit] raises, reading stops, the remaining tickets are waited out
+   without emitting, and the first exception is re-raised — every ticket
+   this stream admitted has resolved by the time it returns. *)
+let stream ?driver t ~read ~emit =
+  let d = match driver with Some d -> d | None -> blocking t in
+  let window = max 1 t.queue_capacity in
+  let pending = Queue.create () in
+  let failure = ref None in
+  let emit k out =
+    if !failure = None then try emit k out with exn -> failure := Some exn
+  in
+  let rec flush () =
+    match Queue.peek_opt pending with
+    | None -> ()
+    | Some (k, slot) -> (
+        match
+          match slot with
+          | Error msg -> Some (Error msg)
+          | Ok ticket -> Option.map Result.ok (poll ticket)
+        with
+        | None -> ()
+        | Some out ->
+            ignore (Queue.pop pending);
+            emit k out;
+            flush ())
+  in
+  (* After [flush] the head, if any, is an unresolved ticket. *)
+  let wait () =
+    d.wait (Option.map (fun (_, slot) -> Result.get_ok slot)
+              (Queue.peek_opt pending));
+    flush ()
+  in
+  let rec admit k job =
+    match d.admit job with
+    | Some ticket -> Queue.push (k, Ok ticket) pending
+    | None ->
+        wait ();
+        admit k job
+  in
+  let rec fill () =
+    flush ();
+    if Queue.length pending >= window then begin
+      wait ();
+      fill ()
+    end
+    else
+      match if !failure = None then read () else None with
+      | Some (k, Ok job) ->
+          admit k job;
+          fill ()
+      | Some (k, Error msg) ->
+          Queue.push (k, Error msg) pending;
+          fill ()
+      | None -> ()
+  in
+  d.reading flush;
+  fill ();
+  while not (Queue.is_empty pending) do
+    wait ()
+  done;
+  Option.iter raise !failure
+
+let run_batch t jobs =
   let t0 = now () in
-  let tickets = List.map (submit t) jobs in
-  let solved = ref 0 and degraded = ref 0 and failed = ref 0 in
-  let cache_hits = ref 0 in
-  List.iter
-    (fun ticket ->
-      let r = await ticket in
-      (match r.code with
-      | Solved -> incr solved
-      | Degraded -> incr degraded
-      | Failed -> incr failed);
-      if r.cache_hit then incr cache_hits;
-      f r)
-    tickets;
+  let acc = ref [] in
+  stream t
+    ~read:(Seq.to_dispenser (Seq.map (fun j -> ((), Ok j)) (List.to_seq jobs)))
+    ~emit:(fun () -> Result.iter (fun r -> acc := r :: !acc));
+  let results = List.rev !acc in
+  let count p = Json.Num (float_of_int (List.length (List.filter p results))) in
   Trace.emit t.trace
     [
       ("event", Json.Str "batch");
       ("jobs", Json.Num (float_of_int (List.length jobs)));
-      ("solved", Json.Num (float_of_int !solved));
-      ("degraded", Json.Num (float_of_int !degraded));
-      ("failed", Json.Num (float_of_int !failed));
-      ("cache_hits", Json.Num (float_of_int !cache_hits));
+      ("solved", count (fun r -> r.code = Solved));
+      ("degraded", count (fun r -> r.code = Degraded));
+      ("failed", count (fun r -> r.code = Failed));
+      ("cache_hits", count (fun r -> r.cache_hit));
       ("wall_s", Json.Num (now () -. t0));
-    ]
-
-let run_batch t jobs =
-  let acc = ref [] in
-  stream_batch t jobs ~f:(fun r -> acc := r :: !acc);
-  List.rev !acc
+    ];
+  results
 
 let shutdown t =
   Mutex.lock t.m;

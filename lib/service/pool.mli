@@ -102,14 +102,46 @@ val poll : ticket -> result option
     ticket lock, in registration order; exceptions are swallowed. *)
 val on_complete : ticket -> (result -> unit) -> unit
 
-(** [run_batch t jobs] submits every job and returns results in submission
-    order; also emits a ["batch"] trace summary. *)
-val run_batch : t -> Job.t list -> result list
+(** {2 In-order streams} *)
 
-(** [stream_batch t jobs ~f] is {!run_batch} but delivers each result to
-    [f] as soon as it (and all its predecessors) completed, preserving
-    submission order. *)
-val stream_batch : t -> Job.t list -> f:(result -> unit) -> unit
+(** How a {!stream} submits and waits.  The default submits with
+    {!submit} and waits with {!await} on the head ticket; an event loop
+    supplies its own parks instead. *)
+type driver = {
+  admit : Job.t -> ticket option;
+      (** Submit a job; [None] when the pool cannot take it right now. *)
+  wait : ticket option -> unit;
+      (** Park until the head ticket may have resolved — or, given
+          [None] (nothing of the stream's own in flight), until the pool
+          may have room.  Spurious returns are fine: the stream
+          re-polls. *)
+  reading : (unit -> unit) -> unit;
+      (** Receives the stream's flush before the first read; a driver
+          whose reads block calls it while parked to write out every
+          result the head has resolved. *)
+}
+
+(** [stream t ~read ~emit] is the in-order, window-bounded loop every
+    streaming front-end runs on.  [read] yields the next slot ([None] at
+    end of input): [(k, Ok job)] is admitted to the pool, [(k, Error
+    msg)] (an input that failed to decode) keeps its place in the order.
+    [emit k out] receives each slot in input order as soon as it and
+    all its predecessors are done.  At most {!queue_capacity} slots are
+    outstanding.
+
+    If [emit] raises, the stream stops reading, waits out every ticket
+    it admitted without emitting, and re-raises the first exception.
+    Exceptions from [read] and the driver propagate at once. *)
+val stream :
+  ?driver:driver ->
+  t ->
+  read:(unit -> ('k * (Job.t, string) Stdlib.result) option) ->
+  emit:('k -> (result, string) Stdlib.result -> unit) ->
+  unit
+
+(** [run_batch t jobs] is {!stream} over a list: results in submission
+    order, plus a ["batch"] trace summary. *)
+val run_batch : t -> Job.t list -> result list
 
 (** Drain the queue and join the worker domains.  Idempotent. *)
 val shutdown : t -> unit

@@ -204,21 +204,13 @@ let point ctx ~tag (r : Pool.result) =
 
 (* ----------------------------------------------------------- rendering *)
 
-(* "{...}" -> splice extra fields before the closing brace, keeping
-   Batch.result_to_line's memoized rendering of the plan. *)
 let point_line p =
-  let base = Batch.result_to_line p.result in
-  let extra =
-    ("tag", Json.Str p.tag)
-    ::
-    (match p.resilience with
-    | None -> []
-    | Some r -> [ ("resilience", Json.Num r) ])
-  in
-  let extra = Json.to_string (Json.Obj extra) in
-  String.sub base 0 (String.length base - 1)
-  ^ ","
-  ^ String.sub extra 1 (String.length extra - 1)
+  Json.to_string
+    (Json.Obj
+       (Batch.result_fields p.result
+       @ ("tag", Json.Str p.tag)
+         :: Option.to_list
+              (Option.map (fun r -> ("resilience", Json.Num r)) p.resilience)))
 
 type summary = {
   points : int;
@@ -278,22 +270,20 @@ let emit_trace pool s =
 
 (* ----------------------------------------------------------------- run *)
 
-let run pool base grid ~f =
+let run ?driver pool base grid ~f =
   let t0 = Unix.gettimeofday () in
   let c = ctx base grid in
-  let tagged = expand base grid in
-  (* Submit everything up front: workers drain the queue independently of
-     the await loop below, so ordering the awaits by submission keeps the
-     stream deterministic without idling the pool. *)
-  let tickets = List.map (fun (tag, job) -> (tag, Pool.submit pool job)) tagged in
-  let pts =
-    List.map
-      (fun (tag, ticket) ->
-        let p = point c ~tag (Pool.await ticket) in
-        f p;
-        p)
-      tickets
-  in
-  let s = summarize ~wall_s:(Unix.gettimeofday () -. t0) pts in
+  let acc = ref [] in
+  Pool.stream ?driver pool
+    ~read:
+      (Seq.to_dispenser
+         (Seq.map (fun (tag, job) -> (tag, Ok job))
+            (List.to_seq (expand base grid))))
+    ~emit:(fun tag ->
+      Result.iter (fun r ->
+          let p = point c ~tag r in
+          acc := p :: !acc;
+          f p));
+  let s = summarize ~wall_s:(Unix.gettimeofday () -. t0) (List.rev !acc) in
   emit_trace pool s;
   s

@@ -83,7 +83,10 @@ val frontier_line : summary -> string
 (** Emit the ["sweep"] trace event ({!Metrics.observe_trace} listens). *)
 val emit_trace : Pool.t -> summary -> unit
 
-(** [run pool base grid ~f] submits every point, calls [f] per point in
-    grid order as results complete, and returns the summary (also traced
-    via {!emit_trace}). *)
-val run : Pool.t -> Job.t -> grid -> f:(point -> unit) -> summary
+(** [run pool base grid ~f] streams the points through the pool's
+    in-order window ({!Pool.stream}, with [driver] as given), calls [f]
+    per point in grid order as results complete, and returns the summary
+    (also traced via {!emit_trace}). *)
+val run :
+  ?driver:Pool.driver ->
+  Pool.t -> Job.t -> grid -> f:(point -> unit) -> summary

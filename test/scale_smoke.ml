@@ -91,14 +91,17 @@ let solver_part () =
   if !trees = 0 then fail "scale-smoke: no instance opened a tree";
   !trees
 
-let strip_delivery json =
-  match json with
-  | Service.Json.Obj fields ->
-      Service.Json.Obj
-        (List.filter
-           (fun (k, _) -> k <> "queue_s" && k <> "solve_s" && k <> "cache")
-           fields)
-  | j -> j
+(* A result line without the fields that depend on delivery (timings,
+   cache hit) rather than on the job. *)
+let strip_delivery line =
+  match Service.Json.parse line with
+  | Ok (Service.Json.Obj fields) ->
+      Service.Json.to_string
+        (Service.Json.Obj
+           (List.filter
+              (fun (k, _) -> k <> "queue_s" && k <> "solve_s" && k <> "cache")
+              fields))
+  | _ -> line
 
 let pool_part () =
   let jobs =
@@ -126,9 +129,7 @@ let pool_part () =
   let lines workers =
     Service.Pool.with_pool ~workers ~cache_capacity:16 (fun pool ->
         List.map
-          (fun r ->
-            Service.Json.to_string
-              (strip_delivery (Service.Batch.result_to_json r)))
+          (fun r -> strip_delivery (Service.Batch.result_to_line r))
           (Service.Pool.run_batch pool jobs))
   in
   let seq = lines 0 and par = lines 2 in

@@ -6,7 +6,9 @@
      what Service.Batch produces for the same job (byte-identical after
      dropping the wall-clock timing fields queue_s/solve_s, which cannot
      repeat across runs).
-   - POST /batch with the whole 3-job fixture; 3 ok result lines, in order.
+   - POST /batch with the whole 3-job fixture; the body must equal the
+     Service.Batch reference for the same jobs line for line (again
+     after dropping the timing fields), with 3 ok result lines in order.
    - GET /healthz and /metrics; the scrape must report the traffic above.
    - request_stop: the drain must complete well within --drain-timeout and
      leave the port closed. *)
@@ -134,24 +136,28 @@ let () =
     (List.length lines);
   let first_job = List.hd lines in
 
-  (* Reference: the same job through Service.Batch on a private pool —
-     the CLI `batch` path without the process boundary. *)
+  (* Reference: the traffic below — the first job (/solve), then the
+     whole fixture (/batch) — through Service.Batch on a private pool:
+     the CLI `batch` path without the process boundary.  One worker runs
+     the jobs in order, so the cache hits match the server's. *)
   let reference =
-    let out = Buffer.create 256 in
-    let fed = ref false in
+    let out = ref [] in
+    let input = ref (first_job :: lines) in
     Service.Pool.with_pool ~workers:1 ~queue_capacity:4 ~cache_capacity:16
       (fun pool ->
         ignore
           (Service.Batch.run_lines ~resolve:Harness.Line_jobs.resolve pool
              ~read_line:(fun () ->
-               if !fed then None
-               else begin
-                 fed := true;
-                 Some first_job
-               end)
-             ~write:(fun line -> Buffer.add_string out line)));
-    strip_timing (Buffer.contents out)
+               match !input with
+               | [] -> None
+               | l :: rest ->
+                   input := rest;
+                   Some l)
+             ~write:(fun line -> out := strip_timing line :: !out)));
+    List.rev !out
   in
+  let reference_solve = List.hd reference
+  and reference_batch = String.concat "\n" (List.tl reference) in
 
   let metrics = Service.Metrics.create () in
   let trace =
@@ -188,8 +194,8 @@ let () =
       let status, body = post port "/solve" first_job in
       check (status = 200) "/solve status %d" status;
       let via_http = strip_timing body in
-      check (via_http = reference)
-        "/solve differs from batch: %s vs %s" via_http reference;
+      check (via_http = reference_solve)
+        "/solve differs from batch: %s vs %s" via_http reference_solve;
 
       (* /batch — the whole fixture in one request. *)
       let status, body = post port "/batch" (String.concat "\n" lines ^ "\n") in
@@ -200,6 +206,9 @@ let () =
       in
       check (List.length results = 3) "/batch returned %d lines"
         (List.length results);
+      let via_http = String.concat "\n" (List.map strip_timing results) in
+      check (via_http = reference_batch)
+        "/batch differs from batch:\n%s\nvs\n%s" via_http reference_batch;
       List.iteri
         (fun i line ->
           let want = Printf.sprintf {|"id":"s%d"|} (i + 1) in

@@ -116,11 +116,12 @@ let job_line ?(id = "j") ?(penalty = 0) () =
     {|{"id":"%s","estate":{"kind":"line","n_groups":12,"penalty":%d},"milp":{"nodes":2,"time":20}}|}
     id penalty
 
-let with_server ?(workers = 1) ?(queue = 64) ?max_conns ?idle_timeout f =
+let with_server ?(workers = 1) ?(queue = 64) ?max_conns ?idle_timeout ?limits
+    f =
   Service.Pool.with_pool ~workers ~queue_capacity:queue (fun pool ->
       let server =
         Server.Daemon.create ~port:0 ~drain_timeout:5.0 ?max_conns
-          ?idle_timeout ~resolve:Harness.Line_jobs.resolve ~pool ()
+          ?idle_timeout ?limits ~resolve:Harness.Line_jobs.resolve ~pool ()
       in
       let th = Thread.create Server.Daemon.run server in
       Fun.protect
@@ -287,6 +288,56 @@ let test_batch_streams_before_eof () =
           Alcotest.(check string) "third result after resume" "w3" (id_of l3);
           Alcotest.(check (option string)) "stream closed" None
             (read_chunk ic)))
+
+(* A /batch body that overruns max_body after its stream started: the
+   200 head and a result are already out, so a 413 head would land inside
+   the chunked body.  The server must end the stream by closing the
+   connection instead, and still count the request as a 413. *)
+let test_batch_overrun_closes_stream () =
+  let limits =
+    { Server.Http.default_limits with Server.Http.max_body = 256 }
+  in
+  with_server ~limits (fun _pool server ->
+      let port = Server.Daemon.port server in
+      let fd = connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          write_all fd
+            "POST /batch HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n";
+          let chunk s =
+            write_all fd (Printf.sprintf "%x\r\n%s\r\n" (String.length s) s)
+          in
+          chunk (job_line ~id:"o1" () ^ "\n");
+          let ic = Unix.in_channel_of_descr fd in
+          let status, _ = read_head ic in
+          Alcotest.(check int) "200" 200 status;
+          (match read_chunk ic with
+          | Some line ->
+              Alcotest.(check bool) "first result streamed" true
+                (Astring_contains.contains line {|"id":"o1"|})
+          | None -> Alcotest.fail "stream ended before the first result");
+          (* Overrun: this chunk takes the body past max_body. *)
+          (try chunk (job_line ~id:"o2" () ^ String.make 300 ' ' ^ "\n")
+           with Unix.Unix_error _ -> ());
+          let rest = Buffer.create 256 in
+          (try
+             while true do
+               Buffer.add_channel rest ic 1
+             done
+           with End_of_file | Sys_error _ -> ());
+          let rest = Buffer.contents rest in
+          Alcotest.(check bool)
+            (Printf.sprintf "no second head in the stream: %S" rest)
+            false
+            (Astring_contains.contains rest "HTTP/1.1"));
+      let rec counted tries =
+        let scrape = Service.Metrics.render (Server.Daemon.metrics server) in
+        Astring_contains.contains scrape
+          {|etransform_http_requests_total{route="/batch",status="413"} 1|}
+        || (tries > 0 && (Unix.sleepf 0.05; counted (tries - 1)))
+      in
+      Alcotest.(check bool) "counted as 413" true (counted 40))
 
 let line_milp =
   {
@@ -522,6 +573,8 @@ let suite =
       test_solve_rejects_bad_specs;
     Alcotest.test_case "server: /batch streams before request EOF" `Slow
       test_batch_streams_before_eof;
+    Alcotest.test_case "server: /batch body overrun closes the stream" `Slow
+      test_batch_overrun_closes_stream;
     Alcotest.test_case "server: /solve backpressure 503" `Slow
       test_solve_backpressure_503;
     Alcotest.test_case "server: keep-alive pipelined requests" `Slow

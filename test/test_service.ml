@@ -505,6 +505,62 @@ let test_batch_stream_alignment () =
         (fp_of (List.nth lines 0))
         (fp_of (List.nth lines 2)))
 
+(* A writer that dies mid-stream (EPIPE on a closed pipe, say) must wind
+   the stream down: no more reads or writes, every admitted job resolved
+   before run_lines returns, the first write exception re-raised, and
+   the pool still able to shut down. *)
+exception Write_failed of int
+
+let test_batch_writer_failure () =
+  (* "slow" estates: distinct keys (no cache hits) and a build that
+     sleeps, so a stream returning before its tickets resolve shows. *)
+  let resolve ej =
+    match Option.bind (Service.Json.member "kind" ej) Service.Json.to_str with
+    | Some "slow" ->
+        Some
+          ( "slow:" ^ Service.Json.to_string ej,
+            fun () ->
+              Unix.sleepf 0.02;
+              Harness.Line_estate.make (small_cfg 0.0 0.0) )
+    | _ -> None
+  in
+  List.iter
+    (fun workers ->
+      let finished = Atomic.make 0 in
+      let trace =
+        Service.Trace.observer (fun fields ->
+            if List.assoc_opt "event" fields = Some (Service.Json.Str "job")
+            then Atomic.incr finished)
+      in
+      let pool = Service.Pool.create ~workers ~queue_capacity:4 ~trace () in
+      let n = 12 and read = ref 0 and writes = ref 0 in
+      let read_line () =
+        if !read >= n then None
+        else begin
+          incr read;
+          Some
+            (Printf.sprintf
+               {|{"id":"w%d","estate":{"kind":"slow","n":%d},"milp":{"nodes":2,"time":20}}|}
+               !read !read)
+        end
+      in
+      let write _ =
+        incr writes;
+        if !writes >= 2 then raise (Write_failed !writes)
+      in
+      let label what = Printf.sprintf "workers=%d: %s" workers what in
+      (match Service.Batch.run_lines ~resolve pool ~read_line ~write with
+      | _ -> Alcotest.fail (label "writer failure swallowed")
+      | exception Write_failed k ->
+          Alcotest.(check int) (label "first failure re-raised") 2 k);
+      Alcotest.(check int) (label "no write after the failure") 2 !writes;
+      Alcotest.(check bool) (label "reading stopped") true (!read < n);
+      Alcotest.(check int)
+        (label "every submitted ticket resolved")
+        !read (Atomic.get finished);
+      Service.Pool.shutdown pool)
+    [ 0; 2 ]
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -533,6 +589,8 @@ let suite =
       test_capped_budget_not_cached;
     Alcotest.test_case "pool: no degradation means failure" `Quick
       test_failed_without_degradation;
+    Alcotest.test_case "batch: writer failure winds the stream down" `Quick
+      test_batch_writer_failure;
     Alcotest.test_case "batch: NDJSON stream alignment" `Slow
       test_batch_stream_alignment;
   ]
