@@ -412,8 +412,7 @@ let kernel_thunks () =
   let federal_root_opts =
     { Lp.Milp.default_options with
       Lp.Milp.node_limit = 1;
-      time_limit = 30.0;
-      core = Lp.Simplex.Sparse }
+      time_limit = 30.0 }
   in
   [
     ( "e1_simplex_solve",

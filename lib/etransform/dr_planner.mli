@@ -1,7 +1,8 @@
 (** Scalable integrated consolidation + DR planning.
 
     The faithful joint MILP of {!Dr_builder} carries O(M N^2) linearization
-    variables, which outgrows a dense-tableau simplex quickly.  This planner
+    variables, which outgrows the repo's simplex and branch-and-bound
+    quickly.  This planner
     decomposes the problem:
 
     + stage 1 places primaries with the §III model, a business-impact

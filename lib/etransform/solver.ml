@@ -17,21 +17,18 @@ type outcome = {
    so a deep best-bound search rarely improves the incumbent.  Keep the
    default tree small and let callers raise it for certified optima.
 
-   The reference configuration pins the dense simplex core and disables
-   presolve: with truncated trees the reported plan is the dive (or
-   LP-rounding) incumbent, and a different — equally optimal — degenerate
-   LP vertex steers those heuristics to a different, equally heuristic
-   plan.  Pinning the historical engine keeps the paper reproductions
-   (experiments E1–E3) bit-stable as the solver pipeline evolves; callers
-   chasing speed over reproducibility can flip [core]/[presolve] back to
-   the {!Lp.Milp.default_options} values. *)
+   The reference configuration disables presolve: with truncated trees
+   the reported plan is the dive (or LP-rounding) incumbent, and a
+   different — equally optimal — degenerate LP vertex steers those
+   heuristics to a different, equally heuristic plan.  Keeping the root
+   LP on the unreduced model keeps the paper reproductions (experiments
+   E1–E3) stable as the presolve passes evolve. *)
 let default_milp_options =
   {
     Lp.Milp.default_options with
     Lp.Milp.node_limit = 24;
     time_limit = 60.0;
     gap_tol = 5e-3;
-    core = Lp.Simplex.Dense;
     presolve = false;
   }
 
@@ -40,13 +37,13 @@ let default_milp_options =
    candidate with room, breaking ties toward cheaper assignments — the
    classic generalized-assignment rounding, which keeps the LP's global
    view of latency and capacity trade-offs. *)
-let lp_round ?(relax_x = [||]) ~core asis (built : Lp_builder.built) =
+let lp_round ?(relax_x = [||]) asis (built : Lp_builder.built) =
   let relax_x =
     (* The MILP already solved the root relaxation; only re-solve when the
        caller has no point to hand over (e.g. the root LP never finished). *)
     if Array.length relax_x > 0 then Some relax_x
     else
-      let relax = Lp.Milp.relax ~core built.Lp_builder.model in
+      let relax = Lp.Milp.relax built.Lp_builder.model in
       if relax.Lp.Simplex.status <> Lp.Status.Optimal then None
       else Some relax.Lp.Simplex.x
   in
@@ -112,7 +109,7 @@ let consolidate ?(builder = Lp_builder.default_options)
           f "MILP returned %s with no incumbent; rounding the LP relaxation"
             (Lp.Status.to_string r.Lp.Milp.status));
       match
-        lp_round ~relax_x:r.Lp.Milp.relax_x ~core:milp.Lp.Milp.core asis built
+        lp_round ~relax_x:r.Lp.Milp.relax_x asis built
       with
       | Some p -> p
       | None -> Greedy.plan asis
@@ -153,7 +150,7 @@ let consolidate ?(builder = Lp_builder.default_options)
       && (Float.is_nan r.Lp.Milp.gap || r.Lp.Milp.gap > 0.05)
     then
       match
-        lp_round ~relax_x:r.Lp.Milp.relax_x ~core:milp.Lp.Milp.core asis built
+        lp_round ~relax_x:r.Lp.Milp.relax_x asis built
       with
       | Some rounded when Placement.validate asis rounded = [] ->
           let rounded, rmoves = polish rounded in

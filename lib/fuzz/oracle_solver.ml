@@ -3,10 +3,10 @@
    Ground truth comes from three independent sources: exhaustive
    enumeration of small integer lattices, the self-checking dual
    certificate ([Simplex.check_certificate], strong duality +
-   complementary slackness re-verified from scratch), and pairwise
-   agreement between configurations that must be semantically equivalent
-   (dense vs sparse core, presolve on/off, warm vs cold starts, worker
-   counts). *)
+   complementary slackness re-verified from scratch, also on the elastic
+   LP that certifies an [Infeasible] verdict), and pairwise agreement
+   between configurations that must be semantically equivalent (presolve
+   on/off, warm vs cold starts, worker counts). *)
 
 open Check
 
@@ -108,6 +108,44 @@ let milp_vs_enumeration spec =
 
 (* ------------------------------------------------------ duality oracle *)
 
+(* The elastic LP of [input]: every row gets non-negative violation
+   columns (one for an inequality, two for an equality) and the objective
+   minimises their sum.  It is feasible and bounded whenever the box is
+   non-empty, so it solves to a certified optimum, and [input] is
+   infeasible exactly when that optimum is positive. *)
+let elastic (input : Lp.Simplex.input) =
+  let n = input.Lp.Simplex.nvars in
+  let next = ref n in
+  let viol c =
+    let j = !next in
+    incr next;
+    (j, c)
+  in
+  let rows =
+    Array.map
+      (fun (terms, sense, rhs) ->
+        let extra =
+          match sense with
+          | Lp.Model.Le -> [ viol (-1.0) ]
+          | Lp.Model.Ge -> [ viol 1.0 ]
+          | Lp.Model.Eq ->
+              let p = viol 1.0 in
+              [ p; viol (-1.0) ]
+        in
+        (Array.append terms (Array.of_list extra), sense, rhs))
+      input.Lp.Simplex.rows
+  in
+  let k = !next - n in
+  {
+    Lp.Simplex.nvars = !next;
+    lo = Array.append input.Lp.Simplex.lo (Array.make k 0.0);
+    hi = Array.append input.Lp.Simplex.hi (Array.make k infinity);
+    obj = Array.append (Array.make n 0.0) (Array.make k 1.0);
+    obj_const = 0.0;
+    minimize = true;
+    rows;
+  }
+
 let lp_certificate spec =
   let input = Lp.Simplex.of_model (Gen_lp.to_model spec) in
   let r = Lp.Simplex.solve input in
@@ -121,29 +159,21 @@ let lp_certificate spec =
         | errs ->
             failf "certificate rejected: %s" (String.concat "; " errs))
   | Lp.Status.Infeasible -> (
-      (* Cross-check the verdict with the other engine. *)
-      let d = Lp.Simplex.solve ~core:Lp.Simplex.Dense input in
-      match d.Lp.Simplex.status with
-      | Lp.Status.Infeasible -> Ok ()
-      | st ->
-          failf "sparse says infeasible, dense says %s" (Lp.Status.to_string st))
+      (* Certify the verdict: the least total row violation is positive. *)
+      let el = elastic input in
+      let e = Lp.Simplex.solve el in
+      if e.Lp.Simplex.status <> Lp.Status.Optimal then
+        failf "elastic LP returned %s" (Lp.Status.to_string e.Lp.Simplex.status)
+      else
+        match Lp.Simplex.check_certificate el e with
+        | _ :: _ as errs ->
+            failf "elastic certificate rejected: %s" (String.concat "; " errs)
+        | [] ->
+            if e.Lp.Simplex.obj_value > 1e-7 then Ok ()
+            else
+              failf "infeasible verdict, but elastic optimum is %g"
+                e.Lp.Simplex.obj_value)
   | st -> failf "unexpected status %s on a bounded LP" (Lp.Status.to_string st)
-
-let core_equivalence spec =
-  let input = Lp.Simplex.of_model (Gen_lp.to_model spec) in
-  let s = Lp.Simplex.solve ~core:Lp.Simplex.Sparse input in
-  let d = Lp.Simplex.solve ~core:Lp.Simplex.Dense input in
-  if s.Lp.Simplex.status <> d.Lp.Simplex.status then
-    failf "status disagrees: sparse %s, dense %s"
-      (Lp.Status.to_string s.Lp.Simplex.status)
-      (Lp.Status.to_string d.Lp.Simplex.status)
-  else if
-    s.Lp.Simplex.status = Lp.Status.Optimal
-    && not (close s.Lp.Simplex.obj_value d.Lp.Simplex.obj_value)
-  then
-    failf "objective disagrees: sparse %g, dense %g" s.Lp.Simplex.obj_value
-      d.Lp.Simplex.obj_value
-  else Ok ()
 
 let presolve_equivalence spec =
   let input = Lp.Simplex.of_model (Gen_lp.to_model spec) in
@@ -172,9 +202,8 @@ let milp_config_equivalence spec =
   let base = { Lp.Milp.default_options with Lp.Milp.node_limit = 50_000 } in
   let variants =
     [
-      ("warm+sparse", base);
+      ("default", base);
       ("cold", { base with Lp.Milp.warm_start = false });
-      ("dense", { base with Lp.Milp.core = Lp.Simplex.Dense });
       ("no-presolve", { base with Lp.Milp.presolve = false });
       ("no-dive", { base with Lp.Milp.dive_first = false });
       ("workers2", { base with Lp.Milp.workers = 2 });
@@ -229,14 +258,14 @@ let milp_config_equivalence spec =
     | [] -> Ok ()
     | (name, r) :: rest ->
         if r.Lp.Milp.status <> ref_r.Lp.Milp.status then
-          failf "%s status %s, warm+sparse status %s" name
+          failf "%s status %s, default status %s" name
             (Lp.Status.to_string r.Lp.Milp.status)
             (Lp.Status.to_string ref_r.Lp.Milp.status)
         else if
           r.Lp.Milp.status = Lp.Status.Optimal
           && not (close r.Lp.Milp.obj ref_r.Lp.Milp.obj)
         then
-          failf "%s objective %g, warm+sparse objective %g" name
+          failf "%s objective %g, default objective %g" name
             r.Lp.Milp.obj ref_r.Lp.Milp.obj
         else check rest
   in
@@ -712,8 +741,6 @@ let props =
       milp_vs_enumeration;
     prop ~count:90 ~smoke_count:18 "lp_certificate" Gen_lp.arb_lp_bounded
       lp_certificate;
-    prop ~count:70 ~smoke_count:14 "core_equivalence" Gen_lp.arb_lp_bounded
-      core_equivalence;
     prop ~count:70 ~smoke_count:14 "presolve_equivalence" Gen_lp.arb_lp_bounded
       presolve_equivalence;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"

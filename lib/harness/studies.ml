@@ -33,16 +33,12 @@ let case_milp =
     time_limit = 60.0;
   }
 
-(* Size-aware engine selection.  The small case studies keep the pinned
-   dense-core configuration (see {!Solver.default_milp_options}) for
-   bit-stable tables; a large estate such as Federal at scale 0.25
-   (~12k columns) would spend its whole budget factoring dense bases,
-   so it switches to the sparse core and a deeper tree.  The threshold
-   sits well above Enterprise1/Florida and below any Federal scale that
-   needs the switch, so historical tables are unchanged. *)
+(* Size-aware node budget.  The small case studies keep the 4-node
+   tree; a large estate such as Federal at scale 0.25 (~12k columns)
+   gets a deeper one.  The threshold sits well above Enterprise1/Florida
+   and below any Federal scale that needs the deeper tree. *)
 let case_milp_for asis =
-  if Asis.num_groups asis > 300 then
-    { case_milp with Lp.Milp.core = Lp.Simplex.Sparse; node_limit = 24 }
+  if Asis.num_groups asis > 300 then { case_milp with Lp.Milp.node_limit = 24 }
   else case_milp
 
 let datasets ?(federal_scale = federal_scale_default ()) () =

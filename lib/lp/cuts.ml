@@ -1,5 +1,5 @@
 (* Root cutting planes.  See cuts.mli for the overview; the geometry
-   below leans on the frame layout shared by both simplex engines:
+   below leans on the simplex frame layout:
    structural columns 0..n-1, then one slack column per inequality row
    assigned in row order (coefficient +1 for Le, -1 for Ge), then one
    pinned artificial per row. *)
@@ -22,75 +22,6 @@ let apply (input : Simplex.input) cuts =
         basis = None }
   in
   (input', undo)
-
-(* ---------- dense LU over the basis transpose ---------- *)
-
-(* Factor M (row-major m*m) in place with partial pivoting; returns the
-   row permutation, or None when a pivot collapses (singular basis as
-   seen through this dense lens: bail out of Gomory separation). *)
-let lu_factor m a =
-  let perm = Array.init m (fun i -> i) in
-  let ok = ref true in
-  (try
-     for k = 0 to m - 1 do
-       let piv = ref k and pmax = ref (Float.abs a.((k * m) + k)) in
-       for i = k + 1 to m - 1 do
-         let v = Float.abs a.((i * m) + k) in
-         if v > !pmax then begin
-           pmax := v;
-           piv := i
-         end
-       done;
-       if !pmax < 1e-11 then begin
-         ok := false;
-         raise Exit
-       end;
-       if !piv <> k then begin
-         let tmp = perm.(k) in
-         perm.(k) <- perm.(!piv);
-         perm.(!piv) <- tmp;
-         for j = 0 to m - 1 do
-           let t = a.((k * m) + j) in
-           a.((k * m) + j) <- a.((!piv * m) + j);
-           a.((!piv * m) + j) <- t
-         done
-       end;
-       let d = a.((k * m) + k) in
-       for i = k + 1 to m - 1 do
-         let f = a.((i * m) + k) /. d in
-         if f <> 0.0 then begin
-           a.((i * m) + k) <- f;
-           for j = k + 1 to m - 1 do
-             a.((i * m) + j) <- a.((i * m) + j) -. (f *. a.((k * m) + j))
-           done
-         end
-         else a.((i * m) + k) <- 0.0
-       done
-     done
-   with Exit -> ());
-  if !ok then Some perm else None
-
-(* Solve M w = e_r given the in-place LU and permutation. *)
-let lu_solve_unit m a perm r =
-  let w = Array.make m 0.0 in
-  for i = 0 to m - 1 do
-    w.(i) <- (if perm.(i) = r then 1.0 else 0.0)
-  done;
-  for i = 0 to m - 1 do
-    let s = ref w.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (a.((i * m) + j) *. w.(j))
-    done;
-    w.(i) <- !s
-  done;
-  for i = m - 1 downto 0 do
-    let s = ref w.(i) in
-    for j = i + 1 to m - 1 do
-      s := !s -. (a.((i * m) + j) *. w.(j))
-    done;
-    w.(i) <- !s /. a.((i * m) + i)
-  done;
-  w
 
 (* ---------- Gomory mixed-integer cuts ---------- *)
 
@@ -128,56 +59,35 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
         || Array.exists (fun c -> c < 0 || c >= art0) b.Simplex.vbasis
       then []
       else begin
-        (* pos.(j) = basis row of structural j, or -1. *)
-        let pos = Array.make n (-1) in
-        Array.iteri
-          (fun i c -> if c < n then pos.(c) <- i)
-          b.Simplex.vbasis;
-        (* M = Bᵀ: M.(i*m+k) = entry of basis column i at row k. *)
-        let mt = Array.make (m * m) 0.0 in
-        Array.iteri
-          (fun k (terms, _, _) ->
-            Array.iter
-              (fun (j, c) ->
-                if j < n && pos.(j) >= 0 then
-                  mt.((pos.(j) * m) + k) <- mt.((pos.(j) * m) + k) +. c)
-              terms)
-          rows;
-        Array.iteri
-          (fun i c ->
-            if c >= n && c < art0 then
-              let k = Hashtbl.find row_of_slack c in
-              mt.((i * m) + k) <- mt.((i * m) + k) +. sigma k)
-          b.Simplex.vbasis;
-        match lu_factor m mt with
+        match Simplex.basis_rows input b with
         | None -> []
-        | Some perm ->
+        | Some basis_row ->
             let rhs = Array.map (fun (_, _, v) -> v) rows in
             (* Candidate tableau rows: basic structural integer variable
                with a decently interior fractional part. *)
             let cands = ref [] in
-            Array.iteri
-              (fun i c ->
+            Array.iter
+              (fun c ->
                 if c < n && integer.(c) then begin
                   let xv = r.Simplex.x.(c) in
                   let f = xv -. Float.floor xv in
                   let dist = Float.min f (1.0 -. f) in
                   if dist > Float.max 0.005 int_tol then
-                    cands := (i, c, dist) :: !cands
+                    cands := (c, dist) :: !cands
                 end)
               b.Simplex.vbasis;
             let cands =
               List.sort
-                (fun (_, a, da) (_, b, db) ->
+                (fun (a, da) (b, db) ->
                   match compare db da with 0 -> compare a b | c -> c)
                 !cands
             in
             let cuts = ref [] and ncuts = ref 0 in
             List.iter
-              (fun (ri, jb, _) ->
+              (fun (jb, _) ->
                 if !ncuts < max_cuts then begin
-                  let w = lu_solve_unit m mt perm ri in
-                  (* Tableau row over all columns: abar_j = w · A_j. *)
+                  let w = basis_row jb in
+                  (* The tableau row over all columns: abar_j = w · A_j. *)
                   let abar = Array.make art0 0.0 in
                   Array.iteri
                     (fun k (terms, _, _) ->
@@ -467,11 +377,14 @@ let cut_key (terms, sense, rhs) =
     terms;
   Buffer.contents b
 
+(* Separation is skipped above this many rows.  The limit fixes which
+   models get cuts at all, so moving it changes plans. *)
+let max_separation_rows = 768
+
 let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
     ~integer ~int_tol ?root ?(max_rounds = 3)
-    ?(max_per_round = 16) ?(max_dense_rows = 768) ~stop
-    (input0 : Simplex.input) =
-  if Array.length input0.Simplex.rows > max_dense_rows then None
+    ?(max_per_round = 16) ~stop (input0 : Simplex.input) =
+  if Array.length input0.Simplex.rows > max_separation_rows then None
   else begin
     let base_rows = Array.length input0.Simplex.rows in
     let seen = Hashtbl.create 64 in

@@ -5,15 +5,17 @@
     relaxation optimum violates; appending them tightens the root bound
     and often de-fractionalizes many variables at once before the tree
     opens.  Both separators work purely from the {!Simplex} frame layout
-    (structurals first, then one slack per inequality row in row order)
-    and the exported optimal basis — no solver internals are touched.
+    (structurals first, then one slack per inequality row in row order),
+    the exported optimal basis and {!Simplex.basis_rows} — no solver
+    internals are touched.
 
     - {e Gomory mixed-integer cuts} read one simplex tableau row per
       fractional basic integer variable: the row of [B⁻¹[A|S]] is
-      recovered by one dense LU solve against the basis transpose,
-      nonbasic columns are shifted onto their active bounds, and the
-      standard GMI formula is applied (fractional-part coefficients for
-      integer nonbasics, sign-split scaling for continuous ones).  Slack
+      recovered by one BTRAN on a factorization of the optimal basis
+      ({!Simplex.basis_rows}), nonbasic columns are shifted onto their
+      active bounds, and the standard GMI formula is applied
+      (fractional-part coefficients for integer nonbasics, sign-split
+      scaling for continuous ones).  Slack
       variables are substituted back out so the cut is expressed over
       structural variables only.  Rows whose basic column is an
       artificial, or that involve a nonbasic free column, are skipped.
@@ -54,8 +56,8 @@ val apply :
     pivots instead of a cold solve.  Returns the augmented input, its
     relaxation optimum and cut statistics — or [None] when the first
     solve fails or no cut was ever added (callers keep their original
-    root solve in that case).  Separation is skipped for models wider
-    than [max_dense_rows] rows (the dense LU would dominate). *)
+    root solve in that case).  Separation is skipped for models with
+    more than 768 rows. *)
 val strengthen :
   solve:(?warm:Simplex.basis -> Simplex.input -> Simplex.result) ->
   integer:bool array ->
@@ -63,7 +65,6 @@ val strengthen :
   ?root:Simplex.result ->
   ?max_rounds:int ->
   ?max_per_round:int ->
-  ?max_dense_rows:int ->
   stop:(unit -> bool) ->
   Simplex.input ->
   (Simplex.input * Simplex.result * stats) option

@@ -2,6 +2,8 @@ let src = Logs.Src.create "lp.milp" ~doc:"branch-and-bound MILP solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+type core = Sparse
+
 type options = {
   node_limit : int;
   time_limit : float;
@@ -12,7 +14,7 @@ type options = {
   workers : int;
   par_threshold : int;
   presolve : bool;
-  core : Simplex.core;
+  core : core;
   branch_strategy : Branching.strategy;
   strong_branching_nvars : int;
   strong_branching_nsteps : int;
@@ -32,7 +34,7 @@ let default_options =
     workers = 1;
     par_threshold = 64;
     presolve = true;
-    core = Simplex.Sparse;
+    core = Sparse;
     branch_strategy = Branching.Reliability;
     strong_branching_nvars = 8;
     strong_branching_nsteps = 8;
@@ -54,8 +56,8 @@ type result = {
   workers : int;
 }
 
-let relax ?max_iters ?core m =
-  Simplex.solve ?max_iters ?core (Simplex.of_model m)
+let relax ?max_iters ?core:_ m =
+  Simplex.solve ?max_iters (Simplex.of_model m)
 
 let integral ?(tol = 1e-6) m x =
   List.for_all
@@ -142,8 +144,8 @@ let solve ?(options = default_options) ?steal_order m =
       && Array.length input.Simplex.rows >= 64
     in
     count
-      (if presolvable then Presolve.solve ?max_iters ~core:options.core node_input
-       else Simplex.solve ?warm ?max_iters ~want_basis ~core:options.core node_input)
+      (if presolvable then Presolve.solve ?max_iters node_input
+       else Simplex.solve ?warm ?max_iters ~want_basis node_input)
   in
   let start = Sys.time () in
   let out_of_time () = Sys.time () -. start > options.time_limit in
@@ -238,8 +240,7 @@ let solve ?(options = default_options) ?steal_order m =
                 Cuts.strengthen
                   ~solve:(fun ?warm inp ->
                     count
-                      (Simplex.solve ?warm ~want_basis:true ~core:options.core
-                         inp))
+                      (Simplex.solve ?warm ~want_basis:true inp))
                   ~integer ~int_tol:options.int_tol ~root:root0
                   ~stop:(budget_stop 0.25) input0
               with
@@ -380,8 +381,7 @@ let solve ?(options = default_options) ?steal_order m =
               let pump_solve inp =
                 let r =
                   count
-                    (Simplex.solve ?warm:!pump_basis ~want_basis:true
-                       ~core:options.core inp)
+                    (Simplex.solve ?warm:!pump_basis ~want_basis:true inp)
                 in
                 (match r.Simplex.basis with
                 | Some _ as b -> pump_basis := b

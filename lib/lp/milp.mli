@@ -34,6 +34,12 @@
     [Domain.recommended_domain_count ()] are clamped; the effective
     count is reported in [result.workers]. *)
 
+(** Compatibility shim with one constructor: the solver has a single
+    simplex engine and ignores this value.  It exists only because
+    [perfbench/replay.ml] passes [options.core] to {!relax}; delete it
+    together with that line. *)
+type core = Sparse
+
 type options = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 5000) *)
   time_limit : float;
@@ -54,8 +60,7 @@ type options = {
       (** run {!Presolve} reductions on cold basis-free node LPs — the
           root and the dives — when the model is large enough (at least
           64 rows) for the reduction to pay for itself (default [true]) *)
-  core : Simplex.core;
-      (** simplex engine for node LPs (default {!Simplex.Sparse}) *)
+  core : core;  (** ignored; see {!core} *)
   branch_strategy : Branching.strategy;
       (** branching-variable selection (default {!Branching.Reliability}) *)
   strong_branching_nvars : int;
@@ -108,8 +113,8 @@ val solve :
   Model.t ->
   result
 
-(** [relax m] solves the LP relaxation only. *)
-val relax : ?max_iters:int -> ?core:Simplex.core -> Model.t -> Simplex.result
+(** [relax m] solves the LP relaxation only.  [core] is ignored. *)
+val relax : ?max_iters:int -> ?core:core -> Model.t -> Simplex.result
 
 (** [integral ?tol m x] is true when all integer-marked variables of [m]
     take integer values in [x]. *)

@@ -605,7 +605,7 @@ let postsolve red (r : Simplex.result) =
 
 (** [solve input] = reduce, solve the rest with {!Simplex.solve}, then
     postsolve.  The result carries no basis (row structure differs). *)
-let solve ?max_iters ?(scale = true) ?core (input : Simplex.input) =
+let solve ?max_iters ?(scale = true) (input : Simplex.input) =
   match reduce ~scale input with
   | `Infeasible ->
       {
@@ -619,5 +619,5 @@ let solve ?max_iters ?(scale = true) ?core (input : Simplex.input) =
         warm_started = false;
       }
   | `Reduced red ->
-      let r = Simplex.solve ?max_iters ?core red.reduced in
+      let r = Simplex.solve ?max_iters red.reduced in
       postsolve red r

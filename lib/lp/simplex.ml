@@ -66,29 +66,8 @@ let feasible ?(tol = 1e-6) input x =
     input.rows;
   !ok
 
-(* Internal mutable solver state.  The tableau holds m x (ntot+1) entries:
-   B^-1 A over all columns, with the transformed right-hand side riding in
-   the final column so row operations carry it automatically. *)
-type state = {
-  m : int;                  (* rows *)
-  ntot : int;               (* structural + slack + artificial columns *)
-  art0 : int;               (* first artificial column *)
-  slo : float array;        (* bounds over all columns *)
-  shi : float array;
-  tab : Tableau.t;          (* m x (ntot + 1), equals B^-1 [A | b] *)
-  xb : float array;         (* value of the basic variable of each row *)
-  basis : int array;
-  stat : cstat array;
-  vnb : float array;        (* resting value of nonbasic columns *)
-  z : float array;          (* reduced costs of the current phase *)
-  sgn : float array;        (* artificial sign per row, for dual recovery *)
-  mutable iters : int;
-  mutable degen : int;      (* consecutive degenerate steps; drives Bland *)
-}
-
 (* Dantzig pricing; after a degeneracy streak fall back to Bland's rule,
-   which guarantees termination.  Shared by the dense and sparse engines,
-   which keep their column status and reduced costs in the same layout. *)
+   which guarantees termination. *)
 let price_gen ~bland ~ntot ~(slo : float array) ~(shi : float array)
     ~(stat : cstat array) ~(z : float array) =
   let best = ref (-1) and best_score = ref tol_cost and best_dir = ref 1.0 in
@@ -125,112 +104,12 @@ let price_gen ~bland ~ntot ~(slo : float array) ~(shi : float array)
    with Exit -> ());
   if !best < 0 then None else Some (!best, !best_dir)
 
-let price st =
-  price_gen ~bland:(st.degen > 60) ~ntot:st.ntot ~slo:st.slo ~shi:st.shi
-    ~stat:st.stat ~z:st.z
-
-(* Ratio test: how far can column [q] move in direction [d] before a basic
-   variable hits a bound or [q] reaches its opposite bound?  Returns
-   (step, blocking row or -1, whether the blocker stops at its upper bound). *)
-let ratio_test st q d =
-  let t_best = ref (st.shi.(q) -. st.slo.(q)) in
-  (* free columns have an infinite flip distance *)
-  if Float.is_nan !t_best then t_best := infinity;
-  let row = ref (-1) and to_upper = ref false and piv_best = ref 0.0 in
-  for i = 0 to st.m - 1 do
-    let w = Tableau.unsafe_get st.tab i q in
-    let rate = -.d *. w in
-    if Float.abs w > tol_piv then begin
-      let bi = st.basis.(i) in
-      if rate < -.tol_piv && st.slo.(bi) > neg_infinity then begin
-        let ti = (st.xb.(i) -. st.slo.(bi)) /. -.rate in
-        let ti = if ti < 0.0 then 0.0 else ti in
-        if
-          ti < !t_best -. 1e-10
-          || (ti < !t_best +. 1e-10 && Float.abs w > !piv_best)
-        then begin
-          t_best := ti;
-          row := i;
-          to_upper := false;
-          piv_best := Float.abs w
-        end
-      end
-      else if rate > tol_piv && st.shi.(bi) < infinity then begin
-        let ti = (st.shi.(bi) -. st.xb.(i)) /. rate in
-        let ti = if ti < 0.0 then 0.0 else ti in
-        if
-          ti < !t_best -. 1e-10
-          || (ti < !t_best +. 1e-10 && Float.abs w > !piv_best)
-        then begin
-          t_best := ti;
-          row := i;
-          to_upper := true;
-          piv_best := Float.abs w
-        end
-      end
-    end
-  done;
-  (!t_best, !row, !to_upper)
-
-(* Gauss-Jordan pivot on (lrow, q), keeping the reduced-cost row in sync.
-   These loops carry essentially all of the solver's flops. *)
-let do_pivot st lrow q = Tableau.pivot ~aux:st.z st.tab ~row:lrow ~col:q
-
-(* One simplex step for entering column [q] moving in direction [d].
-   Returns [false] when the problem is unbounded in this direction. *)
-let step st q d =
-  let tstep, lrow, to_upper = ratio_test st q d in
-  if tstep = infinity then false
-  else begin
-    st.iters <- st.iters + 1;
-    if tstep < 1e-9 then st.degen <- st.degen + 1 else st.degen <- 0;
-    (* Move every basic variable by its rate. *)
-    for i = 0 to st.m - 1 do
-      st.xb.(i) <- st.xb.(i) -. (d *. Tableau.unsafe_get st.tab i q *. tstep)
-    done;
-    if lrow < 0 then begin
-      (* Bound flip: q travels to its opposite bound, basis unchanged. *)
-      st.vnb.(q) <- st.vnb.(q) +. (d *. tstep);
-      st.stat.(q) <- (if d > 0.0 then At_upper else At_lower)
-    end
-    else begin
-      let xq = st.vnb.(q) +. (d *. tstep) in
-      let leaving = st.basis.(lrow) in
-      if to_upper then begin
-        st.vnb.(leaving) <- st.shi.(leaving);
-        st.stat.(leaving) <- At_upper
-      end
-      else begin
-        st.vnb.(leaving) <- st.slo.(leaving);
-        st.stat.(leaving) <- At_lower
-      end;
-      st.basis.(lrow) <- q;
-      st.stat.(q) <- Basic;
-      st.xb.(lrow) <- xq;
-      do_pivot st lrow q
-    end;
-    true
-  end
-
-(* Recompute the reduced-cost row for cost vector [c] (length ntot). *)
-let reset_reduced_costs st c =
-  for j = 0 to st.ntot - 1 do
-    st.z.(j) <- c.(j)
-  done;
-  for i = 0 to st.m - 1 do
-    let cb = c.(st.basis.(i)) in
-    if cb <> 0.0 then Tableau.sub_scaled_vec st.tab ~src:i cb st.z
-  done;
-  for i = 0 to st.m - 1 do
-    st.z.(st.basis.(i)) <- 0.0
-  done
-
 let empty_result status =
   { status; x = [||]; obj_value = nan; duals = [||]; reduced_costs = [||];
     iterations = 0; basis = None; warm_started = false }
 
 (* Columns pinned by branching or diving ([lo = hi]) are substituted into
-   the right-hand sides before the tableau is built; after a dive's first
+   the right-hand sides before the matrix is built; after a dive's first
    batch fix this shrinks the working problem by an order of magnitude. *)
 let eliminate_fixed input =
   let n = input.nvars in
@@ -286,125 +165,8 @@ let eliminate_fixed input =
     Some (reduced, back)
   end
 
-(* Shared construction of the working frame: padded bounds, the tableau
-   rows with slack columns and the rhs in the final column, and the initial
-   resting point of every structural and slack column.  Artificial columns
-   are declared but left zero: the cold path adds their identity entries
-   only after deciding row signs, the warm path adds them immediately. *)
-type frame = {
-  f_m : int;
-  f_n : int;
-  f_art0 : int;
-  f_ntot : int;
-  f_slo : float array;
-  f_shi : float array;
-  f_tab : Tableau.t;
-  f_stat : cstat array;
-  f_vnb : float array;
-  f_slack : int array;      (* slack column of each row, or -1 *)
-}
-
-let build_frame input =
-  let m = Array.length input.rows in
-  let n = input.nvars in
-  let nslack =
-    Array.fold_left
-      (fun a (_, s, _) -> match s with Model.Eq -> a | _ -> a + 1)
-      0 input.rows
-  in
-  let art0 = n + nslack in
-  let ntot = art0 + m in
-  let slo = Array.make ntot 0.0 and shi = Array.make ntot infinity in
-  Array.blit input.lo 0 slo 0 n;
-  Array.blit input.hi 0 shi 0 n;
-  let tab = Tableau.create ~rows:m ~cols:(ntot + 1) in
-  let slack = Array.make m (-1) in
-  let next_slack = ref n in
-  Array.iteri
-    (fun i (terms, sense, r) ->
-      Array.iter
-        (fun (j, c) -> Tableau.set tab i j (Tableau.get tab i j +. c))
-        terms;
-      (match sense with
-      | Model.Le ->
-          Tableau.set tab i !next_slack 1.0;
-          slack.(i) <- !next_slack;
-          incr next_slack
-      | Model.Ge ->
-          Tableau.set tab i !next_slack (-1.0);
-          slack.(i) <- !next_slack;
-          incr next_slack
-      | Model.Eq -> ());
-      Tableau.set tab i ntot r)
-    input.rows;
-  (* Initial nonbasic point: every column at its finite bound nearest 0. *)
-  let stat = Array.make ntot At_lower in
-  let vnb = Array.make ntot 0.0 in
-  for j = 0 to art0 - 1 do
-    if slo.(j) > neg_infinity then begin
-      stat.(j) <- At_lower;
-      vnb.(j) <- slo.(j)
-    end
-    else if shi.(j) < infinity then begin
-      stat.(j) <- At_upper;
-      vnb.(j) <- shi.(j)
-    end
-    else begin
-      stat.(j) <- Free_nb;
-      vnb.(j) <- 0.0
-    end
-  done;
-  { f_m = m; f_n = n; f_art0 = art0; f_ntot = ntot; f_slo = slo; f_shi = shi;
-    f_tab = tab; f_stat = stat; f_vnb = vnb; f_slack = slack }
-
 let default_iters max_iters m n =
   match max_iters with Some k -> k | None -> max 2000 (60 * (m + n))
-
-(* Extract the user-facing result from a finished state. *)
-let finish ~emit_basis ~warm_started input st status =
-  let n = input.nvars in
-  let x = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    if st.stat.(j) <> Basic then x.(j) <- st.vnb.(j)
-  done;
-  for i = 0 to st.m - 1 do
-    if st.basis.(i) < n then x.(st.basis.(i)) <- st.xb.(i)
-  done;
-  let obj_value =
-    let a = ref input.obj_const in
-    for j = 0 to n - 1 do
-      a := !a +. (input.obj.(j) *. x.(j))
-    done;
-    !a
-  in
-  let duals = Array.make st.m 0.0 in
-  let reduced = Array.make n 0.0 in
-  if status = Status.Optimal then begin
-    for i = 0 to st.m - 1 do
-      duals.(i) <- -.st.z.(st.art0 + i) *. st.sgn.(i)
-    done;
-    for j = 0 to n - 1 do
-      reduced.(j) <- st.z.(j)
-    done
-  end;
-  let basis =
-    if emit_basis && status = Status.Optimal then
-      Some { vbasis = Array.copy st.basis; vstat = Array.copy st.stat }
-    else None
-  in
-  { status; x; obj_value; duals; reduced_costs = reduced;
-    iterations = st.iters; basis; warm_started }
-
-let run_phase st max_iters c =
-  reset_reduced_costs st c;
-  let rec loop () =
-    if st.iters >= max_iters then `Iters
-    else
-      match price st with
-      | None -> `Done
-      | Some (q, d) -> if step st q d then loop () else `Unbounded
-  in
-  loop ()
 
 (* Phase-2 costs in the internal minimization convention. *)
 let phase2_cost input ntot =
@@ -415,436 +177,15 @@ let phase2_cost input ntot =
   cost
 
 (* ------------------------------------------------------------------ *)
-(* Cold start: slack + greedy structural crash, then two-phase primal. *)
-(* ------------------------------------------------------------------ *)
-
-let solve_cold ?max_iters ~emit_basis input =
-  let fr = build_frame input in
-  let m = fr.f_m and n = fr.f_n and art0 = fr.f_art0 and ntot = fr.f_ntot in
-  let slo = fr.f_slo and shi = fr.f_shi and tab = fr.f_tab in
-  let stat = fr.f_stat and vnb = fr.f_vnb in
-  let max_iters = default_iters max_iters m n in
-  let sgn = Array.make m 1.0 in
-  let xb = Array.make m 0.0 in
-  let basis = Array.make m (-1) in
-  let rowdone = Array.make m false in
-  (* Residual of each row at the nonbasic resting point.  Until a row gets
-     a basic column this is the value its artificial would take. *)
-  let resid = Array.make m 0.0 in
-  Array.iteri
-    (fun i (terms, _, rhs) ->
-      (* Slacks rest at zero, so only the sparse structural terms count. *)
-      let acc = ref rhs in
-      Array.iter
-        (fun (j, c) ->
-          let v = vnb.(j) in
-          if v <> 0.0 then acc := !acc -. (c *. v))
-        terms;
-      resid.(i) <- !acc)
-    input.rows;
-  (* Slack crash: an inequality row whose slack value is feasible at the
-     resting point starts with that slack basic — no artificial, no
-     phase-1 work.  Ge rows are flipped so the slack coefficient is +1. *)
-  Array.iteri
-    (fun i (_, sense, _) ->
-      match (sense, fr.f_slack.(i)) with
-      | Model.Le, s when s >= 0 && resid.(i) >= 0.0 ->
-          basis.(i) <- s;
-          stat.(s) <- Basic;
-          xb.(i) <- resid.(i);
-          rowdone.(i) <- true
-      | Model.Ge, s when s >= 0 && resid.(i) <= 0.0 ->
-          Tableau.flip_row tab i;
-          sgn.(i) <- -1.0;
-          resid.(i) <- -.resid.(i);
-          basis.(i) <- s;
-          stat.(s) <- Basic;
-          xb.(i) <- resid.(i);
-          rowdone.(i) <- true
-      | _ -> ())
-    input.rows;
-  (* Remaining rows get an artificial; flip them so its value is >= 0. *)
-  for i = 0 to m - 1 do
-    if not rowdone.(i) && resid.(i) < 0.0 then begin
-      Tableau.flip_row tab i;
-      sgn.(i) <- -1.0;
-      resid.(i) <- -.resid.(i)
-    end
-  done;
-  (* All row signs are now final: add the artificial identity columns. *)
-  for i = 0 to m - 1 do
-    Tableau.set tab i (art0 + i) 1.0;
-    if rowdone.(i) then begin
-      (* This artificial is never needed; pin it. *)
-      slo.(art0 + i) <- 0.0;
-      shi.(art0 + i) <- 0.0
-    end
-  done;
-  (* Greedy structural crash: drive each leftover residual to zero with a
-     single structural pivot when one exists that keeps every basic value
-     (and every pending residual) feasible.  Preferring cheap columns
-     starts phase 2 near the optimum; on assignment-shaped models this
-     usually empties phase 1 entirely. *)
-  let cmin j = if input.minimize then input.obj.(j) else -.input.obj.(j) in
-  let val_of r = if rowdone.(r) then xb.(r) else resid.(r) in
-  for i = 0 to m - 1 do
-    if not rowdone.(i) then begin
-      let maxabs = ref 0.0 in
-      for j = 0 to n - 1 do
-        if stat.(j) <> Basic && slo.(j) < shi.(j) then begin
-          let w = Float.abs (Tableau.unsafe_get tab i j) in
-          if w > !maxabs then maxabs := w
-        end
-      done;
-      let best = ref (-1) and best_score = ref infinity in
-      let best_delta = ref 0.0 and best_v = ref 0.0 in
-      if !maxabs > 1e-7 then
-        for j = 0 to n - 1 do
-          if stat.(j) <> Basic && slo.(j) < shi.(j) then begin
-            let w = Tableau.unsafe_get tab i j in
-            if Float.abs w >= 0.25 *. !maxabs then begin
-              let delta = resid.(i) /. w in
-              let v = vnb.(j) +. delta in
-              if v >= slo.(j) -. 1e-9 && v <= shi.(j) +. 1e-9 then begin
-                let score = cmin j *. delta in
-                if score < !best_score -. 1e-12 then begin
-                  (* Would this pivot knock any other row out of bounds? *)
-                  let safe = ref true in
-                  for r = 0 to m - 1 do
-                    if !safe && r <> i then begin
-                      let wr = Tableau.unsafe_get tab r j in
-                      if wr <> 0.0 then begin
-                        let nv = val_of r -. (wr *. delta) in
-                        if rowdone.(r) then begin
-                          let b = basis.(r) in
-                          if nv < slo.(b) -. 1e-9 || nv > shi.(b) +. 1e-9 then
-                            safe := false
-                        end
-                        else if nv < -1e-9 then safe := false
-                      end
-                    end
-                  done;
-                  if !safe then begin
-                    best := j;
-                    best_score := score;
-                    best_delta := delta;
-                    best_v := v
-                  end
-                end
-              end
-            end
-          end
-        done;
-      match !best with
-      | -1 -> ()
-      | q ->
-          let delta = !best_delta in
-          for r = 0 to m - 1 do
-            if r <> i then begin
-              let wr = Tableau.unsafe_get tab r q in
-              if wr <> 0.0 then
-                if rowdone.(r) then xb.(r) <- xb.(r) -. (wr *. delta)
-                else resid.(r) <- resid.(r) -. (wr *. delta)
-            end
-          done;
-          stat.(q) <- Basic;
-          basis.(i) <- q;
-          xb.(i) <- Float.max slo.(q) (Float.min shi.(q) !best_v);
-          rowdone.(i) <- true;
-          slo.(art0 + i) <- 0.0;
-          shi.(art0 + i) <- 0.0;
-          Tableau.pivot tab ~row:i ~col:q
-    end
-  done;
-  (* Rows the crash could not cover keep their artificial basic. *)
-  let any_art = ref false in
-  for i = 0 to m - 1 do
-    if not rowdone.(i) then begin
-      basis.(i) <- art0 + i;
-      stat.(art0 + i) <- Basic;
-      xb.(i) <- Float.max 0.0 resid.(i);
-      any_art := true
-    end
-  done;
-  let st =
-    { m; ntot; art0; slo; shi; tab; xb; basis; stat; vnb;
-      z = Array.make ntot 0.0; sgn; iters = 0; degen = 0 }
-  in
-  let cost = phase2_cost input ntot in
-  let phase1_cost = Array.make ntot 0.0 in
-  for i = 0 to m - 1 do
-    phase1_cost.(art0 + i) <- 1.0
-  done;
-  let fin = finish ~emit_basis ~warm_started:false input st in
-  let phase1_outcome =
-    if !any_art then run_phase st max_iters phase1_cost else `Done
-  in
-  match phase1_outcome with
-  | `Iters -> fin Status.Iteration_limit
-  | `Unbounded ->
-      (* Phase-1 objective is bounded below by zero; reaching here means a
-         numerical breakdown, which we surface as an iteration failure. *)
-      fin Status.Iteration_limit
-  | `Done ->
-      let p1 = ref 0.0 in
-      for i = 0 to m - 1 do
-        if st.basis.(i) >= art0 then p1 := !p1 +. st.xb.(i)
-      done;
-      for j = art0 to ntot - 1 do
-        if st.stat.(j) <> Basic then p1 := !p1 +. st.vnb.(j)
-      done;
-      if !p1 > tol_feas *. float_of_int (1 + m) then fin Status.Infeasible
-      else begin
-        (* Pivot leftover artificials out of the basis where possible; rows
-           where no structural pivot exists are redundant and keep a fixed
-           zero-valued artificial. *)
-        for i = 0 to m - 1 do
-          if st.basis.(i) >= art0 then begin
-            let q = ref (-1) in
-            for j = 0 to art0 - 1 do
-              if !q < 0 && st.stat.(j) <> Basic
-                 && Float.abs (Tableau.get st.tab i j) > 1e-7
-              then q := j
-            done;
-            match !q with
-            | -1 -> ()
-            | q ->
-                let leaving = st.basis.(i) in
-                st.vnb.(leaving) <- 0.0;
-                st.stat.(leaving) <- At_lower;
-                st.basis.(i) <- q;
-                st.stat.(q) <- Basic;
-                st.xb.(i) <- st.vnb.(q);
-                Tableau.pivot st.tab ~row:i ~col:q
-          end
-        done;
-        (* Artificials may no longer move in phase 2. *)
-        for j = art0 to ntot - 1 do
-          st.slo.(j) <- 0.0;
-          st.shi.(j) <- 0.0
-        done;
-        st.degen <- 0;
-        match run_phase st max_iters cost with
-        | `Done -> fin Status.Optimal
-        | `Unbounded -> fin Status.Unbounded
-        | `Iters -> fin Status.Iteration_limit
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Warm start: refactorize a saved basis, dual simplex, primal polish. *)
-(* ------------------------------------------------------------------ *)
-
-(* Bounded-variable dual simplex.  The basis is assumed (near) dual
-   feasible; primal feasibility is restored one bound violation at a time.
-   Returns [`Feasible] when all basic values are within bounds,
-   [`Infeasible] when some violated row admits no entering column (a
-   primal-infeasibility certificate independent of the reduced costs), or
-   [`Iters] when the budget runs out. *)
-let dual_loop st max_iters =
-  let rec loop () =
-    if st.iters >= max_iters then `Iters
-    else begin
-      (* Most violated basic variable. *)
-      let row = ref (-1) and viol = ref tol_feas and below = ref false in
-      for i = 0 to st.m - 1 do
-        let b = st.basis.(i) in
-        let lo = st.slo.(b) and hi = st.shi.(b) in
-        let v_lo = (lo -. st.xb.(i)) /. (1.0 +. Float.abs lo) in
-        let v_hi = (st.xb.(i) -. hi) /. (1.0 +. Float.abs hi) in
-        if v_lo > !viol then begin
-          viol := v_lo;
-          row := i;
-          below := true
-        end;
-        if v_hi > !viol then begin
-          viol := v_hi;
-          row := i;
-          below := false
-        end
-      done;
-      if !row < 0 then `Feasible
-      else begin
-        let r = !row in
-        let b = st.basis.(r) in
-        let target = if !below then st.slo.(b) else st.shi.(b) in
-        (* Entering column: admissible direction that moves xb(r) toward
-           [target]; min |z/w| ratio keeps the basis dual feasible. *)
-        let q = ref (-1) and best_ratio = ref infinity and best_w = ref 0.0 in
-        for j = 0 to st.ntot - 1 do
-          if st.stat.(j) <> Basic && (st.slo.(j) < st.shi.(j)) then begin
-            let w = Tableau.unsafe_get st.tab r j in
-            let eligible =
-              if Float.abs w <= tol_piv then false
-              else
-                match st.stat.(j) with
-                | Free_nb -> true
-                | At_lower -> if !below then w < 0.0 else w > 0.0
-                | At_upper -> if !below then w > 0.0 else w < 0.0
-                | Basic -> false
-            in
-            if eligible then begin
-              let ratio =
-                match st.stat.(j) with
-                | Free_nb -> Float.abs (st.z.(j) /. w)
-                | _ -> Float.max 0.0 (if !below then -.(st.z.(j) /. w) else st.z.(j) /. w)
-              in
-              if
-                ratio < !best_ratio -. 1e-10
-                || (ratio < !best_ratio +. 1e-10 && Float.abs w > Float.abs !best_w)
-              then begin
-                q := j;
-                best_ratio := ratio;
-                best_w := w
-              end
-            end
-          end
-        done;
-        if !q < 0 then `Infeasible
-        else begin
-          let q = !q in
-          let w = Tableau.unsafe_get st.tab r q in
-          let delta = (st.xb.(r) -. target) /. w in
-          st.iters <- st.iters + 1;
-          for i = 0 to st.m - 1 do
-            if i <> r then
-              st.xb.(i) <- st.xb.(i) -. (Tableau.unsafe_get st.tab i q *. delta)
-          done;
-          st.vnb.(b) <- target;
-          st.stat.(b) <- (if !below then At_lower else At_upper);
-          st.basis.(r) <- q;
-          st.stat.(q) <- Basic;
-          st.xb.(r) <- st.vnb.(q) +. delta;
-          do_pivot st r q;
-          loop ()
-        end
-      end
-    end
-  in
-  loop ()
-
-(* Rebuild the tableau for [input] around the saved basis [w].  Returns
-   [None] when the basis does not fit these rows or turns out singular —
-   the caller then falls back to a cold solve. *)
-let warm_state input (w : basis) =
-  let fr = build_frame input in
-  let m = fr.f_m and art0 = fr.f_art0 and ntot = fr.f_ntot in
-  if Array.length w.vstat <> ntot || Array.length w.vbasis <> m then None
-  else begin
-    let slo = fr.f_slo and shi = fr.f_shi and tab = fr.f_tab in
-    let stat = Array.copy w.vstat and vnb = Array.make ntot 0.0 in
-    let basis = Array.copy w.vbasis in
-    let ok = ref true in
-    Array.iter (fun b -> if b < 0 || b >= ntot then ok := false) basis;
-    if not !ok then None
-    else begin
-      for i = 0 to m - 1 do
-        Tableau.set tab i (art0 + i) 1.0
-      done;
-      (* Artificials are pinned at zero in any warm solve; one that is
-         basic in [w] marks a redundant row and keeps its zero value. *)
-      for j = art0 to ntot - 1 do
-        slo.(j) <- 0.0;
-        shi.(j) <- 0.0;
-        if stat.(j) <> Basic then begin
-          stat.(j) <- At_lower;
-          vnb.(j) <- 0.0
-        end
-      done;
-      (* Resolve nonbasic resting points against the (possibly changed)
-         bounds. *)
-      for j = 0 to art0 - 1 do
-        if stat.(j) <> Basic then
-          if slo.(j) > neg_infinity
-             && (stat.(j) = At_lower || shi.(j) = infinity
-                 || slo.(j) >= shi.(j))
-          then begin
-            stat.(j) <- At_lower;
-            vnb.(j) <- slo.(j)
-          end
-          else if shi.(j) < infinity then begin
-            stat.(j) <- At_upper;
-            vnb.(j) <- shi.(j)
-          end
-          else if slo.(j) > neg_infinity then begin
-            stat.(j) <- At_lower;
-            vnb.(j) <- slo.(j)
-          end
-          else begin
-            stat.(j) <- Free_nb;
-            vnb.(j) <- 0.0
-          end
-      done;
-      Array.iter (fun b -> stat.(b) <- Basic) basis;
-      (* Refactorize: make each basis column a unit vector, choosing the
-         largest available pivot at every step for stability. *)
-      let rowdone = Array.make m false in
-      (try
-         for _step = 0 to m - 1 do
-           let r = ref (-1) and best = ref 1e-8 in
-           for i = 0 to m - 1 do
-             if not rowdone.(i) then begin
-               let w = Float.abs (Tableau.get tab i basis.(i)) in
-               if w > !best then begin
-                 best := w;
-                 r := i
-               end
-             end
-           done;
-           if !r < 0 then raise Exit;
-           Tableau.pivot tab ~row:!r ~col:basis.(!r);
-           rowdone.(!r) <- true
-         done
-       with Exit -> ok := false);
-      if not !ok then None
-      else begin
-        let xb = Array.make m 0.0 in
-        for i = 0 to m - 1 do
-          let acc = ref (Tableau.get tab i ntot) in
-          for j = 0 to art0 - 1 do
-            if stat.(j) <> Basic && vnb.(j) <> 0.0 then begin
-              let w = Tableau.unsafe_get tab i j in
-              if w <> 0.0 then acc := !acc -. (w *. vnb.(j))
-            end
-          done;
-          xb.(i) <- !acc
-        done;
-        Some
-          { m; ntot; art0; slo; shi; tab; xb; basis; stat; vnb;
-            z = Array.make ntot 0.0; sgn = Array.make m 1.0; iters = 0;
-            degen = 0 }
-      end
-    end
-  end
-
-let solve_warm ?max_iters input w =
-  match warm_state input w with
-  | None -> None
-  | Some st ->
-      let max_iters = default_iters max_iters st.m input.nvars in
-      let cost = phase2_cost input st.ntot in
-      reset_reduced_costs st cost;
-      let fin = finish ~emit_basis:true ~warm_started:true input st in
-      (match dual_loop st max_iters with
-      | `Iters -> None (* numerical trouble: let the cold path decide *)
-      | `Infeasible -> Some (fin Status.Infeasible)
-      | `Feasible -> (
-          st.degen <- 0;
-          match run_phase st max_iters cost with
-          | `Done -> Some (fin Status.Optimal)
-          | `Unbounded -> Some (fin Status.Unbounded)
-          | `Iters -> None))
-
-(* ------------------------------------------------------------------ *)
-(* Sparse revised-simplex engine.                                      *)
+(* Revised simplex.                                                    *)
 (*                                                                     *)
-(* Same frame layout, basis conventions and tolerances as the dense    *)
-(* engine above, but the matrix is stored once in compressed column    *)
-(* form and the basis inverse is kept as a product of eta factors that *)
-(* is periodically refactorized.  No row is ever sign-flipped here:    *)
-(* artificial columns are always +e_i, and rows whose residual starts  *)
-(* negative get an artificial bounded in (-inf, 0] with phase-1 cost   *)
-(* -1 instead — so BTRAN of the basic costs yields the duals in the    *)
-(* original row orientation directly.                                  *)
+(* The matrix is stored once in compressed column form and the basis   *)
+(* inverse is kept as a product of eta factors that is periodically    *)
+(* refactorized.  No row is ever sign-flipped: artificial columns are  *)
+(* always +e_i, and rows whose residual starts negative get an         *)
+(* artificial bounded in (-inf, 0] with phase-1 cost -1 instead — so   *)
+(* BTRAN of the basic costs yields the duals in the original row       *)
+(* orientation directly.                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Compressed-column copy of [A | slacks | artificials].  Entries within
@@ -917,7 +258,7 @@ type eta = { ep : int; erow : int array; evals : float array; epiv : float }
 
 let dummy_eta = { ep = 0; erow = [||]; evals = [||]; epiv = 1.0 }
 
-type sstate = {
+type state = {
   ss_m : int;
   ss_ntot : int;
   ss_art0 : int;
@@ -1098,9 +439,9 @@ let maybe_refactor st =
   if st.neta >= st.refactor_every then refactorize st else true
 
 (* Duals y = c_B^T B^-1 and reduced costs z_j = c_j - y A_j, recomputed
-   from the factorization at every pricing round, so the sparse engine
-   never accumulates incremental reduced-cost drift. *)
-let sreset_z st (c : float array) =
+   from the factorization at every pricing round, so the engine never
+   accumulates incremental reduced-cost drift. *)
+let reset_reduced_costs st (c : float array) =
   let m = st.ss_m in
   let y = st.sy in
   for i = 0 to m - 1 do
@@ -1126,9 +467,11 @@ let sreset_z st (c : float array) =
     end
   done
 
-(* Ratio test over the FTRAN'd entering column in [d]; mirrors
-   [ratio_test] on the dense tableau. *)
-let sratio_test st q dsign (d : float array) =
+(* Ratio test over the FTRAN'd entering column in [d]: how far can column
+   [q] move in direction [dsign] before a basic variable hits a bound or
+   [q] reaches its opposite bound?  Returns (step, blocking row or -1,
+   whether the blocker stops at its upper bound). *)
+let ratio_test st q dsign (d : float array) =
   let t_best = ref (st.qhi.(q) -. st.qlo.(q)) in
   if Float.is_nan !t_best then t_best := infinity;
   let row = ref (-1) and to_upper = ref false and piv_best = ref 0.0 in
@@ -1169,9 +512,9 @@ let sratio_test st q dsign (d : float array) =
 
 (* One primal step for entering column [q] moving in direction [dsign];
    the FTRAN'd column must already be in [st.sd]. *)
-let sstep st q dsign =
+let step st q dsign =
   let d = st.sd in
-  let tstep, lrow, to_upper = sratio_test st q dsign d in
+  let tstep, lrow, to_upper = ratio_test st q dsign d in
   if tstep = infinity then `Unbounded
   else begin
     st.siters <- st.siters + 1;
@@ -1205,11 +548,11 @@ let sstep st q dsign =
     end
   end
 
-let srun_phase st max_iters (c : float array) =
+let run_phase st max_iters (c : float array) =
   let rec loop () =
     if st.siters >= max_iters then `Iters
     else begin
-      sreset_z st c;
+      reset_reduced_costs st c;
       match
         price_gen ~bland:(st.sdegen > 60) ~ntot:st.ss_ntot ~slo:st.qlo
           ~shi:st.qhi ~stat:st.sstat ~z:st.sz
@@ -1217,7 +560,7 @@ let srun_phase st max_iters (c : float array) =
       | None -> `Done
       | Some (q, dsign) -> (
           ftran_col st q;
-          match sstep st q dsign with
+          match step st q dsign with
           | `Ok -> loop ()
           | `Unbounded -> `Unbounded
           | `Fail -> `Iters)
@@ -1225,11 +568,11 @@ let srun_phase st max_iters (c : float array) =
   in
   loop ()
 
-(* Extract the user-facing result from a finished sparse state.  At an
-   optimum [sy] still holds BTRAN of the phase-2 basic costs from the
-   final pricing round; since the sparse engine never flips rows those
+(* Extract the user-facing result from a finished state.  At an optimum
+   [sy] still holds BTRAN of the phase-2 basic costs from the final
+   pricing round; since the engine never flips rows those
    are the duals in the original orientation. *)
-let sfinish ~emit_basis ~warm_started input st status =
+let finish ~emit_basis ~warm_started input st status =
   let n = input.nvars in
   let x = Array.make n 0.0 in
   for j = 0 to n - 1 do
@@ -1266,8 +609,8 @@ let sfinish ~emit_basis ~warm_started input st status =
     iterations = st.siters; basis; warm_started }
 
 (* Cold start: slack crash, BTRAN-guided structural crash, two-phase
-   primal — the sparse counterpart of [solve_cold]. *)
-let ssolve_cold ?max_iters ~emit_basis input =
+   primal. *)
+let cold_solve ?max_iters ~emit_basis input =
   let mat = build_smat input in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
@@ -1350,7 +693,9 @@ let ssolve_cold ?max_iters ~emit_basis input =
      a bounded structural column that can zero the residual without
      knocking any settled row out of bounds (checked against its FTRAN'd
      column) replaces the artificial.  Candidates are filtered on pivot
-     quality and ranked by objective movement, as in the dense engine. *)
+     quality and ranked by objective movement, so phase 2 starts near
+     the optimum; on assignment-shaped models this usually empties
+     phase 1 entirely. *)
   if !any_art && n > 0 then begin
     let cmin j = if input.minimize then input.obj.(j) else -.input.obj.(j) in
     for i = 0 to m - 1 do
@@ -1482,9 +827,9 @@ let ssolve_cold ?max_iters ~emit_basis input =
     end
   done;
   let cost = phase2_cost input ntot in
-  let fin = sfinish ~emit_basis ~warm_started:false input st in
+  let fin = finish ~emit_basis ~warm_started:false input st in
   let phase1_outcome =
-    if !need_p1 then srun_phase st max_iters phase1_cost else `Done
+    if !need_p1 then run_phase st max_iters phase1_cost else `Done
   in
   match phase1_outcome with
   | `Iters -> fin Status.Iteration_limit
@@ -1509,7 +854,7 @@ let ssolve_cold ?max_iters ~emit_basis input =
           qhi.(j) <- 0.0
         done;
         st.sdegen <- 0;
-        match srun_phase st max_iters cost with
+        match run_phase st max_iters cost with
         | `Done -> fin Status.Optimal
         | `Unbounded -> fin Status.Unbounded
         | `Iters -> fin Status.Iteration_limit
@@ -1517,7 +862,7 @@ let ssolve_cold ?max_iters ~emit_basis input =
 
 (* Rebuild a sparse factorization around the saved basis [w]; [None]
    when the basis does not fit these rows or is singular. *)
-let swarm_state input (w : basis) =
+let warm_state input (w : basis) =
   let mat = build_smat input in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
@@ -1582,10 +927,15 @@ let swarm_state input (w : basis) =
     end
   end
 
-(* Bounded-variable dual simplex on the sparse state; mirrors
-   [dual_loop], with the transformed leaving row obtained by BTRAN of a
-   unit vector and one pass over the column nonzeros. *)
-let sdual_loop st max_iters (c : float array) =
+(* Bounded-variable dual simplex.  The basis is assumed (near) dual
+   feasible; primal feasibility is restored one bound violation at a time,
+   with the transformed leaving row obtained by BTRAN of a unit vector and
+   one pass over the column nonzeros.  Returns [`Feasible] when all basic
+   values are within bounds, [`Infeasible] when some violated row admits
+   no entering column (a primal-infeasibility certificate independent of
+   the reduced costs), or [`Iters] when the budget runs out or a pivot
+   collapses. *)
+let dual_simplex st max_iters (c : float array) =
   let m = st.ss_m and ntot = st.ss_ntot in
   let rec loop () =
     if st.siters >= max_iters then `Iters
@@ -1613,9 +963,9 @@ let sdual_loop st max_iters (c : float array) =
         let r = !row in
         let b = st.sbasis.(r) in
         let target = if !below then st.qlo.(b) else st.qhi.(b) in
-        (* Fresh reduced costs first ([sreset_z] owns [sy]), then the
-           transformed row rho = B^-T e_r. *)
-        sreset_z st c;
+        (* Fresh reduced costs first ([reset_reduced_costs] owns [sy]),
+           then the transformed row rho = B^-T e_r. *)
+        reset_reduced_costs st c;
         let rho = st.sy in
         Array.fill rho 0 m 0.0;
         rho.(r) <- 1.0;
@@ -1680,28 +1030,26 @@ let sdual_loop st max_iters (c : float array) =
   in
   loop ()
 
-let ssolve_warm ?max_iters input w =
-  match swarm_state input w with
+let warm_solve ?max_iters input w =
+  match warm_state input w with
   | None -> None
   | Some st ->
       let max_iters = default_iters max_iters st.ss_m input.nvars in
       let cost = phase2_cost input st.ss_ntot in
-      let fin = sfinish ~emit_basis:true ~warm_started:true input st in
-      (match sdual_loop st max_iters cost with
+      let fin = finish ~emit_basis:true ~warm_started:true input st in
+      (match dual_simplex st max_iters cost with
       | `Iters -> None (* numerical trouble: let the cold path decide *)
       | `Infeasible -> Some (fin Status.Infeasible)
       | `Feasible -> (
           st.sdegen <- 0;
-          match srun_phase st max_iters cost with
+          match run_phase st max_iters cost with
           | `Done ->
               (* [sy]/[sz] are current from the final pricing round. *)
               Some (fin Status.Optimal)
           | `Unbounded -> Some (fin Status.Unbounded)
           | `Iters -> None))
 
-type core = Dense | Sparse
-
-let rec solve ?max_iters ?warm ?(want_basis = false) ?(core = Sparse) input =
+let rec solve ?max_iters ?warm ?(want_basis = false) input =
   let n = input.nvars in
   (* Branching can cross bounds; such boxes are empty, not "solved". *)
   let crossed = ref false in
@@ -1710,27 +1058,17 @@ let rec solve ?max_iters ?warm ?(want_basis = false) ?(core = Sparse) input =
   done;
   if !crossed then empty_result Status.Infeasible
   else
-    let cold ~emit_basis =
-      match core with
-      | Sparse -> ssolve_cold ?max_iters ~emit_basis input
-      | Dense -> solve_cold ?max_iters ~emit_basis input
-    in
     match warm with
     | Some w -> (
-        let attempt =
-          match core with
-          | Sparse -> ssolve_warm ?max_iters input w
-          | Dense -> solve_warm ?max_iters input w
-        in
-        match attempt with
+        match warm_solve ?max_iters input w with
         | Some r -> r
-        | None -> solve ?max_iters ~want_basis:true ~core input)
+        | None -> solve ?max_iters ~want_basis:true input)
     | None ->
-        if want_basis then cold ~emit_basis:true
+        if want_basis then cold_solve ?max_iters ~emit_basis:true input
         else (
           match eliminate_fixed input with
           | Some (reduced, back) ->
-              let r = solve ?max_iters ~core reduced in
+              let r = solve ?max_iters reduced in
               let x = Array.copy input.lo in
               let reduced_costs = Array.make n 0.0 in
               if Array.length r.x > 0 then
@@ -1763,7 +1101,38 @@ let rec solve ?max_iters ?warm ?(want_basis = false) ?(core = Sparse) input =
                 reduced_costs;
                 basis = None;
               }
-          | None -> cold ~emit_basis:false)
+          | None -> cold_solve ?max_iters ~emit_basis:false input)
+
+(* Rows of B^-1 by BTRAN of unit vectors on a fresh factorization of [b].
+   Refactorization may permute which row a basic column occupies, but the
+   row of B^-1 that belongs to a given basic column does not depend on
+   that order.  One step of iterative refinement against the basis
+   columns themselves takes the eta file's rounding out of the row, so
+   what callers build from it does not depend on how the basis happened
+   to be factored. *)
+let basis_rows input (b : basis) =
+  match warm_state input b with
+  | None -> None
+  | Some st ->
+      let m = st.ss_m in
+      let row_of = Array.make st.ss_ntot (-1) in
+      for i = 0 to m - 1 do
+        row_of.(st.sbasis.(i)) <- i
+      done;
+      Some
+        (fun c ->
+          if row_of.(c) < 0 then invalid_arg "Simplex.basis_rows: not basic";
+          let rho = Array.make m 0.0 in
+          rho.(row_of.(c)) <- 1.0;
+          btran st rho;
+          let resid =
+            Array.init m (fun i ->
+                let c' = st.sbasis.(i) in
+                (if c' = c then 1.0 else 0.0) -. col_dot st c' rho)
+          in
+          btran st resid;
+          Array.iteri (fun i r -> rho.(i) <- rho.(i) +. r) resid;
+          rho)
 
 let check_certificate ?(tol = 1e-5) input result =
   let errs = ref [] in

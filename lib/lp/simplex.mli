@@ -1,17 +1,15 @@
 (** Two-phase primal simplex with dual-simplex warm starts, for linear
     programs with bounded variables.
 
-    Two interchangeable engines share the frame layout, basis format and
-    tolerances.  The default {!Sparse} engine is a revised simplex: the
-    matrix lives in compressed column form, the basis inverse is a
-    product of eta factors with periodic refactorization, and pricing
-    touches nonzeros only.  The legacy {!Dense} engine pivots a flat
-    tableau ({!Tableau}).  Both support variables resting at either bound
-    (so binary upper bounds cost no extra rows), equality / inequality
-    rows (slacks are added internally), a slack-plus-structural crash
-    basis that usually skips phase 1 outright, Dantzig pricing with a
-    Bland anti-cycling fallback, and produce a dual certificate that
-    {!check_certificate} can verify independently.
+    A revised simplex: the matrix lives in compressed column form, the
+    basis inverse is a product of eta factors with periodic
+    refactorization, and pricing touches nonzeros only.  It supports
+    variables resting at either bound (so binary upper bounds cost no
+    extra rows), equality / inequality rows (slacks are added
+    internally), a slack-plus-structural crash basis that usually skips
+    phase 1 outright, Dantzig pricing with a Bland anti-cycling fallback,
+    and produces a dual certificate that {!check_certificate} can verify
+    independently.
 
     A solve can export its optimal {!basis} and a later solve over the
     {e same rows} but different bounds can restart from it: the basis is
@@ -59,19 +57,24 @@ type result = {
 (** [of_model m] compiles a {!Model.t}, ignoring integrality marks. *)
 val of_model : Model.t -> input
 
-(** Which pivot engine to run.  Bases are interchangeable between the
-    two: both use the same column layout and basis format. *)
-type core = Dense | Sparse
-
 (** [solve input] runs the two-phase primal simplex.  With [~warm] the
     solver instead refactorizes the given basis and reoptimizes with the
     dual simplex (falling back to a cold solve on failure); warm solves
     always export their basis.  With [~want_basis:true] a cold solve skips
     fixed-column elimination and exports its final basis so children can
-    warm start.  [~core] selects the engine (default {!Sparse}). *)
+    warm start. *)
 val solve :
-  ?max_iters:int -> ?warm:basis -> ?want_basis:bool -> ?core:core ->
-  input -> result
+  ?max_iters:int -> ?warm:basis -> ?want_basis:bool -> input -> result
+
+(** [basis_rows input b] factorizes the basis [b] of [input] and returns
+    a function from a basic column [c] to its row of [B⁻¹], taken by one
+    BTRAN: the vector [w] with [w · A_c = 1] and [w · A_c' = 0] for every
+    other basic column [c'] (columns over the frame layout: structurals,
+    then one slack per inequality row with coefficient [+1] on [Le] and
+    [-1] on [Ge] rows, then one artificial per row).
+    [None] when [b] does not fit [input]'s rows or is singular.  The
+    function raises [Invalid_argument] on a nonbasic column. *)
+val basis_rows : input -> basis -> (int -> float array) option
 
 (** [check_certificate input result] re-verifies, from scratch, that
     [result] is a valid optimum of [input]: primal feasibility, the sign

@@ -94,13 +94,14 @@ let estate_key = function
 
 (* One fixed field order; delivery-only fields (id, deadline_s, degrade)
    are deliberately absent so retries and tighter deadlines still hit.
-   Scenario fields join the serialization only when set at all, so every
-   fingerprint minted before the scenario engine existed — including the
-   sweep grid's plain points — is unchanged. *)
+   Scenario fields join the serialization only when set at all.  The
+   leading tag names the solver generation: bump it whenever the same job
+   can plan differently, so a disk store or peer filled by an older solver
+   never serves its plans as this one's. *)
 let canonical job =
   let base =
     [
-      "v2";
+      "v3";
       estate_key job.estate;
       (if job.dr then "dr" else "nodr");
       (if job.economies_of_scale then "eos" else "noeos");

@@ -129,19 +129,11 @@ let prop_knapsack_matches_brute_force =
           (Array.map float_of_int vs)
           (float_of_int cap)
       in
-      (* Both node-LP engines must reach the brute-force optimum. *)
-      List.iter
-        (fun core ->
-          let r =
-            Milp.solve ~options:{ Milp.default_options with Milp.core } m
-          in
-          if r.Milp.status <> Status.Optimal then
-            QCheck2.Test.fail_reportf "status %s"
-              (Status.to_string r.Milp.status);
-          if Float.abs (r.Milp.obj -. expected) > 1e-6 then
-            QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj
-              expected)
-        [ Simplex.Dense; Simplex.Sparse ];
+      let r = Milp.solve m in
+      if r.Milp.status <> Status.Optimal then
+        QCheck2.Test.fail_reportf "status %s" (Status.to_string r.Milp.status);
+      if Float.abs (r.Milp.obj -. expected) > 1e-6 then
+        QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj expected;
       true)
 
 (* Small generalized-assignment instances: the exact shape used by the
@@ -208,25 +200,19 @@ let prop_assignment_matches_brute_force =
           done
       in
       enum 0;
-      List.iter
-        (fun core ->
-          let r =
-            Milp.solve ~options:{ Milp.default_options with Milp.core } m
-          in
-          match (r.Milp.status, !best = infinity) with
-          | Status.Infeasible, true -> ()
-          | Status.Infeasible, false ->
-              QCheck2.Test.fail_reportf
-                "milp infeasible but brute force found %g" !best
-          | Status.Optimal, true ->
-              QCheck2.Test.fail_reportf
-                "milp optimal %g but instance infeasible" r.Milp.obj
-          | Status.Optimal, false ->
-              if Float.abs (r.Milp.obj -. !best) > 1e-6 then
-                QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj
-                  !best
-          | s, _ -> QCheck2.Test.fail_reportf "status %s" (Status.to_string s))
-        [ Simplex.Dense; Simplex.Sparse ];
+      let r = Milp.solve m in
+      (match (r.Milp.status, !best = infinity) with
+      | Status.Infeasible, true -> ()
+      | Status.Infeasible, false ->
+          QCheck2.Test.fail_reportf "milp infeasible but brute force found %g"
+            !best
+      | Status.Optimal, true ->
+          QCheck2.Test.fail_reportf "milp optimal %g but instance infeasible"
+            r.Milp.obj
+      | Status.Optimal, false ->
+          if Float.abs (r.Milp.obj -. !best) > 1e-6 then
+            QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj !best
+      | s, _ -> QCheck2.Test.fail_reportf "status %s" (Status.to_string s));
       true)
 
 (* Random generalized-assignment MILPs for the warm-start / parallel

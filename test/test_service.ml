@@ -227,6 +227,19 @@ let test_fingerprint_ignores_delivery () =
   Alcotest.(check bool) "dr included" true
     (Service.Job.fingerprint base <> Service.Job.fingerprint dr)
 
+(* The fingerprint is a content address shared with disk stores and
+   peers, so it may only change on purpose: a change that makes the same
+   job plan differently bumps the tag in [Job.canonical] and this
+   literal with it. *)
+let test_fingerprint_pinned () =
+  let job =
+    parse_job
+      {|{"id":"pin","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20},"dr":false}|}
+  in
+  Alcotest.(check string)
+    "pinned fingerprint" "dd6178d03050a2300db6203c8df6b961"
+    (Service.Job.fingerprint job)
+
 (* ----------------------------------------------------------------- cache *)
 
 let test_cache_eviction () =
@@ -593,4 +606,6 @@ let suite =
       test_batch_writer_failure;
     Alcotest.test_case "batch: NDJSON stream alignment" `Slow
       test_batch_stream_alignment;
+    Alcotest.test_case "fingerprint: pinned literal" `Quick
+      test_fingerprint_pinned;
   ]

@@ -6,24 +6,14 @@ let check_float = Alcotest.(check (float 1e-6))
 
 let solve_model m = Simplex.solve (Simplex.of_model m)
 
-(* Every exhaustive check runs against both engines: the dense tableau and
-   the sparse revised simplex must agree while both are maintained. *)
-let both_cores = [ ("dense", Simplex.Dense); ("sparse", Simplex.Sparse) ]
-
 let assert_optimal ?(tol = 1e-6) m expected =
   let input = Simplex.of_model m in
-  List.iter
-    (fun (tag, core) ->
-      let r = Simplex.solve ~core input in
-      Alcotest.(check string)
-        (tag ^ " status") "optimal"
-        (Status.to_string r.Simplex.status);
-      Alcotest.(check (float tol)) (tag ^ " objective") expected r.Simplex.obj_value;
-      match Simplex.check_certificate input r with
-      | [] -> ()
-      | errs ->
-          Alcotest.failf "%s certificate: %s" tag (String.concat "; " errs))
-    both_cores
+  let r = Simplex.solve input in
+  Alcotest.(check string) "status" "optimal" (Status.to_string r.Simplex.status);
+  Alcotest.(check (float tol)) "objective" expected r.Simplex.obj_value;
+  match Simplex.check_certificate input r with
+  | [] -> ()
+  | errs -> Alcotest.failf "certificate: %s" (String.concat "; " errs)
 
 (* Classic textbook LP: max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18. *)
 let test_textbook () =
@@ -200,20 +190,6 @@ let prop_random_feasible =
       (match Simplex.check_certificate input r with
       | [] -> ()
       | errs -> QCheck2.Test.fail_reportf "certificate: %s" (String.concat "; " errs));
-      (* The dense engine must reach the same optimum with its own valid
-         certificate. *)
-      let rd = Simplex.solve ~core:Simplex.Dense input in
-      if rd.Simplex.status <> Status.Optimal then
-        QCheck2.Test.fail_reportf "dense status %s"
-          (Status.to_string rd.Simplex.status);
-      if Float.abs (rd.Simplex.obj_value -. r.Simplex.obj_value) > 1e-6 then
-        QCheck2.Test.fail_reportf "dense %g vs sparse %g" rd.Simplex.obj_value
-          r.Simplex.obj_value;
-      (match Simplex.check_certificate input rd with
-      | [] -> ()
-      | errs ->
-          QCheck2.Test.fail_reportf "dense certificate: %s"
-            (String.concat "; " errs));
       true)
 
 (* ---- eta-file drift --------------------------------------------------- *)
@@ -221,7 +197,7 @@ let prop_random_feasible =
 let test_eta_refactorization_drift () =
   (* A dense equality-constrained LP large enough that the crash basis plus
      the pivot sequence far exceeds the refactorization cadence, so the
-     sparse engine rebuilds its eta file mid-solve (and again at the
+     engine rebuilds its eta file mid-solve (and again at the
      optimum).  The returned point must satisfy the rows to tight absolute
      tolerance: any drift the product-form update accumulated and the
      refactorizations failed to kill would show up here. *)
@@ -252,7 +228,7 @@ let test_eta_refactorization_drift () =
        (List.init n (fun j ->
             Model.Linexpr.term (Datasets.Prng.range rng (-4.0) 4.0) vars.(j))));
   let input = Simplex.of_model m in
-  let r = Simplex.solve ~core:Simplex.Sparse input in
+  let r = Simplex.solve input in
   Alcotest.(check string) "status" "optimal" (Status.to_string r.Simplex.status);
   Alcotest.(check bool)
     "pivot sequence is long" true
@@ -336,6 +312,33 @@ let test_warm_detects_infeasible () =
   Alcotest.(check string) "warm status" "infeasible"
     (Status.to_string rw.Simplex.status)
 
+(* A random LP over [n] variables in [0, 5] with [rows] mixed-sense rows,
+   all feasible at a random interior point. *)
+let random_feasible_lp rng n rows =
+  let x0 = Array.init n (fun _ -> Datasets.Prng.range rng 0.0 3.0) in
+  let m = Model.create () in
+  let vars =
+    Array.init n (fun i -> Model.add_var m ~hi:5.0 (Printf.sprintf "v%d" i))
+  in
+  for r = 0 to rows - 1 do
+    let e = ref Model.Linexpr.zero in
+    let lhs = ref 0.0 in
+    for j = 0 to n - 1 do
+      let c = Datasets.Prng.range rng (-5.0) 5.0 in
+      e := Model.Linexpr.add !e (Model.Linexpr.term c vars.(j));
+      lhs := !lhs +. (c *. x0.(j))
+    done;
+    match Datasets.Prng.int rng 3 with
+    | 0 -> Model.add_le m (Printf.sprintf "r%d" r) !e (!lhs +. 1.0)
+    | 1 -> Model.add_ge m (Printf.sprintf "r%d" r) !e (!lhs -. 1.0)
+    | _ -> Model.add_eq m (Printf.sprintf "r%d" r) !e !lhs
+  done;
+  Model.set_objective m
+    (Model.Linexpr.sum
+       (List.init n (fun j ->
+            Model.Linexpr.term (Datasets.Prng.range rng (-4.0) 4.0) vars.(j))));
+  Simplex.of_model m
+
 let test_warm_random_bound_changes () =
   (* Feasible-by-construction random LPs: save the optimal basis, tighten a
      random variable's upper bound, and check the warm reoptimization
@@ -346,29 +349,7 @@ let test_warm_random_bound_changes () =
   for _case = 1 to 60 do
     let n = 2 + Datasets.Prng.int rng 5 in
     let rows = 1 + Datasets.Prng.int rng 5 in
-    let x0 = Array.init n (fun _ -> Datasets.Prng.range rng 0.0 3.0) in
-    let m = Model.create () in
-    let vars =
-      Array.init n (fun i -> Model.add_var m ~hi:5.0 (Printf.sprintf "v%d" i))
-    in
-    for r = 0 to rows - 1 do
-      let e = ref Model.Linexpr.zero in
-      let lhs = ref 0.0 in
-      for j = 0 to n - 1 do
-        let c = Datasets.Prng.range rng (-5.0) 5.0 in
-        e := Model.Linexpr.add !e (Model.Linexpr.term c vars.(j));
-        lhs := !lhs +. (c *. x0.(j))
-      done;
-      match Datasets.Prng.int rng 3 with
-      | 0 -> Model.add_le m (Printf.sprintf "r%d" r) !e (!lhs +. 1.0)
-      | 1 -> Model.add_ge m (Printf.sprintf "r%d" r) !e (!lhs -. 1.0)
-      | _ -> Model.add_eq m (Printf.sprintf "r%d" r) !e !lhs
-    done;
-    Model.set_objective m
-      (Model.Linexpr.sum
-         (List.init n (fun j ->
-              Model.Linexpr.term (Datasets.Prng.range rng (-4.0) 4.0) vars.(j))));
-    let input = Simplex.of_model m in
+    let input = random_feasible_lp rng n rows in
     let r0 = Simplex.solve ~want_basis:true input in
     match (r0.Simplex.status, r0.Simplex.basis) with
     | Status.Optimal, Some basis ->
@@ -397,6 +378,62 @@ let test_warm_random_bound_changes () =
   done;
   Alcotest.(check bool) "dual path exercised" true (!warm_hits > 0)
 
+(* Column [c] of the frame [A | slacks | artificials] in dense form:
+   structurals first, one slack per inequality row (+1 on Le, -1 on Ge),
+   then one artificial per row. *)
+let frame_column (input : Simplex.input) c =
+  let rows = input.Simplex.rows in
+  let col = Array.make (Array.length rows) 0.0 in
+  let n = input.Simplex.nvars in
+  let next_slack = ref n in
+  Array.iteri
+    (fun i (terms, sense, _) ->
+      Array.iter (fun (j, a) -> if j = c then col.(i) <- col.(i) +. a) terms;
+      match sense with
+      | Model.Eq -> ()
+      | Model.Le | Model.Ge ->
+          if !next_slack = c then
+            col.(i) <- (if sense = Model.Le then 1.0 else -1.0);
+          incr next_slack)
+    rows;
+  let art0 = !next_slack in
+  if c >= art0 then col.(c - art0) <- 1.0;
+  col
+
+let test_basis_rows () =
+  (* On an optimal basis, the row of B^-1 that [basis_rows] returns for a
+     basic column c must price c at 1 and every other basic column at 0. *)
+  let rng = Datasets.Prng.create 7 in
+  let checked = ref 0 in
+  for _case = 1 to 40 do
+    let n = 2 + Datasets.Prng.int rng 6 in
+    let rows = 1 + Datasets.Prng.int rng 6 in
+    let input = random_feasible_lp rng n rows in
+    let r0 = Simplex.solve ~want_basis:true input in
+    match (r0.Simplex.status, r0.Simplex.basis) with
+    | Status.Optimal, Some b -> (
+        match Simplex.basis_rows input b with
+        | None -> Alcotest.fail "optimal basis did not factorize"
+        | Some row ->
+            Array.iter
+              (fun c ->
+                let w = row c in
+                Array.iter
+                  (fun c' ->
+                    let a = frame_column input c' in
+                    let dot = ref 0.0 in
+                    Array.iteri (fun i wi -> dot := !dot +. (wi *. a.(i))) w;
+                    let want = if c' = c then 1.0 else 0.0 in
+                    if Float.abs (!dot -. want) > 1e-9 then
+                      Alcotest.failf "row of %d prices column %d at %g" c c'
+                        !dot;
+                    incr checked)
+                  b.Simplex.vbasis)
+              b.Simplex.vbasis)
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "products checked" true (!checked > 100)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -420,5 +457,6 @@ let suite =
       test_warm_random_bound_changes;
     Alcotest.test_case "eta refactorization drift" `Quick
       test_eta_refactorization_drift;
+    Alcotest.test_case "basis rows from BTRAN" `Quick test_basis_rows;
     q prop_random_feasible;
   ]
