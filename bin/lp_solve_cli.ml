@@ -44,7 +44,11 @@ let solve_file path output relax nodes time mps =
   let status, obj, x =
     if relax then begin
       let r = Lp.Milp.relax model in
-      (r.Lp.Simplex.status, r.Lp.Simplex.obj_value, r.Lp.Simplex.x)
+      (* Without an optimum the simplex iterate is a phase-1 or partial
+         point; report no point, as the MILP path does. *)
+      if Lp.Status.is_ok r.Lp.Simplex.status then
+        (r.Lp.Simplex.status, r.Lp.Simplex.obj_value, r.Lp.Simplex.x)
+      else (r.Lp.Simplex.status, nan, [||])
     end
     else begin
       let options =

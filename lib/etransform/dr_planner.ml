@@ -16,8 +16,6 @@ type options = {
   economies_of_scale : bool;
   reserve : float;
   milp : Lp.Milp.options;
-  local_search : bool;
-  secondary_candidates : int option;
   scenario : scenario option;
   max_latency_ms : float option;
 }
@@ -28,8 +26,6 @@ let default_options =
     economies_of_scale = false;
     reserve = 0.15;
     milp = Solver.default_milp_options;
-    local_search = true;
-    secondary_candidates = None;
     scenario = None;
     max_latency_ms = None;
   }
@@ -97,49 +93,20 @@ let with_reserved_capacity asis reserve =
    all their failovers together), co-failing sites are excluded as
    backups, and early-warning evacuation rows bound the data each
    primary->backup link must move inside the warning window. *)
-let secondary_model ?candidates ?scenario asis (primary : int array) =
+let secondary_model ?scenario asis (primary : int array) =
   let open Lp in
   let m = Asis.num_groups asis and n = Asis.num_targets asis in
   let events = effective_events scenario n in
   let evac_mb = effective_evac scenario in
   let co_fail = co_fail_matrix events n in
   let model = Model.create ~name:(asis.Asis.name ^ "_dr_stage2") () in
-  (* Pool sites concentrate on the cheapest hosts, so pruning candidate
-     secondaries loses essentially nothing at scale. *)
-  let per_backup_price b =
-    let dc = asis.Asis.targets.(b) in
-    asis.Asis.params.Asis.dr_server_cost
-    +. Cost_model.power_labor_per_server asis dc
-    +. Data_center.first_tier_space dc
-  in
-  let keep =
-    match candidates with
-    | None -> fun _ _ -> true
-    | Some k ->
-        let order =
-          List.init n Fun.id
-          |> List.map (fun b -> (per_backup_price b, b))
-          |> List.sort compare
-          |> List.map snd
-        in
-        fun i b ->
-          let rec rank acc = function
-            | [] -> max_int
-            | x :: rest -> if x = b then acc else rank (acc + 1) rest
-          in
-          (* The primary is excluded elsewhere; count cheap sites that are
-             admissible for this group. *)
-          ignore i;
-          rank 0 order < k
-  in
   let y =
     Array.init m (fun i ->
         Array.init n (fun b ->
             if
               b <> primary.(i)
               && App_group.allowed asis.Asis.groups.(i) b
-              && (not co_fail.(primary.(i)).(b))
-              && (keep i b || n <= 2)
+              && not co_fail.(primary.(i)).(b)
             then
               Some (Model.add_var model ~binary:true (Printf.sprintf "Y_%d_%d" i b))
             else None))
@@ -352,7 +319,7 @@ let plan ?(options = default_options) asis =
     let servers = float_of_int (Asis.total_servers asis) in
     Float.max 0.0 (1.0 -. (servers /. cap) -. 0.02)
   in
-  let rec attempt ~candidates reserve tries =
+  let rec attempt reserve tries =
     let reserve = Float.min reserve max_reserve in
     let stage1_asis = with_reserved_capacity asis reserve in
     let builder =
@@ -369,7 +336,7 @@ let plan ?(options = default_options) asis =
     in
     let primary = stage1.Solver.placement.Placement.primary in
     let model, y =
-      secondary_model ?candidates ?scenario:options.scenario asis primary
+      secondary_model ?scenario:options.scenario asis primary
     in
     let r = Lp.Milp.solve ~options:options.milp model in
     let finish ~secondary ~status ~gap =
@@ -379,7 +346,7 @@ let plan ?(options = default_options) asis =
            does not see failure events or evacuation budgets; a move
            could silently re-pair a group with a co-failing backup, so
            scenario'd plans skip the polish. *)
-        if options.local_search && options.scenario = None then
+        if options.scenario = None then
           Local_search.improve ~swaps:(Asis.num_groups asis <= 120) asis
             placement
         else (placement, 0)
@@ -412,10 +379,7 @@ let plan ?(options = default_options) asis =
           if tries > 0 then begin
             Log.info (fun f ->
                 f "stage 2 infeasible at reserve %.2f; retrying" reserve);
-            (* Widen the pool-site candidate set before reserving more. *)
-            match candidates with
-            | Some _ -> attempt ~candidates:None reserve (tries - 1)
-            | None -> attempt ~candidates:None (reserve +. 0.1) (tries - 1)
+            attempt (reserve +. 0.1) (tries - 1)
           end
           else
             failwith
@@ -446,7 +410,7 @@ let plan ?(options = default_options) asis =
         | None -> milp_out
     end
   in
-  attempt ~candidates:options.secondary_candidates options.reserve 3
+  attempt options.reserve 3
 
 let joint_plan ?omega ?(milp = Solver.default_milp_options) asis =
   let built =

@@ -42,12 +42,10 @@ type options = {
   economies_of_scale : bool;     (** stage-1 space on the discount curve *)
   reserve : float;               (** initial capacity fraction kept for pools *)
   milp : Lp.Milp.options;
-  local_search : bool;
-      (** polish with the joint local search (skipped when a scenario is
-          set: the search cannot see event or evacuation constraints) *)
-  secondary_candidates : int option;
-      (** keep only this many cheapest pool sites per group in stage 2 *)
-  scenario : scenario option;    (** richer failure model for stage 2 *)
+  scenario : scenario option;
+      (** richer failure model for stage 2.  When set, the joint local
+          search is skipped: it cannot see event or evacuation
+          constraints *)
   max_latency_ms : float option;
       (** stage-1 latency budget (see {!Lp_builder.options}) *)
 }

@@ -4,7 +4,6 @@ type options = {
   omega : float option;
   pins : (int * int) list;
   forbids : (int * int) list;
-  candidate_limit : int option;
   max_latency_ms : float option;
 }
 
@@ -15,7 +14,6 @@ let default_options =
     omega = None;
     pins = [];
     forbids = [];
-    candidate_limit = None;
     max_latency_ms = None;
   }
 
@@ -81,33 +79,10 @@ let build ?(options = default_options) asis =
         fun i j -> Hashtbl.mem within (i, j) || Hashtbl.mem pinned (i, j)
   in
   let admissible i j = base_admissible i j && latency_ok i j in
-  (* Column pruning for large estates: per group, keep only the cheapest
-     candidate targets (pins always survive). *)
-  let keep =
-    match options.candidate_limit with
-    | None -> fun _ _ -> true
-    | Some k ->
-        let kept = Hashtbl.create (m * k) in
-        for i = 0 to m - 1 do
-          let candidates =
-            List.init n Fun.id
-            |> List.filter (admissible i)
-            |> List.map (fun j ->
-                   (Cost_model.assign_cost asis ~group:i asis.Asis.targets.(j), j))
-            |> List.sort compare
-          in
-          List.iteri
-            (fun rank (_, j) ->
-              if rank < k || Hashtbl.mem pinned (i, j) then
-                Hashtbl.replace kept (i, j) ())
-            candidates
-        done;
-        fun i j -> Hashtbl.mem kept (i, j)
-  in
   let x =
     Array.init m (fun i ->
         Array.init n (fun j ->
-            if admissible i j && keep i j then
+            if admissible i j then
               Some (Model.add_var model ~binary:true (Printf.sprintf "X_%d_%d" i j))
             else None))
   in

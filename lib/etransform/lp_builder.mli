@@ -17,10 +17,6 @@ type options = {
   omega : float option;
   pins : (int * int) list;     (** (group, target): force placement *)
   forbids : (int * int) list;  (** (group, target): exclude placement *)
-  candidate_limit : int option;
-      (** keep only this many cheapest targets per group (a standard
-          column-pruning presolve for large estates); pinned targets are
-          always kept *)
   max_latency_ms : float option;
       (** latency budget: exclude targets whose user-weighted mean
           latency for the group exceeds this.  A group with no candidate

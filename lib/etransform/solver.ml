@@ -17,19 +17,17 @@ type outcome = {
    so a deep best-bound search rarely improves the incumbent.  Keep the
    default tree small and let callers raise it for certified optima.
 
-   The reference configuration disables presolve: with truncated trees
-   the reported plan is the dive (or LP-rounding) incumbent, and a
-   different — equally optimal — degenerate LP vertex steers those
-   heuristics to a different, equally heuristic plan.  Keeping the root
-   LP on the unreduced model keeps the paper reproductions (experiments
-   E1–E3) stable as the presolve passes evolve. *)
+   Presolve never runs on these models: every consolidation and DR root
+   has integers and root cuts on, so it exports its basis, and the tree
+   warm-starts from there.  The root LP is solved on the unreduced model,
+   which keeps the paper reproductions (experiments E1–E3) independent of
+   the presolve passes. *)
 let default_milp_options =
   {
     Lp.Milp.default_options with
     Lp.Milp.node_limit = 24;
     time_limit = 60.0;
     gap_tol = 5e-3;
-    presolve = false;
   }
 
 (* Fallback when branch-and-bound surrenders without an incumbent: round

@@ -204,7 +204,6 @@ let milp_config_equivalence spec =
     [
       ("default", base);
       ("cold", { base with Lp.Milp.warm_start = false });
-      ("no-presolve", { base with Lp.Milp.presolve = false });
       ("no-dive", { base with Lp.Milp.dive_first = false });
       ("workers2", { base with Lp.Milp.workers = 2 });
       (* The work-stealing scheduler matrix: more domains, and domains

@@ -1,17 +1,5 @@
 type strategy = Most_fractional | Pseudocost | Reliability
 
-let strategy_to_string = function
-  | Most_fractional -> "most-fractional"
-  | Pseudocost -> "pseudocost"
-  | Reliability -> "reliability"
-
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "most-fractional" | "most_fractional" | "mf" -> Some Most_fractional
-  | "pseudocost" | "pc" -> Some Pseudocost
-  | "reliability" | "rel" -> Some Reliability
-  | _ -> None
-
 (* Per-direction statistics are (sum, count) pairs of atomics rather
    than in-place running means: a lock-free mean update needs a single
    word to CAS, and a sum is monotone under concurrent adds where a
@@ -22,8 +10,6 @@ let strategy_of_string s =
    pseudocost. *)
 type t = {
   strategy : strategy;
-  sb_nvars : int;
-  sb_nsteps : int;
   down : float Atomic.t array;  (* per-unit degradation sums, down branch *)
   up : float Atomic.t array;
   ndown : int Atomic.t array;
@@ -34,11 +20,14 @@ type t = {
 let reliability_threshold = 4
 let infeasible_degradation = 1e10
 
-let create ~nvars ~strategy ~sb_nvars ~sb_nsteps =
+(* Strong-branching probes per node, and the Pseudocost warmup window in
+   processed tree nodes. *)
+let sb_nvars = 8
+let sb_nsteps = 8
+
+let create ~nvars ~strategy =
   {
     strategy;
-    sb_nvars = max 0 sb_nvars;
-    sb_nsteps = max 0 sb_nsteps;
     down = Array.init nvars (fun _ -> Atomic.make 0.0);
     up = Array.init nvars (fun _ -> Atomic.make 0.0);
     ndown = Array.init nvars (fun _ -> Atomic.make 0);
@@ -110,7 +99,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
       | Pseudocost | Reliability ->
           let unreliable j =
             match t.strategy with
-            | Pseudocost -> nodes < t.sb_nsteps
+            | Pseudocost -> nodes < sb_nsteps
             | Reliability ->
                 min (Atomic.get t.ndown.(j)) (Atomic.get t.nup.(j))
                 < reliability_threshold
@@ -118,7 +107,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
           in
           (* Strong-branching warmup: probe the most fractional unreliable
              candidates and fold the observed degradations in. *)
-          let budget = ref t.sb_nvars in
+          let budget = ref sb_nvars in
           List.iter
             (fun (j, f, _) ->
               if !budget > 0 && unreliable j then begin

@@ -8,7 +8,7 @@
       running mean {e per-unit objective degradation} observed when that
       branch's child LP was solved, and scores candidates by the product
       of the estimated down- and up-degradations.  During a warmup window
-      of the first [sb_nsteps] tree nodes the most fractional candidates
+      of the first 8 tree nodes the most fractional candidates
       are probed by strong branching — bounded warm-started dual-simplex
       solves of both children — and the probe results seed the
       pseudocosts.  Until a variable has any statistics it borrows the
@@ -17,7 +17,7 @@
     - {!Reliability} is pseudocost branching with a per-variable trigger
       instead of a global window: any candidate whose up or down branch
       has fewer than {!reliability_threshold} observations is considered
-      unreliable and is re-probed (up to [sb_nvars] probes per node),
+      unreliable and is re-probed (up to 8 probes per node),
       regardless of how many nodes the tree has processed.
 
     The state is shared across worker domains and is domain-safe without
@@ -31,19 +31,11 @@
 
 type strategy = Most_fractional | Pseudocost | Reliability
 
-val strategy_to_string : strategy -> string
-
-(** Inverse of {!strategy_to_string}; also accepts common aliases
-    ("mf", "most_fractional", "pc", "rel"). *)
-val strategy_of_string : string -> strategy option
-
 type t
 
-(** [create ~nvars ~strategy ~sb_nvars ~sb_nsteps] makes an empty
-    pseudocost table over variable ids [0..nvars-1].  [sb_nvars] bounds
-    strong-branching probes per node; [sb_nsteps] is the warmup-window
-    length (in processed nodes) for {!Pseudocost}. *)
-val create : nvars:int -> strategy:strategy -> sb_nvars:int -> sb_nsteps:int -> t
+(** [create ~nvars ~strategy] makes an empty pseudocost table over
+    variable ids [0..nvars-1]. *)
+val create : nvars:int -> strategy:strategy -> t
 
 (** Observations with fewer samples than this per direction make a
     variable "unreliable" under {!Reliability} (SCIP's eta-rel idea). *)

@@ -1,26 +1,16 @@
-let src = Logs.Src.create "lp.milp" ~doc:"branch-and-bound MILP solver"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type core = Sparse
 
 type options = {
   node_limit : int;
   time_limit : float;
   gap_tol : float;
-  int_tol : float;
   dive_first : bool;
   warm_start : bool;
   workers : int;
-  par_threshold : int;
-  presolve : bool;
   core : core;
   branch_strategy : Branching.strategy;
-  strong_branching_nvars : int;
-  strong_branching_nsteps : int;
   pump : bool;
   root_cuts : bool;
-  log : bool;
 }
 
 let default_options =
@@ -28,19 +18,13 @@ let default_options =
     node_limit = 5000;
     time_limit = infinity;
     gap_tol = 1e-6;
-    int_tol = 1e-6;
     dive_first = true;
     warm_start = true;
     workers = 1;
-    par_threshold = 64;
-    presolve = true;
     core = Sparse;
     branch_strategy = Branching.Reliability;
-    strong_branching_nvars = 8;
-    strong_branching_nsteps = 8;
     pump = true;
     root_cuts = true;
-    log = false;
   }
 
 type result = {
@@ -56,8 +40,7 @@ type result = {
   workers : int;
 }
 
-let relax ?max_iters ?core:_ m =
-  Simplex.solve ?max_iters (Simplex.of_model m)
+let relax ?core:_ m = Simplex.solve (Simplex.of_model m)
 
 let integral ?(tol = 1e-6) m x =
   List.for_all
@@ -82,6 +65,13 @@ type node = {
 }
 
 let most_fractional = Branching.most_fractional
+
+(* Integrality tolerance on LP values. *)
+let int_tol = 1e-6
+
+(* Helper domains spawn only once this many nodes have been processed and
+   this many are open at the same time. *)
+let par_threshold = 64
 
 let rec mem_assoc3 j = function
   | [] -> false
@@ -135,12 +125,13 @@ let solve ?(options = default_options) ?steal_order m =
       diffs;
     let node_input = { input with Simplex.lo = lo; hi } in
     (* Warm starts need the row structure intact, so presolve reductions
-       apply only to cold basis-free solves (the root and the dives, where
-       batch fixes leave plenty for presolve to strip).  Below a few dozen
-       rows the reduction sweep costs more than the pivots it saves, so
-       small node LPs skip straight to the simplex. *)
+       apply only to cold basis-free solves: a root that exports no basis
+       (pure LPs, or [root_cuts] off) and strong-branching probes without
+       a parent basis.  Below a few dozen rows the reduction sweep costs
+       more than the pivots it saves, so small LPs skip straight to the
+       simplex. *)
     let presolvable =
-      options.presolve && warm = None && (not want_basis)
+      warm = None && (not want_basis)
       && Array.length input.Simplex.rows >= 64
     in
     count
@@ -186,11 +177,8 @@ let solve ?(options = default_options) ?steal_order m =
       match cur with
       | Some (k0, _) when k0 <= k +. 1e-12 -> ()
       | _ ->
-          if Atomic.compare_and_set incumbent cur (Some (k, x)) then begin
-            if options.log then
-              Log.info (fun f -> f "new incumbent %.6g" (obj_of_key k))
-          end
-          else install ()
+          if not (Atomic.compare_and_set incumbent cur (Some (k, x))) then
+            install ()
     in
     install ()
   in
@@ -220,7 +208,7 @@ let solve ?(options = default_options) ?steal_order m =
           { status = Status.Iteration_limit; x = [||]; relax_x = [||]; obj = nan; bound = nan;
             gap = nan; nodes = 0; cuts = 0; lp_iterations = Atomic.get lp_iters;
             workers }
-      | Status.Optimal when most_fractional int_ids options.int_tol root0.Simplex.x = -1 ->
+      | Status.Optimal when most_fractional int_ids int_tol root0.Simplex.x = -1 ->
           accept_point root0.Simplex.x;
           let _, x = Option.get (Atomic.get incumbent) in
           let root_key = key_of_obj root0.Simplex.obj_value in
@@ -241,23 +229,18 @@ let solve ?(options = default_options) ?steal_order m =
                   ~solve:(fun ?warm inp ->
                     count
                       (Simplex.solve ?warm ~want_basis:true inp))
-                  ~integer ~int_tol:options.int_tol ~root:root0
+                  ~integer ~int_tol ~root:root0
                   ~stop:(budget_stop 0.25) input0
               with
               | None -> (input0, root0, 0)
-              | Some (inp, r, st) ->
-                  if options.log then
-                    Log.info (fun f ->
-                        f "root cuts: %d gomory, %d cover in %d rounds"
-                          st.Cuts.gomory st.Cuts.cover st.Cuts.rounds);
-                  (inp, r, Cuts.total st)
+              | Some (inp, r, st) -> (inp, r, Cuts.total st)
             else (input0, root0, 0)
           in
           let solve_node ?warm ?max_iters ?want_basis diffs =
             solve_on input ?warm ?max_iters ?want_basis diffs
           in
           let root_key = key_of_obj root.Simplex.obj_value in
-          if most_fractional int_ids options.int_tol root.Simplex.x = -1 then begin
+          if most_fractional int_ids int_tol root.Simplex.x = -1 then begin
             (* The cut rounds closed the integrality gap outright. *)
             accept_point root.Simplex.x;
             let _, x = Option.get (Atomic.get incumbent) in
@@ -319,7 +302,7 @@ let solve ?(options = default_options) ?steal_order m =
                 if fuel = 0 || dive_stop () then ()
                 else if r.Simplex.status <> Status.Optimal then ()
                 else
-                  match most_fractional int_ids options.int_tol r.Simplex.x with
+                  match most_fractional int_ids int_tol r.Simplex.x with
                   | -1 -> accept_point r.Simplex.x
                   | j ->
                       let xv = r.Simplex.x.(j) in
@@ -390,7 +373,7 @@ let solve ?(options = default_options) ?steal_order m =
               in
               (match
                  Fpump.run ~solve:pump_solve ~input ~int_ids
-                   ~int_tol:options.int_tol ~start:root.Simplex.x
+                   ~int_tol ~start:root.Simplex.x
                    ~stop:(budget_stop 0.5) ~max_rounds:100 ()
                with
               | Fpump.Integral y -> accept_point y
@@ -414,7 +397,7 @@ let solve ?(options = default_options) ?steal_order m =
                     (fun j ->
                       if
                         Float.abs (y.(j) -. Float.round y.(j))
-                        > options.int_tol
+                        > int_tol
                       then fractional.(j) <- true)
                     int_ids;
                   let keep_free = Array.make input.Simplex.nvars false in
@@ -484,18 +467,13 @@ let solve ?(options = default_options) ?steal_order m =
                         let v = y.(j) in
                         let rv = Float.round v in
                         if
-                          Float.abs (v -. rv) <= options.int_tol
+                          Float.abs (v -. rv) <= int_tol
                           && not keep_free.(j)
                         then Some (j, rv, rv)
                         else None)
                       int_ids
                   in
                   let r' = solve_node ?warm:!pump_basis ~want_basis:true fixes in
-                  if options.log then
-                    Log.info (fun f ->
-                        f "pump-fix: pinned %d ints, residual lp %s"
-                          (List.length fixes)
-                          (Status.to_string r'.Simplex.status));
                   if r'.Simplex.status = Status.Optimal then begin
                     (* Up-dive the residual with backtracking.  The free
                        integers are typically assignment-style binaries
@@ -522,7 +500,7 @@ let solve ?(options = default_options) ?steal_order m =
                           (fun (bj, bf) j ->
                             let f = x.(j) -. Float.floor x.(j) in
                             let fr = Float.min f (1.0 -. f) in
-                            if fr > options.int_tol && tier j && f > bf then
+                            if fr > int_tol && tier j && f > bf then
                               (j, f)
                             else (bj, bf))
                           (-1, 0.0) int_ids
@@ -552,33 +530,18 @@ let solve ?(options = default_options) ?steal_order m =
                             descend (Float.ceil xv)
                             || descend (Float.floor xv)
                     in
-                    let found = dfs fixes r' in
-                    if options.log then
-                      Log.info (fun f ->
-                          f "pump-fix dive: found=%b, fuel left %d" found !fuel)
+                    ignore (dfs fixes r')
                   end
-              | Fpump.Near _ | Fpump.Failed -> ());
-              if options.log then
-                Log.info (fun f ->
-                    f "pump done at %.2fs, incumbent=%b" (Sys.time () -. start)
-                      (Atomic.get incumbent <> None))
+              | Fpump.Near _ | Fpump.Failed -> ())
             end;
             if
               options.dive_first
               && Atomic.get incumbent = None
               && not (out_of_time ())
-            then begin
-              dive ~stop_frac:0.8 [] root;
-              if options.log then
-                Log.info (fun f ->
-                    f "dive done at %.2fs, incumbent=%b" (Sys.time () -. start)
-                      (Atomic.get incumbent <> None))
-            end;
+            then dive ~stop_frac:0.8 [] root;
             let bstate =
               Branching.create ~nvars:input0.Simplex.nvars
                 ~strategy:options.branch_strategy
-                ~sb_nvars:options.strong_branching_nvars
-                ~sb_nsteps:options.strong_branching_nsteps
             in
             let child_warm (r : Simplex.result) =
               if options.warm_start then r.Simplex.basis else None
@@ -672,7 +635,7 @@ let solve ?(options = default_options) ?steal_order m =
                       end
                     in
                     match
-                      Branching.select bstate ~int_ids ~tol:options.int_tol
+                      Branching.select bstate ~int_ids ~tol:int_tol
                         ~x:r.Simplex.x ~nodes:(Atomic.get nodes) ~probe
                     with
                     | -1 -> accept_point r.Simplex.x
@@ -735,8 +698,8 @@ let solve ?(options = default_options) ?steal_order m =
                     ignore (Atomic.fetch_and_add nodes 1);
                     if
                       who = 0 && extra > 0 && (not !spawned)
-                      && Atomic.get nodes >= options.par_threshold
-                      && Wsched.pending sched >= options.par_threshold
+                      && Atomic.get nodes >= par_threshold
+                      && Wsched.pending sched >= par_threshold
                     then begin
                       spawned := true;
                       doms :=

@@ -16,6 +16,11 @@
     solve per node whenever the warm path struggles, so statuses are
     unchanged and objectives agree to solver tolerance.
 
+    {!Presolve} reductions run on cold basis-free LP solves of at least
+    64 rows: a root that exports no basis (a pure LP, or [root_cuts]
+    off) and strong-branching probes without a parent basis.  Integer
+    values are judged with a fixed tolerance of [1e-6].
+
     With [workers > 1] the tree search fans out over that many OCaml 5
     domains under a work-stealing scheduler ({!Wsched}): each domain
     owns a best-first deque, children go to the domain that solved the
@@ -24,8 +29,8 @@
     lock-free through an [Atomic] with a monotonic compare-and-set, so
     pruning always uses the freshest bound.  The fan-out is adaptive:
     the search starts sequential and the helper domains are spawned only
-    once at least [par_threshold] nodes have been processed {e and} that
-    many are simultaneously pending — so small trees (the common
+    once at least 64 nodes have been processed {e and} that many are
+    simultaneously pending — so small trees (the common
     warm-started case) never pay domain spawn costs.  The returned
     solution is still optimal whenever the sequential solver's is, but
     the visit order — and therefore [nodes] and [lp_iterations] — may
@@ -46,37 +51,25 @@ type options = {
       (** CPU-seconds budget ([Sys.time]), [infinity] = none.  Note that
           with [workers > 1] CPU time accumulates across domains, so the
           budget is consumed up to [workers] times faster than wall clock. *)
-  gap_tol : float;         (** stop when relative gap falls below this *)
-  int_tol : float;         (** integrality tolerance on LP values *)
+  gap_tol : float;
+      (** relative-gap tolerance for reporting (default [1e-6]).  It does
+          not stop the search early: a solve that ends on [node_limit] or
+          [time_limit] is reported {!Status.Optimal} when its final gap
+          is at most [gap_tol], and {!Status.Feasible} otherwise *)
   dive_first : bool;       (** seed the incumbent by diving at the root *)
   warm_start : bool;
       (** reoptimize node LPs from the parent basis (default [true]) *)
   workers : int;
       (** domains searching the tree (default 1 = sequential) *)
-  par_threshold : int;
-      (** open-node / processed-node count both required before helper
-          domains actually spawn (default 64) *)
-  presolve : bool;
-      (** run {!Presolve} reductions on cold basis-free node LPs — the
-          root and the dives — when the model is large enough (at least
-          64 rows) for the reduction to pay for itself (default [true]) *)
   core : core;  (** ignored; see {!core} *)
   branch_strategy : Branching.strategy;
       (** branching-variable selection (default {!Branching.Reliability}) *)
-  strong_branching_nvars : int;
-      (** strong-branching probes per node during warmup (default 8) *)
-  strong_branching_nsteps : int;
-      (** warmup window in tree nodes for {!Branching.Pseudocost}
-          (default 8); {!Branching.Reliability} instead re-probes any
-          variable with fewer than {!Branching.reliability_threshold}
-          observations, regardless of the window *)
   pump : bool;
       (** run the {!Fpump} feasibility pump at the root when diving left
           no incumbent (default [true]) *)
   root_cuts : bool;
       (** strengthen the root with {!Cuts} separation rounds before the
           tree opens (default [true]) *)
-  log : bool;              (** emit progress on the [lp.milp] log source *)
 }
 
 val default_options : options
@@ -114,7 +107,7 @@ val solve :
   result
 
 (** [relax m] solves the LP relaxation only.  [core] is ignored. *)
-val relax : ?max_iters:int -> ?core:core -> Model.t -> Simplex.result
+val relax : ?core:core -> Model.t -> Simplex.result
 
 (** [integral ?tol m x] is true when all integer-marked variables of [m]
     take integer values in [x]. *)

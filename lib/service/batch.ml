@@ -62,20 +62,7 @@ let milp_of_json j =
       let* time_limit = opt number "time" in
       let* gap_tol = opt number "gap" in
       let* workers = opt integer "workers" in
-      let* branching =
-        match Json.member "branching" mj with
-        | None | Some Json.Null -> Ok None
-        | Some v -> (
-            match Option.bind (Json.to_str v) Lp.Branching.strategy_of_string with
-            | Some s -> Ok (Some s)
-            | None ->
-                Error
-                  "milp field \"branching\" must be \"most-fractional\", \
-                   \"pseudocost\" or \"reliability\"")
-      in
-      let* pump = opt boolean "pump" in
-      let* cuts = opt boolean "cuts" in
-      Ok { Job.node_limit; time_limit; gap_tol; workers; branching; pump; cuts }
+      Ok { Job.node_limit; time_limit; gap_tol; workers }
 
 let scenario_of_json j =
   match Json.member "scenario" j with

@@ -17,6 +17,12 @@
     estate object to a canonical key plus a builder — this is how the
     harness plugs line estates in without the service depending on it.
 
+    Keys the schema does not name are ignored, at the top level and
+    inside ["milp"] and ["scenario"]: they change neither the decoded
+    job nor its fingerprint.  This includes the retired ["milp"]
+    keys ["branching"], ["pump"] and ["cuts"], so older clients that
+    still send them get the default solver.
+
     Blank lines and lines starting with [#] are skipped. *)
 
 type resolver = Json.t -> (string * (unit -> Etransform.Asis.t)) option

@@ -13,9 +13,6 @@ type milp_overrides = {
   time_limit : float option;
   gap_tol : float option;
   workers : int option;
-  branching : Lp.Branching.strategy option;
-  pump : bool option;
-  cuts : bool option;
 }
 
 let no_overrides =
@@ -24,9 +21,6 @@ let no_overrides =
     time_limit = None;
     gap_tol = None;
     workers = None;
-    branching = None;
-    pump = None;
-    cuts = None;
   }
 
 type scenario_overrides = {
@@ -113,9 +107,6 @@ let canonical job =
       "time=" ^ opt fl job.milp.time_limit;
       "gap=" ^ opt fl job.milp.gap_tol;
       "workers=" ^ opt string_of_int job.milp.workers;
-      "branch=" ^ opt Lp.Branching.strategy_to_string job.milp.branching;
-      "pump=" ^ opt string_of_bool job.milp.pump;
-      "cuts=" ^ opt string_of_bool job.milp.cuts;
     ]
   in
   let scen =
@@ -184,8 +175,4 @@ let milp_options job =
       Option.value job.milp.time_limit ~default:base.Lp.Milp.time_limit;
     gap_tol = Option.value job.milp.gap_tol ~default:base.Lp.Milp.gap_tol;
     workers = Option.value job.milp.workers ~default:base.Lp.Milp.workers;
-    branch_strategy =
-      Option.value job.milp.branching ~default:base.Lp.Milp.branch_strategy;
-    pump = Option.value job.milp.pump ~default:base.Lp.Milp.pump;
-    root_cuts = Option.value job.milp.cuts ~default:base.Lp.Milp.root_cuts;
   }

@@ -29,16 +29,15 @@ type estate =
       build : unit -> Etransform.Asis.t;
     }
 
-(** MILP budget and strategy overrides; [None] keeps
-    {!Etransform.Solver.default_milp_options}. *)
+(** MILP budget overrides; [None] keeps
+    {!Etransform.Solver.default_milp_options}.  [gap_tol] sets when a
+    solve that stops on a node or time limit is still reported optimal
+    (see {!Lp.Milp.options}); it does not stop the search early. *)
 type milp_overrides = {
   node_limit : int option;
   time_limit : float option;
   gap_tol : float option;
   workers : int option;
-  branching : Lp.Branching.strategy option;  (** branch-variable selection *)
-  pump : bool option;      (** feasibility pump at the root *)
-  cuts : bool option;      (** Gomory / cover cuts at the root *)
 }
 
 val no_overrides : milp_overrides

@@ -62,7 +62,6 @@ let solve job asis ~milp =
     in
     let options =
       {
-        Dr_planner.default_options with
         Dr_planner.milp;
         omega = job.Job.omega;
         economies_of_scale = job.Job.economies_of_scale;

@@ -128,16 +128,6 @@ let test_eos_objective_matches_curve () =
      0.1kW*100h*0 = 0, labor 0, wan 0. *)
   Alcotest.(check (float 1e-6)) "discount priced exactly" 650.0 r.Lp.Milp.obj
 
-let test_candidate_limit_keeps_feasibility () =
-  let asis = Fixtures.synthetic ~seed:5 ~groups:20 ~targets:5 () in
-  let options =
-    { Lp_builder.default_options with Lp_builder.candidate_limit = Some 3 }
-  in
-  let built, r = solve ~options asis in
-  Alcotest.(check bool) "still solvable" true (Array.length r.Lp.Milp.x > 0);
-  let p = Lp_builder.decode built r.Lp.Milp.x in
-  Alcotest.(check (list string)) "feasible" [] (Placement.validate asis p)
-
 let test_pin_on_forbidden_rejected () =
   let asis = Fixtures.asis () in
   let options =
@@ -209,7 +199,6 @@ let suite =
     Alcotest.test_case "capacity rows" `Quick test_capacity_binds;
     Alcotest.test_case "shared-risk rows" `Quick test_shared_risk_rows;
     Alcotest.test_case "economies of scale priced exactly" `Quick test_eos_objective_matches_curve;
-    Alcotest.test_case "candidate pruning" `Quick test_candidate_limit_keeps_feasibility;
     Alcotest.test_case "pin/forbid conflict" `Quick test_pin_on_forbidden_rejected;
     Alcotest.test_case "LP file export" `Quick test_lp_file_export;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;

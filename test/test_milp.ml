@@ -78,6 +78,46 @@ let test_node_limit_returns_feasible () =
   Alcotest.(check bool) "integral" true (Milp.integral m r.Milp.x);
   Alcotest.(check bool) "bound sane" true (r.Milp.bound >= r.Milp.obj -. 1e-6)
 
+let test_gap_tol_labels_limited_solve () =
+  (* [gap_tol] does not stop the search; it only decides how a solve
+     that ran out of nodes is labelled: Optimal exactly when the final
+     gap is at most [gap_tol], Feasible otherwise.  Cuts and the pump are
+     off so the root keeps a fractional bound while the dive still lands
+     an incumbent. *)
+  let m = Model.create () in
+  let n = 12 in
+  let xs =
+    Array.init n (fun i -> Model.add_var m ~binary:true (Printf.sprintf "x%d" i))
+  in
+  let weights = Array.init n (fun i -> float_of_int (((i * 7) mod 9) + 2)) in
+  let values = Array.init n (fun i -> float_of_int (((i * 11) mod 13) + 3)) in
+  Model.add_le m "w"
+    (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term weights.(i) x) xs)))
+    17.0;
+  Model.set_objective m ~minimize:false
+    (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term values.(i) x) xs)));
+  let solve gap_tol =
+    Milp.solve
+      ~options:
+        { Milp.default_options with
+          Milp.node_limit = 1; gap_tol; root_cuts = false; pump = false }
+      m
+  in
+  let r0 = solve 0.0 in
+  Alcotest.(check bool) "incumbent found" true (Array.length r0.Milp.x > 0);
+  Alcotest.(check bool) "positive final gap" true (r0.Milp.gap > 0.0);
+  let g = r0.Milp.gap in
+  List.iter
+    (fun tol ->
+      let r = solve tol in
+      let name = Printf.sprintf "gap_tol %h" tol in
+      Alcotest.(check (float 0.0)) (name ^ ": same gap") g r.Milp.gap;
+      Alcotest.(check int) (name ^ ": same nodes") r0.Milp.nodes r.Milp.nodes;
+      Alcotest.(check string) (name ^ ": status")
+        (if g <= tol then "optimal" else "feasible")
+        (Status.to_string r.Milp.status))
+    [ 0.0; Float.pred g; g; Float.succ g; 1.0 ]
+
 let brute_force_knapsack weights values cap =
   let n = Array.length weights in
   let best = ref 0.0 in
@@ -382,8 +422,7 @@ let test_branching_domain_safety () =
   let nvars = 32 in
   let per_domain = 20_000 in
   let t =
-    Branching.create ~nvars ~strategy:Branching.Reliability ~sb_nvars:0
-      ~sb_nsteps:0
+    Branching.create ~nvars ~strategy:Branching.Reliability
   in
   let worker seed () =
     let rng = Datasets.Prng.create seed in
@@ -505,4 +544,6 @@ let suite =
       test_branching_domain_safety;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
+    Alcotest.test_case "gap_tol labels a node-limited solve" `Quick
+      test_gap_tol_labels_limited_solve;
   ]

@@ -230,15 +230,32 @@ let test_fingerprint_ignores_delivery () =
 (* The fingerprint is a content address shared with disk stores and
    peers, so it may only change on purpose: a change that makes the same
    job plan differently bumps the tag in [Job.canonical] and this
-   literal with it. *)
+   literal with it, and a change to the canonical fields changes this
+   literal alone. *)
 let test_fingerprint_pinned () =
   let job =
     parse_job
       {|{"id":"pin","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20},"dr":false}|}
   in
   Alcotest.(check string)
-    "pinned fingerprint" "dd6178d03050a2300db6203c8df6b961"
+    "pinned fingerprint" "0871dab308aacb37ed48de9d075e0c07"
     (Service.Job.fingerprint job)
+
+(* Unknown keys are ignored (Batch's contract), including the "milp"
+   keys older clients may still send. *)
+let test_unknown_milp_keys_ignored () =
+  let plain =
+    parse_job
+      {|{"estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20}}|}
+  in
+  let extra =
+    parse_job
+      {|{"estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20,"branching":"pseudocost","pump":false,"cuts":false}}|}
+  in
+  Alcotest.(check bool) "same milp overrides" true
+    (plain.Service.Job.milp = extra.Service.Job.milp);
+  Alcotest.(check string) "same fingerprint"
+    (Service.Job.fingerprint plain) (Service.Job.fingerprint extra)
 
 (* ----------------------------------------------------------------- cache *)
 
@@ -608,4 +625,6 @@ let suite =
       test_batch_stream_alignment;
     Alcotest.test_case "fingerprint: pinned literal" `Quick
       test_fingerprint_pinned;
+    Alcotest.test_case "fingerprint: unknown milp keys ignored" `Quick
+      test_unknown_milp_keys_ignored;
   ]
