@@ -32,7 +32,7 @@ let solve_file path output relax nodes time mps =
         exit 1
   in
   Printf.printf "%s\n" (Fmt.str "%a" Lp.Model.pp_stats model);
-  (match Lp.Presolve.diagnose model with
+  (match Lp.Model.validate model with
   | [] -> ()
   | issues ->
       List.iter (Printf.eprintf "warning: %s\n") issues);

@@ -17,11 +17,8 @@ type outcome = {
    so a deep best-bound search rarely improves the incumbent.  Keep the
    default tree small and let callers raise it for certified optima.
 
-   Presolve never runs on these models: every consolidation and DR root
-   has integers and root cuts on, so it exports its basis, and the tree
-   warm-starts from there.  The root LP is solved on the unreduced model,
-   which keeps the paper reproductions (experiments E1–E3) independent of
-   the presolve passes. *)
+   Every consolidation and DR root has integers and root cuts on, so it
+   exports its basis and the tree warm-starts from there. *)
 let default_milp_options =
   {
     Lp.Milp.default_options with

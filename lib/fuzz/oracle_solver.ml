@@ -5,8 +5,8 @@
    certificate ([Simplex.check_certificate], strong duality +
    complementary slackness re-verified from scratch, also on the elastic
    LP that certifies an [Infeasible] verdict), and pairwise agreement
-   between configurations that must be semantically equivalent (presolve
-   on/off, warm vs cold starts, worker counts). *)
+   between configurations that must be semantically equivalent (warm vs
+   cold starts, worker counts). *)
 
 open Check
 
@@ -174,26 +174,6 @@ let lp_certificate spec =
               failf "infeasible verdict, but elastic optimum is %g"
                 e.Lp.Simplex.obj_value)
   | st -> failf "unexpected status %s on a bounded LP" (Lp.Status.to_string st)
-
-let presolve_equivalence spec =
-  let input = Lp.Simplex.of_model (Gen_lp.to_model spec) in
-  let p = Lp.Presolve.solve input in
-  let b = Lp.Simplex.solve input in
-  if p.Lp.Simplex.status <> b.Lp.Simplex.status then
-    failf "status disagrees: presolve %s, direct %s"
-      (Lp.Status.to_string p.Lp.Simplex.status)
-      (Lp.Status.to_string b.Lp.Simplex.status)
-  else if p.Lp.Simplex.status <> Lp.Status.Optimal then Ok ()
-  else if not (close p.Lp.Simplex.obj_value b.Lp.Simplex.obj_value) then
-    failf "objective disagrees: presolve %g, direct %g" p.Lp.Simplex.obj_value
-      b.Lp.Simplex.obj_value
-  else if not (Lp.Simplex.feasible input p.Lp.Simplex.x) then
-    failf "postsolved point violates the original input"
-  else
-    match Lp.Simplex.check_certificate input p with
-    | [] -> Ok ()
-    | errs ->
-        failf "postsolved certificate rejected: %s" (String.concat "; " errs)
 
 (* ------------------------------------- cross-configuration MILP oracle *)
 
@@ -740,8 +720,6 @@ let props =
       milp_vs_enumeration;
     prop ~count:90 ~smoke_count:18 "lp_certificate" Gen_lp.arb_lp_bounded
       lp_certificate;
-    prop ~count:70 ~smoke_count:14 "presolve_equivalence" Gen_lp.arb_lp_bounded
-      presolve_equivalence;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"
       Gen_lp.arb_milp_mixed milp_config_equivalence;
     prop ~count:50 ~smoke_count:8 "milp_steal_chaos" arb_chaos

@@ -8,21 +8,6 @@ type stats = { gomory : int; cover : int; rounds : int }
 
 let total s = s.gomory + s.cover
 
-let apply (input : Simplex.input) cuts =
-  let base = Array.length input.Simplex.rows in
-  let input' =
-    { input with
-      Simplex.rows = Array.append input.Simplex.rows (Array.of_list cuts) }
-  in
-  let undo (r : Simplex.result) =
-    if Array.length r.Simplex.duals <= base then r
-    else
-      { r with
-        Simplex.duals = Array.sub r.Simplex.duals 0 base;
-        basis = None }
-  in
-  (input', undo)
-
 (* ---------- Gomory mixed-integer cuts ---------- *)
 
 let near_integral v = Float.abs (v -. Float.round v) <= 1e-9
@@ -381,9 +366,13 @@ let cut_key (terms, sense, rhs) =
    models get cuts at all, so moving it changes plans. *)
 let max_separation_rows = 768
 
+(* At most this many rounds, each adding at most [max_per_round] cuts of
+   each family. *)
+let max_rounds = 3
+let max_per_round = 16
+
 let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
-    ~integer ~int_tol ?root ?(max_rounds = 3)
-    ?(max_per_round = 16) ~stop (input0 : Simplex.input) =
+    ~integer ~int_tol ?root ~stop (input0 : Simplex.input) =
   if Array.length input0.Simplex.rows > max_separation_rows then None
   else begin
     let base_rows = Array.length input0.Simplex.rows in
@@ -431,7 +420,11 @@ let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
               { gomory = !stats.gomory + ng;
                 cover = !stats.cover + (List.length fresh - ng);
                 rounds = !stats.rounds + 1 };
-            let input', _undo = apply input fresh in
+            let input' =
+              { input with
+                Simplex.rows =
+                  Array.append input.Simplex.rows (Array.of_list fresh) }
+            in
             (* Cuts-then-dual-simplex: extend the optimal basis with the new
                slacks basic and let the dual simplex repair the violated
                rows, instead of re-solving the grown LP from scratch. *)

@@ -23,27 +23,11 @@
       coefficients are complemented, non-binary terms are relaxed to
       their interval minimum, and a greedy cover (largest LP value
       first, then minimized) yields [sum x_j <= |C| - 1] whenever the
-      relaxation packs more than capacity into the cover.
-
-    Like the {!Presolve} passes, application is an undo-closure pair:
-    {!apply} returns the augmented input together with a function that
-    restores a result to the original row arity, so downstream consumers
-    (dual reporting, the LP writer) never see cut rows.  Note the undo
-    only truncates — a cut-strengthened bound has no certificate in the
-    original LP, so truncated duals are heuristic, not a certificate. *)
+      relaxation packs more than capacity into the cover. *)
 
 type stats = { gomory : int; cover : int; rounds : int }
 
 val total : stats -> int
-
-(** [apply input cuts] appends the cut rows and returns the augmented
-    input plus an undo that truncates a result's duals back to the
-    original rows (dropping the exported basis, which is only valid for
-    the augmented row structure). *)
-val apply :
-  Simplex.input ->
-  ((int * float) array * Model.sense * float) list ->
-  Simplex.input * (Simplex.result -> Simplex.result)
 
 (** [strengthen ~solve ~integer ~int_tol ~stop input] runs separation
     rounds at the root: solve (with a basis), separate, append, repeat.
@@ -56,15 +40,14 @@ val apply :
     pivots instead of a cold solve.  Returns the augmented input, its
     relaxation optimum and cut statistics — or [None] when the first
     solve fails or no cut was ever added (callers keep their original
-    root solve in that case).  Separation is skipped for models with
-    more than 768 rows. *)
+    root solve in that case).  At most 3 rounds run, each adding at most
+    16 cuts of each family; separation is skipped for models with more
+    than 768 rows. *)
 val strengthen :
   solve:(?warm:Simplex.basis -> Simplex.input -> Simplex.result) ->
   integer:bool array ->
   int_tol:float ->
   ?root:Simplex.result ->
-  ?max_rounds:int ->
-  ?max_per_round:int ->
   stop:(unit -> bool) ->
   Simplex.input ->
   (Simplex.input * Simplex.result * stats) option

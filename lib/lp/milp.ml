@@ -123,20 +123,9 @@ let solve ?(options = default_options) ?steal_order m =
         lo.(j) <- Float.max lo.(j) l;
         hi.(j) <- Float.min hi.(j) h)
       diffs;
-    let node_input = { input with Simplex.lo = lo; hi } in
-    (* Warm starts need the row structure intact, so presolve reductions
-       apply only to cold basis-free solves: a root that exports no basis
-       (pure LPs, or [root_cuts] off) and strong-branching probes without
-       a parent basis.  Below a few dozen rows the reduction sweep costs
-       more than the pivots it saves, so small LPs skip straight to the
-       simplex. *)
-    let presolvable =
-      warm = None && (not want_basis)
-      && Array.length input.Simplex.rows >= 64
-    in
     count
-      (if presolvable then Presolve.solve ?max_iters node_input
-       else Simplex.solve ?warm ?max_iters ~want_basis node_input)
+      (Simplex.solve ?warm ?max_iters ~want_basis
+         { input with Simplex.lo = lo; hi })
   in
   let start = Sys.time () in
   let out_of_time () = Sys.time () -. start > options.time_limit in
@@ -186,9 +175,7 @@ let solve ?(options = default_options) ?steal_order m =
      the cut rounds, the dive and the tree all warm-start from this one
      cold solve instead of each paying for their own.  On wide models a
      cold root LP runs tens of seconds while a warm repair is near-free,
-     so the pipeline must never cold-solve the root twice.  Pure-LP calls
-     (no integers) keep the plain path, which may shrink the LP via
-     fixed-column elimination or presolve. *)
+     so the pipeline must never cold-solve the root twice. *)
   let root0 =
     solve_on input0 ~want_basis:(options.root_cuts && int_ids <> []) []
   in

@@ -16,10 +16,9 @@
     solve per node whenever the warm path struggles, so statuses are
     unchanged and objectives agree to solver tolerance.
 
-    {!Presolve} reductions run on cold basis-free LP solves of at least
-    64 rows: a root that exports no basis (a pure LP, or [root_cuts]
-    off) and strong-branching probes without a parent basis.  Integer
-    values are judged with a fixed tolerance of [1e-6].
+    Every LP, root or node, is solved by {!Simplex.solve} on the model
+    as built.  Integer values are judged with a fixed tolerance of
+    [1e-6].
 
     With [workers > 1] the tree search fans out over that many OCaml 5
     domains under a work-stealing scheduler ({!Wsched}): each domain

@@ -245,7 +245,10 @@ let validate t =
     let v = t.var_store.(i) in
     if v.lo > v.hi then bad "variable %s has lo %g > hi %g" v.name v.lo v.hi;
     if Float.is_nan v.lo || Float.is_nan v.hi then
-      bad "variable %s has NaN bound" v.name
+      bad "variable %s has NaN bound" v.name;
+    if v.integer && Float.ceil (v.lo -. 1e-9) > Float.floor (v.hi +. 1e-9) then
+      bad "integer variable %s has empty integral domain [%g, %g]" v.name v.lo
+        v.hi
   done;
   List.iter
     (fun r ->

@@ -101,8 +101,9 @@ val find_var : t -> string -> var option
 val integer_vars : t -> var list
 
 (** [validate t] checks structural sanity (bound order, finite rhs,
-    at least one variable) and returns a list of human-readable problems;
-    empty means well-formed. *)
+    at least one variable, a non-empty integral domain for every integer
+    variable) and returns a list of human-readable problems; empty means
+    well-formed. *)
 val validate : t -> string list
 
 val pp_stats : t Fmt.t

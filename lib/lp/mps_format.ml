@@ -30,9 +30,10 @@ let write_model ppf m =
         (fun (id, coeff) -> cols.(id) <- (row_name i c, coeff) :: cols.(id))
         (Model.Linexpr.terms c.Model.expr))
     cs;
+  let obj_terms, obj_const = Model.objective_terms m in
   Array.iter
     (fun (id, coeff) -> cols.(id) <- ("obj", coeff) :: cols.(id))
-    (Model.Linexpr.terms (Model.objective m));
+    obj_terms;
   Format.fprintf ppf "COLUMNS\n";
   let in_int = ref false in
   Array.iter
@@ -45,13 +46,22 @@ let write_model ppf m =
         Format.fprintf ppf " MARKER M%d 'MARKER' 'INTEND'\n" v.Model.id;
         in_int := false
       end;
-      List.iter
-        (fun (row, coeff) ->
-          Format.fprintf ppf " %s %s %.12g\n" (var_name v) row coeff)
-        (List.rev cols.(v.Model.id)))
+      (* A column in no row and not in the objective still gets an entry,
+         so BOUNDS never names an undeclared column. *)
+      match cols.(v.Model.id) with
+      | [] -> Format.fprintf ppf " %s obj 0\n" (var_name v)
+      | entries ->
+          List.iter
+            (fun (row, coeff) ->
+              Format.fprintf ppf " %s %s %.12g\n" (var_name v) row coeff)
+            (List.rev entries))
     vs;
   if !in_int then Format.fprintf ppf " MARKER MEND 'MARKER' 'INTEND'\n";
   Format.fprintf ppf "RHS\n";
+  (* The objective constant is written negated on the objective row, the
+     CPLEX/Gurobi convention. *)
+  if obj_const <> 0.0 then
+    Format.fprintf ppf " rhs obj %.12g\n" (-.obj_const);
   Array.iteri
     (fun i c ->
       if c.Model.rhs <> 0.0 then

@@ -30,36 +30,6 @@ let now () = Unix.gettimeofday ()
 external poll_stub :
   Unix.file_descr array -> int array -> int -> int array = "etransform_poll"
 
-let use_select =
-  (* The C stub is compiled in on every supported platform; the select
-     fallback only exists for stub-less builds and dies at FD_SETSIZE. *)
-  lazy (match poll_stub [||] [||] 0 with _ -> false | exception _ -> true)
-
-let select_fallback fds events timeout_ms =
-  let rds = ref [] and wrs = ref [] in
-  Array.iteri
-    (fun i fd ->
-      if events.(i) land 1 <> 0 then rds := fd :: !rds;
-      if events.(i) land 2 <> 0 then wrs := fd :: !wrs)
-    fds;
-  let tmo =
-    if timeout_ms < 0 then -1.0 else float_of_int timeout_ms /. 1000.0
-  in
-  match Unix.select !rds !wrs [] tmo with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      Array.make (Array.length fds) 0
-  | r, w, _ ->
-      Array.mapi
-        (fun i fd ->
-          ((if List.memq fd r then 1 else 0) lor
-           (if List.memq fd w then 2 else 0))
-          land events.(i))
-        fds
-
-let poll_ready fds events timeout_ms =
-  if Lazy.force use_select then select_fallback fds events timeout_ms
-  else poll_stub fds events timeout_ms
-
 (* Level-triggered epoll, the O(ready) upgrade over the O(registered)
    poll scan.  Interest is registered per connection at adoption and
    re-registered only when it changes at park time (rare: keep-alive
@@ -695,7 +665,7 @@ let shard_loop sh listener handler reject =
           let timeout_ms = timeout_of (min next_deadline drain_deadline) in
           let fda = Array.of_list (List.map fst !fds) in
           let eva = Array.of_list (List.map snd !fds) in
-          let revs = poll_ready fda eva timeout_ms in
+          let revs = poll_stub fda eva timeout_ms in
           (* 7. Process readiness.  Spurious [Ready] wakes are safe
              (fibers re-check), so stale fd entries after a mid-round
              close/adopt cannot corrupt anything. *)

@@ -1,6 +1,6 @@
-(** Event-driven reactor core: N-shard readiness loops (poll(2) via a C
-    stub, [Unix.select] fallback) driving per-connection fibers built on
-    OCaml 5 effects.
+(** Event-driven reactor core: N-shard readiness loops (epoll(7) via a
+    C stub on Linux, a poll(2) scan elsewhere) driving per-connection
+    fibers built on OCaml 5 effects.
 
     Handlers are written in plain blocking style against {!read} and
     {!write_some}; when a call would block, the fiber performs a [Wait]

@@ -6,7 +6,6 @@ let () =
       ("milp", Test_milp.suite);
       ("lp-format", Test_lp_format.suite);
       ("piecewise", Test_piecewise.suite);
-      ("presolve", Test_presolve.suite);
       ("geo", Test_geo.suite);
       ("datasets", Test_datasets.suite);
       ("domain", Test_domain.suite);

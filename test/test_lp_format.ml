@@ -100,7 +100,53 @@ let test_mps_writer () =
         (Printf.sprintf "contains %S" needle)
         true
         (Astring_contains.contains text needle))
-    [ "NAME"; "ROWS"; "COLUMNS"; "RHS"; "BOUNDS"; "ENDATA"; "INTORG" ]
+    [ "NAME"; "ROWS"; "COLUMNS"; "RHS"; "BOUNDS"; "ENDATA"; "INTORG" ];
+  (* Objective 3x + 2y + 5 and a column z in no row: the constant must
+     survive as the negated objective-row rhs, and every column BOUNDS
+     names must be declared in COLUMNS. *)
+  let m = Model.create ~name:"const" () in
+  let x = Model.add_var m ~hi:4.0 "x" and y = Model.add_var m ~hi:4.0 "y" in
+  let _z = Model.add_var m ~hi:5.0 "z" in
+  Model.add_le m "c" Model.Linexpr.(add (var x) (var y)) 6.0;
+  Model.set_objective m
+    Model.Linexpr.(sum [ term 3.0 x; term 2.0 y; constant 5.0 ]);
+  let section = ref "" and entries = ref [] in
+  List.iter
+    (fun line ->
+      let words = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+      if line <> "" && line.[0] <> ' ' then section := List.hd words
+      else if words <> [] then entries := (!section, words) :: !entries)
+    (String.split_on_char '\n' (Mps_format.model_to_string m));
+  let lines_of name =
+    List.filter_map (fun (s, w) -> if s = name then Some w else None) !entries
+  in
+  let columns = List.map List.hd (lines_of "COLUMNS") in
+  let bounded = List.map (fun w -> List.nth w 2) (lines_of "BOUNDS") in
+  Alcotest.(check bool) "objective constant as rhs obj -5" true
+    (List.mem [ "rhs"; "obj"; "-5" ] (lines_of "RHS"));
+  Alcotest.(check bool) "z is bounded" true (List.mem "z" bounded);
+  List.iter
+    (fun col ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bounded column %s declared" col)
+        true (List.mem col columns))
+    bounded
+
+(* [Model.validate] reports structural problems, including an integer
+   variable with no integer in its bounds. *)
+let test_validate_empty_integral_domain () =
+  let m = Model.create () in
+  let _ = Model.add_var m ~integer:true ~lo:0.4 ~hi:0.6 "x" in
+  Alcotest.(check bool) "reports empty integral domain" true
+    (List.exists
+       (fun s -> Astring_contains.contains s "empty integral domain")
+       (Model.validate m))
+
+let test_validate_crossed_bounds () =
+  let m = Model.create () in
+  let x = Model.add_var m "x" in
+  Model.set_bounds m x ~lo:2.0 ~hi:1.0;
+  Alcotest.(check bool) "bound order flagged" true (Model.validate m <> [])
 
 let prop_random_models_roundtrip =
   let gen =
@@ -168,5 +214,9 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "solution file" `Quick test_solution_file;
     Alcotest.test_case "mps writer" `Quick test_mps_writer;
+    Alcotest.test_case "validate empty integral domain" `Quick
+      test_validate_empty_integral_domain;
+    Alcotest.test_case "validate crossed bounds" `Quick
+      test_validate_crossed_bounds;
     QCheck_alcotest.to_alcotest prop_random_models_roundtrip;
   ]

@@ -521,6 +521,47 @@ let test_relax_reports_fractional () =
   Alcotest.(check (float 1e-9)) "fractional root" 0.5 r.Simplex.x.(0);
   Alcotest.(check bool) "not integral" false (Milp.integral m r.Simplex.x)
 
+(* A pure LP of 70 rows goes through [Milp.solve] as one root solve:
+   optimal at the relaxation's objective, at a point the input accepts. *)
+let test_wide_pure_lp () =
+  let rng = Datasets.Prng.create 18 in
+  let n = 30 and rows = 70 in
+  let x0 = Array.init n (fun _ -> Datasets.Prng.range rng 0.0 3.0) in
+  let m = Model.create ~name:"wide_lp" () in
+  let vars =
+    Array.init n (fun j -> Model.add_var m ~hi:5.0 (Printf.sprintf "v%d" j))
+  in
+  for r = 0 to rows - 1 do
+    let e = ref Model.Linexpr.zero and lhs = ref 0.0 in
+    Array.iteri
+      (fun j v ->
+        if Datasets.Prng.int rng 3 = 0 then begin
+          let c = Datasets.Prng.range rng (-5.0) 5.0 in
+          e := Model.Linexpr.add !e (Model.Linexpr.term c v);
+          lhs := !lhs +. (c *. x0.(j))
+        end)
+      vars;
+    let name = Printf.sprintf "r%d" r in
+    match r mod 7 with
+    | 0 -> Model.add_eq m name !e !lhs
+    | 1 | 2 | 3 -> Model.add_le m name !e (!lhs +. 1.0)
+    | _ -> Model.add_ge m name !e (!lhs -. 1.0)
+  done;
+  Model.set_objective m
+    (Model.Linexpr.sum
+       (Array.to_list
+          (Array.map
+             (fun v -> Model.Linexpr.term (Datasets.Prng.range rng (-4.0) 4.0) v)
+             vars)));
+  Alcotest.(check bool) "at least 64 rows" true (Model.num_constrs m >= 64);
+  let r = Milp.solve m in
+  Alcotest.(check string) "status" "optimal" (Status.to_string r.Milp.status);
+  Alcotest.(check int) "one node" 1 r.Milp.nodes;
+  Alcotest.(check (float 1e-6)) "relaxation objective"
+    (Milp.relax m).Simplex.obj_value r.Milp.obj;
+  Alcotest.(check bool) "feasible point" true
+    (Simplex.feasible (Simplex.of_model m) r.Milp.x)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -530,6 +571,7 @@ let suite =
     Alcotest.test_case "mixed integer-continuous" `Quick test_mixed;
     Alcotest.test_case "node limit still feasible" `Quick test_node_limit_returns_feasible;
     Alcotest.test_case "relaxation is fractional" `Quick test_relax_reports_fractional;
+    Alcotest.test_case "wide pure LP is one root solve" `Quick test_wide_pure_lp;
     Alcotest.test_case "pump cycle detection terminates" `Quick
       test_pump_cycle_terminates;
     Alcotest.test_case "warm start matches cold start" `Quick
