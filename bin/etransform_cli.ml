@@ -276,7 +276,10 @@ let batch_input =
 
 let batch_workers =
   Arg.(value & opt int 2
-       & info [ "workers" ] ~doc:"Worker domains (0 = solve inline).")
+       & info [ "workers" ]
+           ~doc:"Solver workers, on as many domains: worker 0 shares \
+                 the main domain, and cached plans never reach a worker \
+                 (0 = solve inline).")
 
 let batch_queue =
   Arg.(value & opt int 64

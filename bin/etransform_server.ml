@@ -97,7 +97,10 @@ let addr =
 
 let workers =
   Arg.(value & opt int 2
-       & info [ "workers" ] ~doc:"Worker domains (0 = solve inline).")
+       & info [ "workers" ]
+           ~doc:"Solver workers, on as many domains: worker 0 shares \
+                 the reactor's domain, and plans held in a local cache \
+                 tier never reach a worker (0 = solve inline).")
 
 let queue =
   Arg.(value & opt int 64

@@ -30,13 +30,18 @@ let register_gauges t =
   in
   one "etransform_pool_queue_depth" "Jobs waiting in the pool queue"
     (fun () -> float_of_int (Pool.queue_depth t.pool));
-  one "etransform_pool_workers" "Worker domains draining the queue"
+  one "etransform_pool_workers" "Pool workers draining the queue"
     (fun () -> float_of_int (Pool.workers t.pool));
-  let cache = Pool.cache t.pool in
+  let cache = Pool.cache t.pool and tiered = Pool.tiered t.pool in
+  let memory result () =
+    match List.assoc_opt ("memory", result) (Tiered.counts tiered) with
+    | Some n -> float_of_int n
+    | None -> 0.0
+  in
   one "etransform_cache_hits_total" "Plan-cache hits since pool start"
-    (fun () -> float_of_int (Cache.hits cache));
+    (memory "hit");
   one "etransform_cache_misses_total" "Plan-cache misses since pool start"
-    (fun () -> float_of_int (Cache.misses cache));
+    (memory "miss");
   one "etransform_cache_evictions_total" "Plan-cache LRU evictions"
     (fun () -> float_of_int (Cache.evictions cache));
   one "etransform_cache_entries" "Plans currently cached"
@@ -60,7 +65,6 @@ let register_gauges t =
         ([ ("kind", "free") ], float_of_int free);
         ([ ("kind", "created") ], float_of_int created);
       ]);
-  let tiered = Pool.tiered t.pool in
   Metrics.gauge t.metrics "etransform_cache_lookups_total"
     ~help:"Tiered cache lookups by tier (memory/disk/peer) and result"
     (fun () ->

@@ -13,8 +13,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
   lock : Mutex.t;
 }
@@ -25,8 +23,6 @@ let create ~capacity () =
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
     evictions = 0;
     lock = Mutex.create ();
   }
@@ -59,11 +55,8 @@ let push_front t node =
 let find t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
-      | None ->
-          t.misses <- t.misses + 1;
-          None
+      | None -> None
       | Some node ->
-          t.hits <- t.hits + 1;
           unlink t node;
           push_front t node;
           Some node.value)
@@ -91,6 +84,4 @@ let add t key value =
 let keys t =
   with_lock t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
 
-let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
 let evictions t = with_lock t (fun () -> t.evictions)

@@ -4,7 +4,7 @@
     pool stores — in practice {!Etransform.Solver.outcome}s of successful,
     non-degraded solves.  The cache is bounded: inserting beyond [capacity]
     evicts the least-recently-used entry.  All operations are thread-safe
-    (the pool's worker domains share one cache). *)
+    (the pool's workers and submitters share one cache). *)
 
 type 'a t
 
@@ -27,8 +27,6 @@ val add : 'a t -> string -> 'a -> unit
     these into the gossip digest of locally-held plans. *)
 val keys : 'a t -> string list
 
-(** Monotonic counters since [create]. *)
-val hits : 'a t -> int
-
-val misses : 'a t -> int
+(** LRU evictions since [create].  Hits and misses are counted one level
+    up, by {!Tiered}, per tier. *)
 val evictions : 'a t -> int

@@ -22,7 +22,12 @@ type ticket = {
   mutable hooks : (result -> unit) list;
 }
 
-type task = { tjob : Job.t; submitted : float; ticket : ticket }
+type task = {
+  tjob : Job.t;
+  fingerprint : string;
+  submitted : float;
+  ticket : ticket;
+}
 
 (* Tasks live in the same work-stealing scheduler the MILP tree search
    runs on ([Lp.Wsched], [finite:false] so idle workers park until
@@ -31,7 +36,12 @@ type task = { tjob : Job.t; submitted : float; ticket : ticket }
    per-worker deques, so each worker owns a disjoint slice of the queue
    (no shared-queue convoy) and an idle worker steals the *latest*
    submission from a loaded neighbour — the job whose owner would reach
-   it last. *)
+   it last.
+
+   Worker 0 is a systhread in the domain that created the pool, and
+   only workers 1.. get domains of their own: once a second domain
+   exists every minor collection stops the world across both, even
+   when the other domain is only blocked in [epoll_wait]. *)
 type t = {
   workers : int;
   sched : task Lp.Wsched.t;
@@ -40,7 +50,7 @@ type t = {
   m : Mutex.t;
   not_full : Condition.t;
   mutable closed : bool;
-  mutable domains : unit Domain.t array;
+  mutable joins : (unit -> unit) list;  (* waits out each worker *)
   tiered : Tiered.t;
   trace : Trace.t;
 }
@@ -139,29 +149,35 @@ let trace_job trace r =
   in
   Trace.emit trace (base @ tier @ solver @ reason)
 
+(* Every ticket's result is built and traced here, whether a worker
+   ran the job or a submitter answered it from a local tier. *)
+let finish trace task ~queue_s ?outcome ?reason ?tier ~code ~cache_hit
+    ~build_s ~solve_s () =
+  let r =
+    {
+      job = task.tjob;
+      fingerprint = task.fingerprint;
+      outcome;
+      code;
+      reason;
+      cache_hit;
+      cache_tier = tier;
+      queue_s;
+      build_s;
+      solve_s;
+    }
+  in
+  trace_job trace r;
+  r
+
+let hit trace task ~queue_s (outcome, tier) =
+  finish trace task ~queue_s ~outcome ~tier ~code:Solved ~cache_hit:true
+    ~build_s:0.0 ~solve_s:0.0 ()
+
 let run_task ~tiered ~trace task =
   let job = task.tjob in
-  let started = now () in
-  let queue_s = started -. task.submitted in
-  let fingerprint = Job.fingerprint job in
-  let finish ?outcome ?reason ?tier ~code ~cache_hit ~build_s ~solve_s () =
-    let r =
-      {
-        job;
-        fingerprint;
-        outcome;
-        code;
-        reason;
-        cache_hit;
-        cache_tier = tier;
-        queue_s;
-        build_s;
-        solve_s;
-      }
-    in
-    trace_job trace r;
-    r
-  in
+  let queue_s = now () -. task.submitted in
+  let finish = finish trace task ~queue_s in
   let failed reason =
     finish ~reason ~code:Failed ~cache_hit:false ~build_s:0.0 ~solve_s:0.0 ()
   in
@@ -182,10 +198,8 @@ let run_task ~tiered ~trace task =
             (Printf.sprintf "%s; greedy fallback also failed: %s" reason
                (Printexc.to_string exn))
   in
-  match Tiered.find tiered fingerprint with
-  | Some (outcome, tier) ->
-      finish ~outcome ~tier ~code:Solved ~cache_hit:true ~build_s:0.0
-        ~solve_s:0.0 ()
+  match Tiered.find tiered task.fingerprint with
+  | Some h -> hit trace task ~queue_s h
   | None -> (
       let time_remaining =
         Option.map (fun d -> d -. (now () -. task.submitted)) job.Job.deadline_s
@@ -220,7 +234,7 @@ let run_task ~tiered ~trace task =
                  they alone are deterministic given the job spec.  The
                  capped bit travels down to every tier — the disk store
                  re-refuses it at its own boundary. *)
-              Tiered.add tiered ~capped:budget_capped fingerprint outcome;
+              Tiered.add tiered ~capped:budget_capped task.fingerprint outcome;
               finish ~outcome ~code:Solved ~cache_hit:false ~build_s ~solve_s
                 ()
           | exception exn ->
@@ -236,9 +250,9 @@ let resolve ticket r =
   ticket.hooks <- [];
   Condition.broadcast ticket.tc;
   Mutex.unlock ticket.tm;
-  (* Hooks run outside the ticket lock, on the resolving thread (a worker
-     domain, or the submitter for inline pools).  A hook that raises must
-     not kill the worker. *)
+  (* Hooks run outside the ticket lock, on the resolving thread (a
+     worker, or the submitter for inline pools and local hits).  A hook
+     that raises must not kill the worker. *)
   List.iter (fun f -> try f r with _ -> ()) (List.rev hooks)
 
 let on_complete ticket f =
@@ -266,7 +280,7 @@ let worker_loop t who () =
             (* Last-resort guard: a worker must always fill its ticket. *)
             {
               job = task.tjob;
-              fingerprint = Job.fingerprint task.tjob;
+              fingerprint = task.fingerprint;
               outcome = None;
               code = Failed;
               reason = Some (Printexc.to_string exn);
@@ -305,14 +319,19 @@ let create ?(workers = 2) ?(queue_capacity = 64) ?(cache_capacity = 256)
       m = Mutex.create ();
       not_full = Condition.create ();
       closed = false;
-      domains = [||];
+      joins = [];
       tiered = Tiered.create ~tiers ~cache_capacity:(max 0 cache_capacity) ();
       trace;
     }
   in
-  if t.workers > 0 then
-    t.domains <-
-      Array.init t.workers (fun i -> Domain.spawn (worker_loop t i));
+  if t.workers > 0 then begin
+    let th = Thread.create (worker_loop t 0) () in
+    let ds =
+      List.init (t.workers - 1) (fun i -> Domain.spawn (worker_loop t (i + 1)))
+    in
+    t.joins <-
+      (fun () -> Thread.join th) :: List.map (fun d () -> Domain.join d) ds
+  end;
   t
 
 let workers t = t.workers
@@ -327,53 +346,54 @@ let fresh_task job =
   let ticket =
     { tm = Mutex.create (); tc = Condition.create (); res = None; hooks = [] }
   in
-  { tjob = job; submitted = now (); ticket }
+  { tjob = job; fingerprint = Job.fingerprint job; submitted = now (); ticket }
+
+(* [true] iff the task is in: run inline, answered from a local tier on
+   the submitting thread (only local misses are worth a worker), or
+   queued — which, when the queue is full, [wait] blocks for. *)
+let admit t task ~wait ~what =
+  if t.closed then invalid_arg (what ^ ": pool is shut down");
+  if t.workers = 0 then begin
+    resolve task.ticket (run_task ~tiered:t.tiered ~trace:t.trace task);
+    true
+  end
+  else
+    match Tiered.probe t.tiered task.fingerprint with
+    | Some h ->
+        resolve task.ticket (hit t.trace task ~queue_s:0.0 h);
+        true
+    | None ->
+        Mutex.lock t.m;
+        while
+          wait && Lp.Wsched.queued t.sched >= t.queue_capacity && not t.closed
+        do
+          Condition.wait t.not_full t.m
+        done;
+        if t.closed then begin
+          Mutex.unlock t.m;
+          invalid_arg (what ^ ": pool is shut down")
+        end;
+        let room = Lp.Wsched.queued t.sched < t.queue_capacity in
+        if room then begin
+          (* The submission sequence number doubles as the best-first
+             key, so owners serve their slices in submission order, and
+             as the deal: job [k] lands on worker [k mod workers]. *)
+          let k = Atomic.fetch_and_add t.seq 1 in
+          Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k)
+            task
+        end;
+        Mutex.unlock t.m;
+        room
 
 let submit t job =
   let task = fresh_task job in
-  if t.workers = 0 then begin
-    if t.closed then invalid_arg "Pool.submit: pool is shut down";
-    resolve task.ticket (run_task ~tiered:t.tiered ~trace:t.trace task)
-  end
-  else begin
-    Mutex.lock t.m;
-    while Lp.Wsched.queued t.sched >= t.queue_capacity && not t.closed do
-      Condition.wait t.not_full t.m
-    done;
-    if t.closed then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
-    (* The submission sequence number doubles as the best-first key, so
-       owners serve their slices in submission order, and as the deal:
-       job [k] lands on worker [k mod workers]. *)
-    let k = Atomic.fetch_and_add t.seq 1 in
-    Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k) task;
-    Mutex.unlock t.m
-  end;
+  ignore (admit t task ~wait:true ~what:"Pool.submit");
   task.ticket
 
 let try_submit t job =
-  if t.workers = 0 then Some (submit t job)
-  else begin
-    let task = fresh_task job in
-    Mutex.lock t.m;
-    if t.closed then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.try_submit: pool is shut down"
-    end;
-    if Lp.Wsched.queued t.sched >= t.queue_capacity then begin
-      Mutex.unlock t.m;
-      None
-    end
-    else begin
-      let k = Atomic.fetch_and_add t.seq 1 in
-      Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k)
-        task;
-      Mutex.unlock t.m;
-      Some task.ticket
-    end
-  end
+  let task = fresh_task job in
+  if admit t task ~wait:false ~what:"Pool.try_submit" then Some task.ticket
+  else None
 
 let await ticket =
   Mutex.lock ticket.tm;
@@ -505,8 +525,8 @@ let shutdown t =
     (* Drain-mode stop: workers finish everything already queued (every
        accepted ticket resolves), then observe Stopped and exit. *)
     Lp.Wsched.stop t.sched;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
+    List.iter (fun join -> join ()) t.joins;
+    t.joins <- []
   end
 
 let with_pool ?workers ?queue_capacity ?cache_capacity ?tiers ?trace f =

@@ -1,10 +1,13 @@
-(** Concurrent planning pool: a bounded job queue drained by OCaml 5
-    domains, fronted by the content-addressed {!Cache} and instrumented
-    through {!Trace}.
+(** Concurrent planning pool: a bounded job queue drained by workers,
+    fronted by the content-addressed {!Cache} and instrumented through
+    {!Trace}.
 
     Submitting a {!Job.t} yields a ticket; {!await} blocks until the job
-    ran.  Each job is checked against the cache first (hits skip the MILP
-    entirely), then solved with {!Etransform.Solver.consolidate} or
+    ran.  A job whose plan a local tier (memory or disk) holds is
+    answered at submission, on the submitting thread, so local hits never
+    reach a worker.  A worker takes every other job, checks every tier
+    again (a duplicate queued behind its twin is still a hit), then
+    solves with {!Etransform.Solver.consolidate} or
     {!Etransform.Dr_planner.plan}.  Per-job deadlines bound the wall clock
     spent from submission: an expired deadline skips the MILP, and a
     deadline that arrives mid-queue caps the solver's time budget to the
@@ -47,9 +50,11 @@ type t
 
 type ticket
 
-(** [create ()] spawns [workers] domains ([0] = run jobs inline in the
-    submitting thread — fully sequential and deterministic in submission
-    order).  [queue_capacity] bounds the backlog; submission blocks when
+(** [create ()] starts [workers] workers on [workers] domains in
+    total: worker 0 is a systhread in the calling domain (the reactor's,
+    in the server) and workers [1 .. workers-1] each spawn a domain.
+    [workers = 0] runs jobs inline in the submitting thread — fully
+    sequential and deterministic in submission order.  [queue_capacity] bounds the backlog; submission blocks when
     full.  [cache_capacity] sizes the in-memory plan cache; [tiers] adds
     backing cache tiers behind it (disk store, peer lookup — see
     {!Tiered}). *)
@@ -77,13 +82,16 @@ val trace : t -> Trace.t
     executing).  Always [0] on inline ([workers = 0]) pools. *)
 val queue_depth : t -> int
 
-(** [submit t job] enqueues the job (blocking while the queue is full).
-    Raises [Invalid_argument] after {!shutdown}. *)
+(** [submit t job] answers a local hit at once, or else enqueues the job
+    (blocking while the queue is full).  Raises [Invalid_argument] after
+    {!shutdown}. *)
 val submit : t -> Job.t -> ticket
 
 (** [try_submit t job] is [submit] without the blocking: [None] when the
-    queue is full right now — the HTTP front-end turns that into a [503]
-    instead of stalling its accept loop.  Inline pools always accept. *)
+    job is a local miss and the queue is full right now — the HTTP
+    front-end turns that into a [503] instead of stalling its accept
+    loop.  A local hit is answered even on a full queue (the ticket comes
+    back resolved), and inline pools always accept. *)
 val try_submit : t -> Job.t -> ticket option
 
 (** [await ticket] blocks until the job completed. *)
@@ -95,10 +103,10 @@ val poll : ticket -> result option
 
 (** [on_complete ticket f] runs [f result] once the job completes:
     immediately (in the calling thread) when it already has, otherwise
-    from the thread that resolves the ticket — a worker domain, so [f]
-    must be quick and thread-safe.  This is the completion hook the
-    event-driven HTTP reactor uses to get woken through its self-pipe
-    instead of parking a thread in {!await}.  Hooks run outside the
+    from the thread that resolves the ticket — a worker, possibly on
+    another domain, so [f] must be quick and thread-safe.  This is the
+    completion hook the event-driven HTTP reactor uses to get woken
+    through its self-pipe instead of parking a thread in {!await}.  Hooks run outside the
     ticket lock, in registration order; exceptions are swallowed. *)
 val on_complete : ticket -> (result -> unit) -> unit
 
@@ -143,13 +151,14 @@ val stream :
     order, plus a ["batch"] trace summary. *)
 val run_batch : t -> Job.t list -> result list
 
-(** Drain the queue and join the worker domains.  Idempotent. *)
+(** Drain the queue and join the workers.  Idempotent. *)
 val shutdown : t -> unit
 
 (** [clamp_workers ~what n] caps a worker-count flag at
     [Domain.recommended_domain_count ()], printing a one-line [what]-tagged
-    warning on stderr when it clamps.  Oversubscribing domains on a
-    machine with fewer cores only adds scheduler thrash — front-end flags
+    warning on stderr when it clamps.  A pool of [n] workers runs [n]
+    domains, the caller's included, so the cap keeps one domain per
+    core; oversubscribing only adds scheduler thrash — front-end flags
     ([--workers]) should pass through here before reaching a pool or
     {!Lp.Milp.options}. *)
 val clamp_workers : what:string -> int -> int

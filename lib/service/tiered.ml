@@ -9,14 +9,22 @@ type tier = {
 type t = {
   lru : Etransform.Solver.outcome Cache.t;
   tiers : tier list;
+  local : tier list;  (* [tiers] without the remote ones *)
+  prefix : tier list;  (* [tiers] up to the first remote one *)
   counts : (string * string, int ref) Hashtbl.t;
   lock : Mutex.t;
 }
 
 let create ?(tiers = []) ~cache_capacity () =
+  let rec prefix = function
+    | { remote = false; _ } as tr :: rest -> tr :: prefix rest
+    | _ -> []
+  in
   {
     lru = Cache.create ~capacity:(max 0 cache_capacity) ();
     tiers;
+    local = List.filter (fun tr -> not tr.remote) tiers;
+    prefix = prefix tiers;
     counts = Hashtbl.create 8;
     lock = Mutex.create ();
   }
@@ -46,48 +54,41 @@ let promote t missed fingerprint outcome =
   Cache.add t.lru fingerprint outcome;
   List.iter (fun tr -> tr.store ~capped:false fingerprint outcome) missed
 
-let find t fingerprint =
+(* The one lookup walk: memory, then [tiers] in order.  A hit counts
+   every tier it passed as a miss and itself as a hit.  A miss counts
+   every tier as a miss, unless [quiet]: the caller repeats that lookup
+   with [find], which does the counting. *)
+let walk t tiers ~quiet fingerprint =
+  let misses missed =
+    count t "memory" "miss";
+    List.iter (fun tr -> count t tr.name "miss") missed
+  in
   match Cache.find t.lru fingerprint with
   | Some outcome ->
       count t "memory" "hit";
       Some (outcome, "memory")
   | None ->
-      count t "memory" "miss";
       let rec descend missed = function
-        | [] -> None
+        | [] ->
+            if not quiet then misses missed;
+            None
         | tr :: rest -> (
             match tr.find fingerprint with
             | Some outcome ->
+                misses missed;
                 count t tr.name "hit";
                 promote t (List.rev missed) fingerprint outcome;
                 Some (outcome, tr.name)
-            | None ->
-                count t tr.name "miss";
-                descend (tr :: missed) rest)
+            | None -> descend (tr :: missed) rest)
       in
-      descend [] t.tiers
+      descend [] tiers
+
+let find t fingerprint = walk t t.tiers ~quiet:false fingerprint
 
 let find_local t fingerprint =
-  match Cache.find t.lru fingerprint with
-  | Some outcome ->
-      count t "memory" "hit";
-      Some outcome
-  | None ->
-      count t "memory" "miss";
-      let rec descend = function
-        | [] -> None
-        | { remote = true; _ } :: rest -> descend rest
-        | tr :: rest -> (
-            match tr.find fingerprint with
-            | Some outcome ->
-                count t tr.name "hit";
-                Cache.add t.lru fingerprint outcome;
-                Some outcome
-            | None ->
-                count t tr.name "miss";
-                descend rest)
-      in
-      descend t.tiers
+  Option.map fst (walk t t.local ~quiet:false fingerprint)
+
+let probe t fingerprint = walk t t.prefix ~quiet:true fingerprint
 
 let add t ~capped fingerprint outcome =
   if not capped then Cache.add t.lru fingerprint outcome;

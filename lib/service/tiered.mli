@@ -47,6 +47,13 @@ val find : t -> string -> (Etransform.Solver.outcome * string) option
     disk) — what a node answers to a peer's [GET /cache/<fp>]. *)
 val find_local : t -> string -> Etransform.Solver.outcome option
 
+(** [probe t fp] is {!find} stopped at the first remote tier, and it
+    counts only a hit: on a miss no counter moves, because the caller
+    repeats the lookup with {!find} (a pool answers local hits at
+    submission and hands misses to a worker).  Each lookup is so
+    counted once per tier it consulted. *)
+val probe : t -> string -> (Etransform.Solver.outcome * string) option
+
 (** [add t ~capped fp outcome] inserts into the LRU and offers the entry
     to every tier.  [capped:true] (a deadline-capped solve) is refused
     everywhere — see the poisoning note above. *)

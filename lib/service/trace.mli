@@ -4,8 +4,8 @@
     the test suite can consume the stream.  The pool emits one ["job"]
     event per completed job (spans: queue wait, estate/model build, solve;
     counters: B&B nodes, LP iterations; cache hit/miss; degradation) and
-    one ["batch"] summary per batch.  Emission is thread-safe — worker
-    domains share one sink. *)
+    one ["batch"] summary per batch.  Emission is thread-safe — workers
+    and submitters on several domains share one sink. *)
 
 type t
 
@@ -20,7 +20,8 @@ val memory : unit -> t
 
 (** [observer f] calls [f fields] synchronously on every event instead of
     serializing it — the hook {!Metrics.observe_trace} plugs into.  [f]
-    runs on the emitting worker's domain and must be thread-safe. *)
+    runs on the emitting thread (a worker, or a submitter answering a
+    local hit) and must be thread-safe. *)
 val observer : ((string * Json.t) list -> unit) -> t
 
 (** [tee a b] emits every event to both sinks ([null] operands collapse

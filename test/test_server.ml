@@ -376,6 +376,54 @@ let test_solve_backpressure_503 () =
       let status, _, _ = post port "/solve" (job_line ()) in
       Alcotest.(check int) "accepted once drained" 200 status)
 
+let test_solve_cached_on_full_queue () =
+  (* A full queue sheds only local misses: a /solve whose plan is in
+     memory is answered at submission, 200 with the cached plan. *)
+  with_server ~workers:1 ~queue:1 (fun pool server ->
+      let port = Server.Daemon.port server in
+      let status, _, _ = post port "/solve" (job_line ~id:"warm" ()) in
+      Alcotest.(check int) "warm-up solve" 200 status;
+      (* Each held job's estate build waits for the gate. *)
+      let m = Mutex.create () and c = Condition.create () in
+      let opened = ref false in
+      let open_gate () =
+        Mutex.lock m;
+        opened := true;
+        Condition.broadcast c;
+        Mutex.unlock m
+      in
+      let held key =
+        Service.Job.v ~milp:line_milp
+          (Service.Job.Inline
+             {
+               key;
+               build =
+                 (fun () ->
+                   Mutex.lock m;
+                   while not !opened do
+                     Condition.wait c m
+                   done;
+                   Mutex.unlock m;
+                   Harness.Line_estate.make
+                     { Harness.Line_estate.default with
+                       Harness.Line_estate.n_groups = 12 });
+             })
+      in
+      Fun.protect ~finally:open_gate @@ fun () ->
+      (* The second submit returns once the worker took the first, so
+         the worker is busy and the queue is full. *)
+      let t1 = Service.Pool.submit pool (held "held-a") in
+      let t2 = Service.Pool.submit pool (held "held-b") in
+      let status, _, _ = post port "/solve" (job_line ~penalty:40 ()) in
+      Alcotest.(check int) "a cold job is shed" 503 status;
+      let status, _, body = post port "/solve" (job_line ~id:"again" ()) in
+      Alcotest.(check int) "a cached job is answered" 200 status;
+      Alcotest.(check bool) "from the cache" true
+        (Astring_contains.contains body {|"cache":"hit"|});
+      open_gate ();
+      ignore (Service.Pool.await t1);
+      ignore (Service.Pool.await t2))
+
 (* Two requests in one TCP segment: after answering the first, the
    fiber must find the second already sitting in its connection buffer
    instead of parking for a readiness event that will never come. *)
@@ -587,4 +635,6 @@ let suite =
       test_sweep_roundtrip;
     Alcotest.test_case "server: /sweep backpressure 503" `Slow
       test_sweep_backpressure_503;
+    Alcotest.test_case "server: /solve answers a cached job on a full queue"
+      `Slow test_solve_cached_on_full_queue;
   ]

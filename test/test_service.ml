@@ -591,6 +591,261 @@ let test_batch_writer_failure () =
       Service.Pool.shutdown pool)
     [ 0; 2 ]
 
+(* ------------------------------------------- submit-time hits, layout *)
+
+(* A local tier over a table, standing in for the disk store. *)
+let table_tier table =
+  {
+    Service.Tiered.name = "disk";
+    remote = false;
+    find = Hashtbl.find_opt table;
+    store = (fun ~capped fp o -> if not capped then Hashtbl.replace table fp o);
+    bytes = None;
+  }
+
+(* A remote tier that misses, but whose [find] holds each worker that
+   consults it until [need] workers are inside or the gate is opened.
+   Only workers consult remote tiers, so the gate pins them in place
+   while the test submits. *)
+type gate = {
+  gm : Mutex.t;
+  gc : Condition.t;
+  need : int;
+  mutable entered : int;
+  mutable opened : bool;
+}
+
+let gate need =
+  { gm = Mutex.create (); gc = Condition.create (); need; entered = 0;
+    opened = false }
+
+let gate_tier g =
+  let find _ =
+    Mutex.lock g.gm;
+    g.entered <- g.entered + 1;
+    Condition.broadcast g.gc;
+    while g.entered < g.need && not g.opened do
+      Condition.wait g.gc g.gm
+    done;
+    Mutex.unlock g.gm;
+    None
+  in
+  { Service.Tiered.name = "peer"; remote = true; find;
+    store = (fun ~capped:_ _ _ -> ()); bytes = None }
+
+let wait_entered g n =
+  Mutex.lock g.gm;
+  while g.entered < n do
+    Condition.wait g.gc g.gm
+  done;
+  Mutex.unlock g.gm
+
+let open_gate g =
+  Mutex.lock g.gm;
+  g.opened <- true;
+  Condition.broadcast g.gc;
+  Mutex.unlock g.gm
+
+let close_gate g =
+  Mutex.lock g.gm;
+  g.opened <- false;
+  g.entered <- 0;
+  Mutex.unlock g.gm
+
+let entered g =
+  Mutex.lock g.gm;
+  let n = g.entered in
+  Mutex.unlock g.gm;
+  n
+
+let solved_outcome =
+  lazy
+    (Service.Pool.with_pool ~workers:0 (fun pool ->
+         match (List.hd (Service.Pool.run_batch pool [ small_job 0.0 0.5 ]))
+                 .Service.Pool.outcome
+         with
+         | Some o -> o
+         | None -> Alcotest.fail "fixture job has no plan"))
+
+let with_id id job = { job with Service.Job.id }
+
+let tier_of r = r.Service.Pool.cache_tier
+
+let test_pool_lookup_counts () =
+  (* Each job is counted once per tier it consulted, whether a submitter
+     answered it or a worker did; the deltas are the ones a pool that
+     looked everything up on its workers reports. *)
+  let disk = Hashtbl.create 4 and g = gate max_int in
+  Service.Pool.with_pool ~workers:1 ~tiers:[ table_tier disk; gate_tier g ]
+    (fun pool ->
+      Fun.protect ~finally:(fun () -> open_gate g) @@ fun () ->
+      let tiered = Service.Pool.tiered pool in
+      let delta f =
+        let before = Service.Tiered.counts tiered in
+        let x = f () in
+        let after = Service.Tiered.counts tiered in
+        let moved =
+          List.filter_map
+            (fun (k, n) ->
+              let d = n - Option.value ~default:0 (List.assoc_opt k before) in
+              if d = 0 then None else Some (k, d))
+            after
+        in
+        (x, moved)
+      in
+      let counts = Alcotest.(list (pair (pair string string) int)) in
+      let tier = Alcotest.(option string) in
+      open_gate g;
+      let cold = small_job 40.0 0.5 in
+      let r, moved =
+        delta (fun () ->
+            Service.Pool.await (Service.Pool.submit pool (with_id "cold" cold)))
+      in
+      Alcotest.check counts "cold job"
+        [ (("disk", "miss"), 1); (("memory", "miss"), 1); (("peer", "miss"), 1) ]
+        moved;
+      Alcotest.check tier "cold tier" None (tier_of r);
+      let r, moved =
+        delta (fun () ->
+            Service.Pool.poll (Service.Pool.submit pool (with_id "again" cold)))
+      in
+      Alcotest.check counts "memory hit" [ (("memory", "hit"), 1) ] moved;
+      (match r with
+      | Some r -> Alcotest.check tier "memory tier" (Some "memory") (tier_of r)
+      | None -> Alcotest.fail "memory hit not answered at submit");
+      let on_disk = small_job 80.0 0.5 in
+      Hashtbl.replace disk (Service.Job.fingerprint on_disk)
+        (Lazy.force solved_outcome);
+      let r, moved =
+        delta (fun () -> Service.Pool.poll (Service.Pool.submit pool on_disk))
+      in
+      Alcotest.check counts "disk hit"
+        [ (("disk", "hit"), 1); (("memory", "miss"), 1) ]
+        moved;
+      (match r with
+      | Some r -> Alcotest.check tier "disk tier" (Some "disk") (tier_of r)
+      | None -> Alcotest.fail "disk hit not answered at submit");
+      (* A duplicate submitted while its twin is still with the worker
+         misses locally, queues, and hits memory once the twin lands. *)
+      close_gate g;
+      let twin = small_job 80.0 1.0 in
+      let (a, b), moved =
+        delta (fun () ->
+            let a = Service.Pool.submit pool (with_id "twin" twin) in
+            wait_entered g 1;
+            let b = Service.Pool.submit pool (with_id "dup" twin) in
+            Alcotest.(check bool) "duplicate queued" true
+              (Service.Pool.poll b = None);
+            open_gate g;
+            (Service.Pool.await a, Service.Pool.await b))
+      in
+      Alcotest.check counts "duplicate behind its twin"
+        [ (("disk", "miss"), 1); (("memory", "hit"), 1);
+          (("memory", "miss"), 1); (("peer", "miss"), 1) ]
+        moved;
+      Alcotest.check tier "twin tier" None (tier_of a);
+      Alcotest.check tier "duplicate tier" (Some "memory") (tier_of b);
+      (* A peer's GET /cache/<fp> never consults remote tiers. *)
+      let peers = entered g in
+      let _, moved =
+        delta (fun () ->
+            Service.Tiered.find_local tiered (Service.Job.fingerprint twin))
+      in
+      Alcotest.check counts "find_local hit" [ (("memory", "hit"), 1) ] moved;
+      let _, moved =
+        delta (fun () -> Service.Tiered.find_local tiered "no-such-plan")
+      in
+      Alcotest.check counts "find_local miss"
+        [ (("disk", "miss"), 1); (("memory", "miss"), 1) ]
+        moved;
+      Alcotest.(check int) "find_local skips the peer tier" peers (entered g))
+
+let test_pool_full_queue_answers_hits () =
+  (* One worker held in the peer tier and one job queued behind it fill
+     a queue of one: a local miss is refused, local hits are answered. *)
+  let disk = Hashtbl.create 4 and g = gate max_int in
+  Service.Pool.with_pool ~workers:1 ~queue_capacity:1
+    ~tiers:[ table_tier disk; gate_tier g ]
+    (fun pool ->
+      Fun.protect ~finally:(fun () -> open_gate g) @@ fun () ->
+      let o = Lazy.force solved_outcome in
+      let in_memory = small_job 40.0 0.0 and on_disk = small_job 40.0 1.0 in
+      Service.Tiered.add (Service.Pool.tiered pool) ~capped:false
+        (Service.Job.fingerprint in_memory) o;
+      Hashtbl.replace disk (Service.Job.fingerprint on_disk) o;
+      let held = Service.Pool.submit pool (small_job 0.0 0.0) in
+      wait_entered g 1;
+      let queued = Service.Pool.submit pool (small_job 0.0 1.0) in
+      Alcotest.(check int) "queue at capacity" 1
+        (Service.Pool.queue_depth pool);
+      Alcotest.(check bool) "a local miss is refused" true
+        (Service.Pool.try_submit pool (small_job 80.0 0.0) = None);
+      let answered job =
+        match Service.Pool.try_submit pool job with
+        | None -> Alcotest.fail "a local hit was refused on a full queue"
+        | Some ticket -> (
+            match Service.Pool.poll ticket with
+            | Some r -> tier_of r
+            | None -> Alcotest.fail "a local hit was queued")
+      in
+      Alcotest.(check (option string)) "memory hit answered" (Some "memory")
+        (answered in_memory);
+      Alcotest.(check (option string)) "disk hit answered" (Some "disk")
+        (answered on_disk);
+      open_gate g;
+      ignore (Service.Pool.await held);
+      ignore (Service.Pool.await queued))
+
+(* The domains the pool's ["job"] trace events were emitted on. *)
+let job_domains () =
+  let m = Mutex.create () and seen = ref [] in
+  let trace =
+    Service.Trace.observer (fun fields ->
+        if List.assoc_opt "event" fields = Some (Service.Json.Str "job") then begin
+          Mutex.lock m;
+          seen := (Domain.self () :> int) :: !seen;
+          Mutex.unlock m
+        end)
+  in
+  let domains () =
+    Mutex.lock m;
+    let l = List.sort_uniq compare !seen in
+    Mutex.unlock m;
+    l
+  in
+  (trace, domains)
+
+let test_pool_worker0_shares_domain () =
+  let self = (Domain.self () :> int) in
+  List.iter
+    (fun workers ->
+      let trace, domains = job_domains () in
+      Service.Pool.with_pool ~workers ~trace (fun pool ->
+          let r =
+            Service.Pool.await (Service.Pool.submit pool (small_job 40.0 0.5))
+          in
+          Alcotest.(check bool) "cold job solved" false r.Service.Pool.cache_hit);
+      Alcotest.(check (list int))
+        (Printf.sprintf "workers=%d: solved on the creator's domain" workers)
+        [ self ] (domains ()))
+    [ 0; 1 ]
+
+let test_pool_two_workers_two_domains () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  (* The gate lets no worker through until both hold a job, so each
+     worker solves one of the two. *)
+  let g = gate 2 in
+  let trace, domains = job_domains () in
+  Service.Pool.with_pool ~workers:2 ~trace ~tiers:[ gate_tier g ] (fun pool ->
+      let a = Service.Pool.submit pool (small_job 40.0 0.5) in
+      let b = Service.Pool.submit pool (small_job 80.0 0.5) in
+      ignore (Service.Pool.await a);
+      ignore (Service.Pool.await b));
+  let seen = domains () in
+  Alcotest.(check int) "two distinct domains" 2 (List.length seen);
+  Alcotest.(check bool) "one is the creator's" true
+    (List.mem (Domain.self () :> int) seen)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -627,4 +882,12 @@ let suite =
       test_fingerprint_pinned;
     Alcotest.test_case "fingerprint: unknown milp keys ignored" `Quick
       test_unknown_milp_keys_ignored;
+    Alcotest.test_case "pool: lookups counted once per tier" `Quick
+      test_pool_lookup_counts;
+    Alcotest.test_case "pool: a full queue still answers local hits" `Quick
+      test_pool_full_queue_answers_hits;
+    Alcotest.test_case "pool: worker 0 shares the creator's domain" `Quick
+      test_pool_worker0_shares_domain;
+    Alcotest.test_case "pool: two workers, two domains" `Quick
+      test_pool_two_workers_two_domains;
   ]
