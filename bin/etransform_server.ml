@@ -27,6 +27,12 @@ let serve port addr workers queue cache_size trace_file drain_timeout
   (* A client hanging up mid-stream must end that connection quietly
      (EPIPE on its socket), not kill the whole server with SIGPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  if shards <> 1 then begin
+    prerr_endline
+      "etransform_server: --reactor-shards accepts only 1 (the reactor runs \
+       one readiness loop)";
+    exit 2
+  end;
   let workers = Service.Pool.clamp_workers ~what:"etransform_server" workers in
   let trace_out, close_trace =
     match trace_file with
@@ -58,7 +64,7 @@ let serve port addr workers queue cache_size trace_file drain_timeout
     (fun pool ->
       let server =
         Server.Daemon.create ~addr ~port ~drain_timeout ~max_conns
-          ~idle_timeout ~shards ~resolve:Harness.Line_jobs.resolve ~metrics
+          ~idle_timeout ~resolve:Harness.Line_jobs.resolve ~metrics
           ~node ~pool ()
       in
       let self =
@@ -135,8 +141,8 @@ let idle_timeout =
 let shards =
   Arg.(value & opt int 1
        & info [ "reactor-shards" ]
-           ~doc:"Reactor readiness loops; accepted connections are \
-                 spread round-robin across them.")
+           ~doc:"Deprecated: the reactor runs one readiness loop, so \
+                 only 1 is accepted; any other value is an error.")
 
 let cache_dir =
   Arg.(value & opt (some string) None

@@ -8,15 +8,13 @@ type 'a t = {
   queued : int Atomic.t;
   nsteals : int Atomic.t;
   stop_flag : bool Atomic.t;
-  finite : bool;
-  drain : bool;
   idle_m : Mutex.t;
   idle_c : Condition.t;
   nidlers : int Atomic.t;
   steal_order : thief:int -> round:int -> int;
 }
 
-let create ~workers ?steal_order ?(finite = true) ?(drain = false) () =
+let create ~workers ?steal_order () =
   let workers = max 1 workers in
   let steal_order =
     match steal_order with
@@ -31,8 +29,6 @@ let create ~workers ?steal_order ?(finite = true) ?(drain = false) () =
     queued = Atomic.make 0;
     nsteals = Atomic.make 0;
     stop_flag = Atomic.make false;
-    finite;
-    drain;
     idle_m = Mutex.create ();
     idle_c = Condition.create ();
     nidlers = Atomic.make 0;
@@ -110,19 +106,12 @@ let park_after = 4
 let next t ~who =
   let who = norm t who in
   let rec go fails =
-    if Atomic.get t.stop_flag && not t.drain then Stopped
+    if Atomic.get t.stop_flag then Stopped
     else
       match try_pop t ~who with
       | Some (k, v) -> Work (k, v)
       | None ->
-          if Atomic.get t.stop_flag then
-            (* drain mode: serve the backlog, then report the stop *)
-            if Atomic.get t.queued = 0 then Stopped
-            else begin
-              Domain.cpu_relax ();
-              go (fails + 1)
-            end
-          else if t.finite && Atomic.get t.pending = 0 then Done
+          if Atomic.get t.pending = 0 then Done
           else if fails < park_after then begin
             Domain.cpu_relax ();
             go (fails + 1)
@@ -133,7 +122,7 @@ let next t ~who =
             let wake_now =
               Atomic.get t.queued > 0
               || Atomic.get t.stop_flag
-              || (t.finite && Atomic.get t.pending = 0)
+              || Atomic.get t.pending = 0
             in
             if not wake_now then Condition.wait t.idle_c t.idle_m;
             Atomic.decr t.nidlers;

@@ -9,11 +9,11 @@
     on under contention, so a steal never blocks a producer.
 
     Termination is tracked with a [pending] counter (items queued plus
-    items popped but not yet {!done_one}): in [finite] mode a worker
-    that finds no work {e and} sees [pending = 0] knows the whole
-    computation is over.  Idle workers spin briefly ([Domain.cpu_relax]
-    between failed steal sweeps, counted per worker), then park on a
-    condition variable; pushes wake one sleeper, and the transition of
+    items popped but not yet {!done_one}): a worker that finds no work
+    {e and} sees [pending = 0] knows the whole computation is over, as
+    in a tree search that exhausts its frontier.  Idle workers spin
+    briefly ([Domain.cpu_relax] between failed steal sweeps, counted per
+    worker), then park on a condition variable; pushes wake one sleeper, and the transition of
     [pending] to 0 (or {!stop}) wakes all of them — no busy spin while
     there is genuinely nothing to do.
 
@@ -26,26 +26,17 @@ type 'a t
 
 type 'a next =
   | Work of float * 'a
-  | Done  (** finite mode: no queued work and nothing in flight *)
-  | Stopped  (** {!stop} was called (after the drain, in drain mode) *)
+  | Done  (** no queued work and nothing in flight *)
+  | Stopped
+      (** {!stop} was called: workers abandon the queue at once, and the
+          remaining keys stay visible to {!min_key}, which is how the
+          tree search reports its open bound *)
 
 (** [create ~workers ()] makes a scheduler with [workers] deques
-    (clamped to at least 1).
-
-    [finite] (default [true]): workers report {!Done} when the pending
-    count reaches 0, as in a tree search that exhausts its frontier.
-    With [~finite:false] (a long-lived job pool) workers park until
-    {!stop}.
-
-    [drain] (default [false]): when [true], {!stop} lets workers finish
-    everything already queued before reporting {!Stopped}; when [false]
-    they abandon the queue immediately (remaining keys stay visible to
-    {!min_key}, which is how the tree search reports its open bound). *)
+    (clamped to at least 1). *)
 val create :
   workers:int ->
   ?steal_order:(thief:int -> round:int -> int) ->
-  ?finite:bool ->
-  ?drain:bool ->
   unit ->
   'a t
 

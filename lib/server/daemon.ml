@@ -115,41 +115,20 @@ let with_json_body out body ~keep decode k =
       | Error msg -> respond_error out ~keep 400 "invalid" msg
       | Ok v -> k v)
 
-(* POST /solve: one job spec in, one result line out — byte-compatible
-   with the line `etransform batch` prints for the same job.  The body
-   is fully read before submission; the fiber then parks on the pool
-   ticket's completion hook instead of blocking a thread in await. *)
-let handle_solve t rc out body ~keep =
-  with_json_body out body ~keep (Batch.job_of_json ?resolve:t.resolve)
-  @@ fun job ->
-  match Pool.try_submit t.pool job with
-  | None -> shed out ~keep
-  | Some ticket ->
-      let r =
-        match Pool.poll ticket with
-        | Some r -> r  (* inline pool / cache hit: no parking *)
-        | None ->
-            Pool.on_complete ticket (fun _ -> Reactor.notify rc);
-            let rec wait () =
-              match Pool.poll ticket with
-              | Some r -> r
-              | None ->
-                  Reactor.wait_signal rc;
-                  wait ()
-            in
-            wait ()
-      in
-      respond out ~keep 200 (Batch.result_to_line r ^ "\n")
-
-(* The event-loop driver of [Pool.stream]: each admitted ticket's
-   completion hook notifies this connection's fiber, which parks in
-   [wait_signal] (or, with nothing of its own in flight and the pool
-   full, naps briefly and retries).  The stream's flush becomes the
-   [on_signal] read hook, so result chunks go out while the fiber is
-   parked reading the request body.  [first] is a ticket admitted
-   before the response started; it stands in for the first job. *)
+(* The event-loop driver of [Pool.stream]: each admitted ticket still
+   unresolved has a completion hook that notifies this connection's
+   fiber, which parks in [wait_signal] (or, with nothing of its own in
+   flight and the pool full, naps briefly and retries).  A ticket
+   resolved at admission (inline pool, local hit) needs no wake-up.
+   The stream's flush becomes the [on_signal] read hook, so result
+   chunks go out while the fiber is parked reading the request body.
+   [first] is a ticket admitted before the response started; it stands
+   in for the first job. *)
 let fiber_driver ?first t rc =
-  let watch ticket = Pool.on_complete ticket (fun _ -> Reactor.notify rc) in
+  let watch ticket =
+    if Pool.poll ticket = None then
+      Pool.on_complete ticket (fun _ -> Reactor.notify rc)
+  in
   Option.iter watch first;
   let first = ref first in
   {
@@ -168,6 +147,24 @@ let fiber_driver ?first t rc =
       | Some _ -> Reactor.wait_signal rc | None -> Reactor.sleep rc 0.005);
     reading = (fun flush -> Reactor.set_on_signal rc (Some flush));
   }
+
+(* POST /solve: one job spec in, one result line out — byte-compatible
+   with the line `etransform batch` prints for the same job.  The body
+   is fully read and the job admitted with [try_submit] (a full queue
+   sheds with 503), then a one-slot stream on the fiber driver parks
+   until its ticket resolves. *)
+let handle_solve t rc out body ~keep =
+  with_json_body out body ~keep (Batch.job_of_json ?resolve:t.resolve)
+  @@ fun job ->
+  match Pool.try_submit t.pool job with
+  | None -> shed out ~keep
+  | Some ticket ->
+      let line = ref "" in
+      Pool.stream ~driver:(fiber_driver ~first:ticket t rc) t.pool
+        ~read:(Seq.to_dispenser (Seq.return ((), Ok job)))
+        ~emit:(fun () ->
+          Result.iter (fun r -> line := Batch.result_to_line r ^ "\n"));
+      respond out ~keep 200 !line
 
 (* Start a chunked NDJSON answer; returns the line writer. *)
 let start_stream out ~keep ~streaming =
@@ -391,7 +388,7 @@ let reject_connection fd =
 let create ?(addr = "127.0.0.1") ?(port = 0) ?(backlog = 64)
     ?(limits = Http.default_limits) ?(drain_timeout = 10.0) ?resolve
     ?(metrics = Metrics.create ()) ?(max_conns = 4096) ?(idle_timeout = 30.0)
-    ?(shards = 1) ?node ~pool () =
+    ?node ~pool () =
   let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lfd Unix.SO_REUSEADDR true;
   let inet =
@@ -408,9 +405,7 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(backlog = 64)
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  let reactor =
-    Reactor.create ~shards ~max_conns ~idle_timeout ~drain_timeout ()
-  in
+  let reactor = Reactor.create ~max_conns ~idle_timeout ~drain_timeout () in
   let t =
     {
       lfd;

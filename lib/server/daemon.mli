@@ -41,7 +41,7 @@
       occupancy.
 
     Connections are multiplexed by the event-driven {!Reactor}: each
-    accepted socket becomes a fiber on a readiness loop, parsing
+    accepted socket becomes a fiber on the readiness loop, parsing
     through per-connection pooled buffers and answering through a
     batched writer; solves run on the pool's domains and wake the fiber
     through the reactor's self-pipe.  HTTP/1.1 keep-alive (including
@@ -65,8 +65,8 @@ type t
 
     Reactor shape: [max_conns] caps live connections (default 4096,
     beyond it new connections get 503), [idle_timeout] seconds evicts
-    stalled reads/writes (default 30, [0.] disables), [shards] is the
-    number of readiness loops (default 1).
+    stalled reads/writes (default 30, [0.] disables).  {!run} serves
+    from one readiness loop in the calling thread.
 
     [node] enables the cluster surface: [/gossip] answers exchanges,
     the node's digest provider is pointed at everything [/cache] can
@@ -83,7 +83,6 @@ val create :
   ?metrics:Service.Metrics.t ->
   ?max_conns:int ->
   ?idle_timeout:float ->
-  ?shards:int ->
   ?node:Cluster.Node.t ->
   pool:Service.Pool.t ->
   unit ->

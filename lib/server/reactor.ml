@@ -1,10 +1,10 @@
-(* Event-driven reactor: a readiness loop per shard driving per-connection
-   fibers (OCaml 5 effects).  Connection handlers are written in plain
-   blocking style — reads and writes that would block perform a [Wait]
-   effect, parking the fiber's continuation until poll(2) reports the fd
-   ready (or a cross-thread [notify] arrives through the shard's
-   self-pipe).  One shard = one thread = one poll loop; a continuation is
-   only ever resumed on the shard thread that parked it.
+(* Event-driven reactor: one readiness loop driving per-connection fibers
+   (OCaml 5 effects).  Connection handlers are written in plain blocking
+   style — reads and writes that would block perform a [Wait] effect,
+   parking the fiber's continuation until epoll/poll reports the fd ready
+   (or a cross-thread [notify] arrives through the self-pipe).  The loop
+   runs in the thread that called [run], and a continuation is only ever
+   resumed there.
 
    Wake-ups are advisory: a fiber resumed with [Ready] re-checks its
    condition (retries the read, polls the ticket) and parks again if it
@@ -35,7 +35,7 @@ external poll_stub :
    re-registered only when it changes at park time (rare: keep-alive
    fibers wait for reads essentially forever), so a steady-state
    request costs one epoll_wait and no epoll_ctl.  [epoll_create]
-   raises where the platform has no epoll and the shard falls back to
+   raises where the platform has no epoll and the loop falls back to
    the poll scan. *)
 external epoll_create : unit -> Unix.file_descr = "etransform_epoll_create"
 
@@ -114,48 +114,40 @@ type conn = {
   fd : Unix.file_descr;
   c_in : Bytes.t;   (* pooled: Http.conn read buffer *)
   c_out : Bytes.t;  (* pooled: Http.out staging buffer *)
-  sh : shard;
+  re : t;
   mutable cont : (wake, unit) Effect.Deep.continuation option;
   mutable spec : spec;              (* meaningful while [cont <> None] *)
   mutable in_request : bool;
   mutable on_signal : (unit -> unit) option;
       (* ran from [read]'s wait loop after a signal wake — the /batch
          route uses it to flush completed results while parked on input *)
-  mutable fired : bool;   (* notify latch; protected by [sh.qm] *)
-  mutable queued : bool;  (* already in [sh.runq]; protected by [sh.qm] *)
+  mutable fired : bool;   (* notify latch; protected by [re.qm] *)
+  mutable queued : bool;  (* already in [re.runq]; protected by [re.qm] *)
   mutable dead : bool;    (* cleanup ran *)
   mutable reg : int;
       (* epoll interest currently registered for this fd: -1 = never
          registered, -2 = deregistered for good (post-hangup) *)
 }
 
-and shard = {
-  sid : int;
-  re : t;
-  conns : (Unix.file_descr, conn) Hashtbl.t;  (* shard-thread only *)
-  qm : Mutex.t;
-  runq : conn Queue.t;              (* notified conns (cross-thread) *)
-  inbox : Unix.file_descr Queue.t;  (* accepted fds awaiting adoption *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable wake_pending : bool;  (* byte already in the pipe; under [qm] *)
-  busy : int Atomic.t;          (* conns inside a request, for metrics *)
-  ep : Unix.file_descr option;  (* epoll instance; [None] = poll scan *)
-  mutable next_dl : float;
-      (* lower bound on the earliest parked deadline (shard thread
-         only); parks lower it, the expiry scan recomputes it *)
-}
-
 and t = {
-  mutable shards : shard array;  (* set once, in [create] *)
   max_conns : int;
   idle_timeout : float;  (* seconds; 0 = disabled *)
   drain_timeout : float;
   bufs : Buf_pool.t;
   stop : bool Atomic.t;
   stop_at : float Atomic.t;
-  total : int Atomic.t;  (* live conns across shards *)
-  accept_rr : int Atomic.t;
+  total : int Atomic.t;  (* live conns *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* loop thread only *)
+  qm : Mutex.t;
+  runq : conn Queue.t;          (* notified conns (cross-thread) *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable wake_pending : bool;  (* byte already in the pipe; under [qm] *)
+  busy : int Atomic.t;          (* conns inside a request, for metrics *)
+  ep : Unix.file_descr option;  (* epoll instance; [None] = poll scan *)
+  mutable next_dl : float;
+      (* lower bound on the earliest parked deadline (loop thread only);
+         parks lower it, the expiry scan recomputes it *)
 }
 
 let no_spec =
@@ -163,90 +155,70 @@ let no_spec =
 
 (* ------------------------------------------------------------- creation *)
 
-let create ?(shards = 1) ?(max_conns = 4096) ?(idle_timeout = 30.0)
-    ?(drain_timeout = 10.0) ?(buf_size = 16384) () =
-  let nshards = max 1 shards in
-  let bufs = Buf_pool.create ~size:(max 1024 buf_size) () in
-  let t =
-    {
-      shards = [||];
-      max_conns = max 1 max_conns;
-      idle_timeout = (if idle_timeout <= 0.0 then 0.0 else idle_timeout);
-      drain_timeout = max 0.0 drain_timeout;
-      bufs;
-      stop = Atomic.make false;
-      stop_at = Atomic.make infinity;
-      total = Atomic.make 0;
-      accept_rr = Atomic.make 0;
-    }
-  in
-  let mk_shard sid =
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    let ep = try Some (epoll_create ()) with _ -> None in
-    {
-      sid;
-      re = t;
-      conns = Hashtbl.create 64;
-      qm = Mutex.create ();
-      runq = Queue.create ();
-      inbox = Queue.create ();
-      wake_r;
-      wake_w;
-      wake_pending = false;
-      busy = Atomic.make 0;
-      ep;
-      next_dl = infinity;
-    }
-  in
-  t.shards <- Array.init nshards mk_shard;
-  t
+let create ?(max_conns = 4096) ?(idle_timeout = 30.0) ?(drain_timeout = 10.0)
+    ?(buf_size = 16384) () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  {
+    max_conns = max 1 max_conns;
+    idle_timeout = (if idle_timeout <= 0.0 then 0.0 else idle_timeout);
+    drain_timeout = max 0.0 drain_timeout;
+    bufs = Buf_pool.create ~size:(max 1024 buf_size) ();
+    stop = Atomic.make false;
+    stop_at = Atomic.make infinity;
+    total = Atomic.make 0;
+    conns = Hashtbl.create 64;
+    qm = Mutex.create ();
+    runq = Queue.create ();
+    wake_r;
+    wake_w;
+    wake_pending = false;
+    busy = Atomic.make 0;
+    ep = (try Some (epoll_create ()) with _ -> None);
+    next_dl = infinity;
+  }
 
 let live t = Atomic.get t.total
-
-let busy t =
-  Array.fold_left (fun acc sh -> acc + Atomic.get sh.busy) 0 t.shards
-
+let busy t = Atomic.get t.busy
 let pool_stats t = Buf_pool.stats t.bufs
 let idle_timeout t = t.idle_timeout
 let max_conns t = t.max_conns
-let shard_count t = Array.length t.shards
 let stopping t = Atomic.get t.stop
 
 (* --------------------------------------------------------- cross-thread *)
 
-let wake_shard sh =
+let wake re =
   let b = Bytes.make 1 '!' in
-  try ignore (Unix.write sh.wake_w b 0 1)
+  try ignore (Unix.write re.wake_w b 0 1)
   with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | Unix.Unix_error (Unix.EBADF, _, _) -> ()
 
 let notify conn =
-  let sh = conn.sh in
-  Mutex.lock sh.qm;
+  let re = conn.re in
+  Mutex.lock re.qm;
   conn.fired <- true;
   let need_wake =
     if conn.queued || conn.dead then false
     else begin
       conn.queued <- true;
-      Queue.push conn sh.runq;
-      if sh.wake_pending then false
+      Queue.push conn re.runq;
+      if re.wake_pending then false
       else begin
-        sh.wake_pending <- true;
+        re.wake_pending <- true;
         true
       end
     end
   in
-  Mutex.unlock sh.qm;
-  if need_wake then wake_shard sh
+  Mutex.unlock re.qm;
+  if need_wake then wake re
 
 let request_stop t =
   if not (Atomic.get t.stop) then begin
     Atomic.set t.stop_at (now ());
     Atomic.set t.stop true;
-    Array.iter wake_shard t.shards
+    wake t
   end
 
 (* ------------------------------------------------------------ fiber side *)
@@ -258,23 +230,23 @@ let out_buf conn = conn.c_out
 let set_in_request conn b =
   if conn.in_request <> b then begin
     conn.in_request <- b;
-    if b then Atomic.incr conn.sh.busy else Atomic.decr conn.sh.busy
+    if b then Atomic.incr conn.re.busy else Atomic.decr conn.re.busy
   end
 
 let set_on_signal conn f = conn.on_signal <- f
 
 (* Consume the notify latch; [true] if a signal was pending. *)
 let take_fired conn =
-  let sh = conn.sh in
-  Mutex.lock sh.qm;
+  let re = conn.re in
+  Mutex.lock re.qm;
   let had = conn.fired in
   if had then conn.fired <- false;
-  Mutex.unlock sh.qm;
+  Mutex.unlock re.qm;
   had
 
 let read_deadline conn =
-  if conn.sh.re.idle_timeout = 0.0 then infinity
-  else now () +. conn.sh.re.idle_timeout
+  if conn.re.idle_timeout = 0.0 then infinity
+  else now () +. conn.re.idle_timeout
 
 let rec read conn buf off len =
   match Unix.read conn.fd buf off len with
@@ -337,24 +309,25 @@ let sleep conn d =
 
 (* --------------------------------------------------------------- fibers *)
 
-let cleanup sh conn =
+let cleanup conn =
+  let re = conn.re in
   if not conn.dead then begin
-    Mutex.lock sh.qm;
+    Mutex.lock re.qm;
     conn.dead <- true;
-    Mutex.unlock sh.qm;
-    Hashtbl.remove sh.conns conn.fd;
+    Mutex.unlock re.qm;
+    Hashtbl.remove re.conns conn.fd;
     set_in_request conn false;
     (try Unix.close conn.fd with _ -> ());
-    Atomic.decr sh.re.total;
-    Buf_pool.release sh.re.bufs conn.c_in;
-    Buf_pool.release sh.re.bufs conn.c_out
+    Atomic.decr re.total;
+    Buf_pool.release re.bufs conn.c_in;
+    Buf_pool.release re.bufs conn.c_out
   end
 
 (* Park bookkeeping: re-register epoll interest when it changed since
-   the last park and keep the shard's next-deadline cache a lower
-   bound on every parked deadline. *)
+   the last park and keep the loop's next-deadline cache a lower bound
+   on every parked deadline. *)
 let parked conn spec =
-  (match conn.sh.ep with
+  (match conn.re.ep with
   | Some ep when conn.reg >= 0 ->
       let want =
         (if spec.s_read then 1 else 0) lor if spec.s_write then 2 else 0
@@ -365,19 +338,19 @@ let parked conn spec =
           conn.reg <- want
         with _ -> ())
   | _ -> ());
-  if spec.s_deadline < conn.sh.next_dl then conn.sh.next_dl <- spec.s_deadline
+  if spec.s_deadline < conn.re.next_dl then conn.re.next_dl <- spec.s_deadline
 
-let start_fiber sh conn handler =
+let start_fiber conn handler =
   Effect.Deep.match_with
     (fun () ->
       Fun.protect
-        ~finally:(fun () -> cleanup sh conn)
+        ~finally:(fun () -> cleanup conn)
         (fun () ->
           try handler conn with
           | Aborted | Idle_timeout -> ()
           | _ ->
               (* Handlers answer their own protocol errors; anything that
-                 still escapes must not take the shard down. *)
+                 still escapes must not take the loop down. *)
               ()))
     ()
     {
@@ -404,15 +377,15 @@ let resume conn w =
       conn.spec <- no_spec;
       Effect.Deep.continue k w
 
-let adopt sh handler fd =
+let adopt re handler fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
   (try Unix.set_nonblock fd with _ -> ());
   let conn =
     {
       fd;
-      c_in = Buf_pool.acquire sh.re.bufs;
-      c_out = Buf_pool.acquire sh.re.bufs;
-      sh;
+      c_in = Buf_pool.acquire re.bufs;
+      c_out = Buf_pool.acquire re.bufs;
+      re;
       cont = None;
       spec = no_spec;
       in_request = false;
@@ -423,8 +396,8 @@ let adopt sh handler fd =
       reg = -1;
     }
   in
-  Hashtbl.replace sh.conns fd conn;
-  (match sh.ep with
+  Hashtbl.replace re.conns fd conn;
+  (match re.ep with
   | Some ep -> (
       (* Register read interest up front: the first park is almost
          always a read wait, so steady state never touches epoll_ctl. *)
@@ -433,7 +406,7 @@ let adopt sh handler fd =
         conn.reg <- 1
       with _ -> conn.reg <- -2)
   | None -> ());
-  start_fiber sh conn handler
+  start_fiber conn handler
 
 (* ------------------------------------------------------------ scheduler *)
 
@@ -450,8 +423,7 @@ let drain_pipe fd =
 
 let default_reject fd = try Unix.close fd with _ -> ()
 
-let accept_burst sh listener handler reject =
-  let re = sh.re in
+let accept_burst re listener handler reject =
   let rec go budget =
     if budget > 0 then
       match Unix.accept listener with
@@ -470,59 +442,33 @@ let accept_burst sh listener handler reject =
           end
           else begin
             Atomic.incr re.total;
-            let k =
-              Atomic.fetch_and_add re.accept_rr 1
-              mod Array.length re.shards
-            in
-            let tgt = re.shards.(k) in
-            if tgt == sh then adopt sh handler fd
-            else begin
-              Mutex.lock tgt.qm;
-              Queue.push fd tgt.inbox;
-              let w =
-                if tgt.wake_pending then false
-                else begin
-                  tgt.wake_pending <- true;
-                  true
-                end
-              in
-              Mutex.unlock tgt.qm;
-              if w then wake_shard tgt
-            end
+            adopt re handler fd
           end;
           go (budget - 1)
   in
   go 64
 
-let shard_loop sh listener handler reject =
-  let re = sh.re in
-  let listener_open = ref (listener <> None) in
-  (match sh.ep with
+let run re ~listener ?(reject = default_reject) handler =
+  Unix.set_nonblock listener;
+  let listener_open = ref true in
+  (match re.ep with
   | Some ep ->
-      (try epoll_ctl ep 1 sh.wake_r 1 with _ -> ());
-      (match listener with
-      | Some l -> ( try epoll_ctl ep 1 l 1 with _ -> ())
-      | None -> ())
+      (try epoll_ctl ep 1 re.wake_r 1 with _ -> ());
+      (try epoll_ctl ep 1 listener 1 with _ -> ())
   | None -> ());
   let rec loop () =
-    (* 1. Take the cross-thread queues. *)
-    Mutex.lock sh.qm;
-    sh.wake_pending <- false;
+    (* 1. Take the notified connections. *)
+    Mutex.lock re.qm;
+    re.wake_pending <- false;
     let notified = ref [] in
     Queue.iter
       (fun c ->
         c.queued <- false;
         notified := c :: !notified)
-      sh.runq;
-    Queue.clear sh.runq;
-    let fresh = ref [] in
-    Queue.iter (fun fd -> fresh := fd :: !fresh) sh.inbox;
-    Queue.clear sh.inbox;
-    Mutex.unlock sh.qm;
-    (* 2. Adopt freshly accepted connections (runs their fiber until the
-       first park — often through a whole pipelined request). *)
-    List.iter (adopt sh handler) (List.rev !fresh);
-    (* 3. Resume fibers parked on a signal whose notify arrived.  Conns
+      re.runq;
+    Queue.clear re.runq;
+    Mutex.unlock re.qm;
+    (* 2. Resume fibers parked on a signal whose notify arrived.  Conns
        notified while parked on pure I/O keep their latch for the next
        signal-aware wait. *)
     (* The [fired] latch is NOT cleared here: the fiber consumes it via
@@ -534,14 +480,13 @@ let shard_loop sh listener handler reject =
         if (not c.dead) && c.cont <> None && c.spec.s_signal then
           resume c Ready)
       (List.rev !notified);
-    (* 4. Drain bookkeeping. *)
+    (* 3. Drain bookkeeping. *)
     let stopping = Atomic.get re.stop in
     if stopping then begin
-      (match listener with
-      | Some l when !listener_open ->
-          listener_open := false;
-          (try Unix.close l with _ -> ())
-      | _ -> ());
+      if !listener_open then begin
+        listener_open := false;
+        try Unix.close listener with _ -> ()
+      end;
       let forced =
         now () >= Atomic.get re.stop_at +. re.drain_timeout
       in
@@ -553,23 +498,14 @@ let shard_loop sh listener handler reject =
           (fun _ c acc ->
             if c.cont <> None && ((not c.in_request) || forced) then c :: acc
             else acc)
-          sh.conns []
+          re.conns []
       in
       List.iter
         (fun c -> if (not c.dead) && c.cont <> None then resume c Stopped)
         victims
     end;
-    (* 5. Exit when draining finished. *)
-    let finished =
-      stopping && Hashtbl.length sh.conns = 0
-      && begin
-           Mutex.lock sh.qm;
-           let empty = Queue.is_empty sh.inbox in
-           Mutex.unlock sh.qm;
-           empty
-         end
-    in
-    if not finished then begin
+    (* 4. Exit when draining finished. *)
+    if not (stopping && Hashtbl.length re.conns = 0) then begin
       let drain_deadline =
         if stopping then Atomic.get re.stop_at +. re.drain_timeout
         else infinity
@@ -580,47 +516,44 @@ let shard_loop sh listener handler reject =
           let ms = int_of_float (ceil ((next -. now ()) *. 1000.)) in
           max 0 (min 500 ms)
       in
-      (match sh.ep with
+      (match re.ep with
       | Some ep ->
-          (* 6a. epoll: interest was maintained incrementally at park
+          (* 5a. epoll: interest was maintained incrementally at park
              time, so the wait is O(ready) and the common loop builds
              nothing. *)
-          let timeout_ms = timeout_of (min sh.next_dl drain_deadline) in
+          let timeout_ms = timeout_of (min re.next_dl drain_deadline) in
           let evs = epoll_wait_stub ep timeout_ms in
           let n = Array.length evs lsr 1 in
           for i = 0 to n - 1 do
             let fd = fd_of_int evs.(2 * i) in
             let bits = evs.((2 * i) + 1) in
-            if fd = sh.wake_r then drain_pipe sh.wake_r
+            if fd = re.wake_r then drain_pipe re.wake_r
+            else if fd = listener && !listener_open then
+              accept_burst re listener handler reject
             else
-              match listener with
-              | Some l when fd = l && !listener_open ->
-                  accept_burst sh l handler reject
-              | _ -> (
-                  match Hashtbl.find_opt sh.conns fd with
-                  | Some c when c.cont <> None ->
-                      if c.spec.s_read || c.spec.s_write then resume c Ready
-                      else if bits land 4 <> 0 then begin
-                        (* Error/hangup while parked on a signal-only
-                           wait: deregister, or level-triggered epoll
-                           would report it every iteration.  After a
-                           hangup reads and writes fail without
-                           blocking, so this fd never needs epoll
-                           again. *)
-                        (try epoll_ctl ep 3 c.fd 0 with _ -> ());
-                        c.reg <- -2
-                      end
-                  | _ -> ())
+              match Hashtbl.find_opt re.conns fd with
+              | Some c when c.cont <> None ->
+                  if c.spec.s_read || c.spec.s_write then resume c Ready
+                  else if bits land 4 <> 0 then begin
+                    (* Error/hangup while parked on a signal-only wait:
+                       deregister, or level-triggered epoll would report
+                       it every iteration.  After a hangup reads and
+                       writes fail without blocking, so this fd never
+                       needs epoll again. *)
+                    (try epoll_ctl ep 3 c.fd 0 with _ -> ());
+                    c.reg <- -2
+                  end
+              | _ -> ()
           done;
           (* Deadlines: scan only when the cached lower bound passed. *)
           let tnow = now () in
-          if tnow >= sh.next_dl then begin
+          if tnow >= re.next_dl then begin
             let expired =
               Hashtbl.fold
                 (fun _ c acc ->
                   if c.cont <> None && c.spec.s_deadline <= tnow then c :: acc
                   else acc)
-                sh.conns []
+                re.conns []
             in
             List.iter
               (fun c ->
@@ -629,21 +562,19 @@ let shard_loop sh listener handler reject =
                   && c.spec.s_deadline <= tnow
                 then resume c Timeout)
               expired;
-            sh.next_dl <-
+            re.next_dl <-
               Hashtbl.fold
                 (fun _ c acc ->
                   if c.cont <> None && c.spec.s_deadline < acc then
                     c.spec.s_deadline
                   else acc)
-                sh.conns infinity
+                re.conns infinity
           end
       | None ->
-          (* 6b. poll scan fallback: rebuild the interest set from the
-             parked specs every iteration. *)
-          let fds = ref [ (sh.wake_r, 1) ] in
-          (match listener with
-          | Some l when !listener_open && not stopping -> fds := (l, 1) :: !fds
-          | _ -> ());
+          (* 5b. poll scan, where there is no epoll: rebuild the interest
+             set from the parked specs every iteration. *)
+          let fds = ref [ (re.wake_r, 1) ] in
+          if !listener_open && not stopping then fds := (listener, 1) :: !fds;
           Hashtbl.iter
             (fun _ c ->
               if c.cont <> None then begin
@@ -653,38 +584,36 @@ let shard_loop sh listener handler reject =
                 in
                 if m <> 0 then fds := (c.fd, m) :: !fds
               end)
-            sh.conns;
+            re.conns;
           let next_deadline =
             Hashtbl.fold
               (fun _ c acc ->
                 if c.cont <> None && c.spec.s_deadline < acc then
                   c.spec.s_deadline
                 else acc)
-              sh.conns infinity
+              re.conns infinity
           in
           let timeout_ms = timeout_of (min next_deadline drain_deadline) in
           let fda = Array.of_list (List.map fst !fds) in
           let eva = Array.of_list (List.map snd !fds) in
           let revs = poll_stub fda eva timeout_ms in
-          (* 7. Process readiness.  Spurious [Ready] wakes are safe
+          (* 6. Process readiness.  Spurious [Ready] wakes are safe
              (fibers re-check), so stale fd entries after a mid-round
              close/adopt cannot corrupt anything. *)
           Array.iteri
             (fun i r ->
               if r <> 0 then begin
                 let fd = fda.(i) in
-                if fd = sh.wake_r then drain_pipe sh.wake_r
+                if fd = re.wake_r then drain_pipe re.wake_r
+                else if fd = listener && !listener_open then
+                  accept_burst re listener handler reject
                 else
-                  match listener with
-                  | Some l when fd = l && !listener_open ->
-                      accept_burst sh l handler reject
-                  | _ -> (
-                      match Hashtbl.find_opt sh.conns fd with
-                      | Some c when c.cont <> None -> resume c Ready
-                      | _ -> ())
+                  match Hashtbl.find_opt re.conns fd with
+                  | Some c when c.cont <> None -> resume c Ready
+                  | _ -> ()
               end)
             revs;
-          (* 8. Expire deadlines (fresh scan: resumed fibers re-park
+          (* 7. Expire deadlines (fresh scan: resumed fibers re-park
              with new deadlines, which must not fire). *)
           let tnow = now () in
           let expired =
@@ -692,7 +621,7 @@ let shard_loop sh listener handler reject =
               (fun _ c acc ->
                 if c.cont <> None && c.spec.s_deadline <= tnow then c :: acc
                 else acc)
-              sh.conns []
+              re.conns []
           in
           List.iter
             (fun c ->
@@ -703,30 +632,8 @@ let shard_loop sh listener handler reject =
     end
   in
   loop ();
-  (* Reject any connection that slipped into the inbox after this shard
-     decided it was done (accepted just before the listener closed). *)
-  Mutex.lock sh.qm;
-  let stragglers = ref [] in
-  Queue.iter (fun fd -> stragglers := fd :: !stragglers) sh.inbox;
-  Queue.clear sh.inbox;
-  Mutex.unlock sh.qm;
-  List.iter
-    (fun fd ->
-      Atomic.decr re.total;
-      try Unix.close fd with _ -> ())
-    !stragglers;
-  (try Unix.close sh.wake_r with _ -> ());
-  (try Unix.close sh.wake_w with _ -> ());
-  match sh.ep with
+  (try Unix.close re.wake_r with _ -> ());
+  (try Unix.close re.wake_w with _ -> ());
+  match re.ep with
   | Some ep -> ( try Unix.close ep with _ -> ())
   | None -> ()
-
-let run t ~listener ?(reject = default_reject) handler =
-  Unix.set_nonblock listener;
-  let others =
-    Array.map
-      (fun sh -> Thread.create (fun () -> shard_loop sh None handler reject) ())
-      (Array.sub t.shards 1 (Array.length t.shards - 1))
-  in
-  shard_loop t.shards.(0) (Some listener) handler reject;
-  Array.iter Thread.join others

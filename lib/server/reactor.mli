@@ -1,22 +1,22 @@
-(** Event-driven reactor core: N-shard readiness loops (epoll(7) via a
-    C stub on Linux, a poll(2) scan elsewhere) driving per-connection
+(** Event-driven reactor core: one readiness loop (epoll(7) via a C
+    stub on Linux, a poll(2) scan elsewhere) driving per-connection
     fibers built on OCaml 5 effects.
 
     Handlers are written in plain blocking style against {!read} and
     {!write_some}; when a call would block, the fiber performs a [Wait]
-    effect and its continuation parks until the shard's poll loop
-    reports the fd ready.  One shard is one thread is one poll loop —
-    continuations are only ever resumed on the thread that parked them,
-    and every parked continuation is resumed exactly once ([Ready],
-    [Timeout], or [Stopped] during drain), so [Fun.protect] finalizers
-    in handlers always run.
+    effect and its continuation parks until the loop reports the fd
+    ready.  The loop runs in the thread that called {!run}, and
+    continuations are only ever resumed there; every parked
+    continuation is resumed exactly once ([Ready], [Timeout], or
+    [Stopped] during drain), so [Fun.protect] finalizers in handlers
+    always run.
 
     Connections borrow their read and write-staging buffers from a
     shared free-list pool at accept and return them at close: the
     steady state allocates no buffers.
 
     Cross-thread completions (a {!Service.Pool} worker finishing a job)
-    call {!notify}; the wake-up travels through the shard's self-pipe
+    call {!notify}; the wake-up travels through the loop's self-pipe
     and resumes the fiber if it is waiting via {!wait_signal} (or a
     {!read} with an [on_signal] hook installed).  Wake-ups are
     advisory: resumed fibers re-check their condition, so duplicate or
@@ -29,7 +29,7 @@
 
 type t
 
-(** A connection owned by a shard.  Valid only inside its handler
+(** A connection owned by the loop.  Valid only inside its handler
     fiber, except for {!notify} which is thread-safe. *)
 type conn
 
@@ -39,15 +39,13 @@ exception Aborted
 (** Raised when a read/write idles past the limit. *)
 exception Idle_timeout
 
-(** [create ()] builds the reactor (shard threads start in {!run}).
-    [shards] readiness loops (default 1 — the sweet spot unless
-    handlers burn CPU); at most [max_conns] live connections (default
-    4096); [idle_timeout] seconds before a stalled read/write is
-    evicted (default 30, [0.] disables); [drain_timeout] seconds
-    in-flight requests get after {!request_stop} (default 10);
-    [buf_size] bytes per pooled buffer (default 16 KiB). *)
+(** [create ()] builds the reactor (the loop starts in {!run}).  At
+    most [max_conns] live connections (default 4096); [idle_timeout]
+    seconds before a stalled read/write is evicted (default 30, [0.]
+    disables); [drain_timeout] seconds in-flight requests get after
+    {!request_stop} (default 10); [buf_size] bytes per pooled buffer
+    (default 16 KiB). *)
 val create :
-  ?shards:int ->
   ?max_conns:int ->
   ?idle_timeout:float ->
   ?drain_timeout:float ->
@@ -55,13 +53,13 @@ val create :
   unit ->
   t
 
-(** [run t ~listener handler] serves until {!request_stop}: shard 0
-    accepts from [listener] (made non-blocking here) in the calling
-    thread, shards 1.. run in their own threads; each accepted fd is
-    adopted by a shard and [handler] runs as its fiber.  [reject]
-    receives (and owns) fds accepted beyond [max_conns].  Returns after
-    the drain: listener closed, every fiber finished, every connection
-    closed. *)
+(** [run t ~listener handler] serves until {!request_stop}: the loop
+    runs in the calling thread, accepts from [listener] (made
+    non-blocking here), and runs [handler] as each accepted
+    connection's fiber.  [reject] receives (and owns) fds accepted
+    beyond [max_conns].  Returns after the drain: listener closed,
+    every fiber finished, every connection closed.  A reactor runs
+    once. *)
 val run :
   t ->
   listener:Unix.file_descr ->
@@ -134,4 +132,3 @@ val pool_stats : t -> int * int
 
 val idle_timeout : t -> float
 val max_conns : t -> int
-val shard_count : t -> int

@@ -29,26 +29,24 @@ type task = {
   ticket : ticket;
 }
 
-(* Tasks live in the same work-stealing scheduler the MILP tree search
-   runs on ([Lp.Wsched], [finite:false] so idle workers park until
-   shutdown, [drain:true] so shutdown serves the backlog).  Submission
-   order is the priority key and jobs are dealt round-robin across the
-   per-worker deques, so each worker owns a disjoint slice of the queue
-   (no shared-queue convoy) and an idle worker steals the *latest*
-   submission from a loaded neighbour — the job whose owner would reach
-   it last.
-
-   Worker 0 is a systhread in the domain that created the pool, and
-   only workers 1.. get domains of their own: once a second domain
-   exists every minor collection stops the world across both, even
-   when the other domain is only blocked in [epoll_wait]. *)
+(* Tasks wait in one FIFO queue under [m].  Worker 0 is a systhread in
+   the domain that created the pool, and only workers 1.. get domains of
+   their own: once a second domain exists every minor collection stops
+   the world across both, even when the other domain is only blocked in
+   [epoll_wait].  A job worker 0 runs holds the creator's domain (the
+   reactor's, in the server) until the systhread tick, so the one
+   dealing rule keeps it for overflow: worker 0 takes a queued job only
+   when the queue holds more jobs than there are idle domain workers.
+   Shutdown serves the whole backlog before the workers exit. *)
 type t = {
   workers : int;
-  sched : task Lp.Wsched.t;
-  seq : int Atomic.t;
+  jobs : task Queue.t;
+  mutable idle : int;  (* domain workers not running a job *)
   queue_capacity : int;
   m : Mutex.t;
   not_full : Condition.t;
+  wake : Condition.t;   (* domain workers park here *)
+  wake0 : Condition.t;  (* worker 0 parks here *)
   mutable closed : bool;
   mutable joins : (unit -> unit) list;  (* waits out each worker *)
   tiered : Tiered.t;
@@ -265,14 +263,29 @@ let on_complete ticket f =
       ticket.hooks <- f :: ticket.hooks;
       Mutex.unlock ticket.tm
 
+(* Under [m]: the next task for worker [who], or [None] once the pool is
+   shut down and nothing is left that this worker should take.  Only a
+   push can make [length > idle] true (a domain worker taking a job
+   lowers both sides), so a push alone wakes worker 0. *)
+let rec take t ~who =
+  let n = Queue.length t.jobs in
+  if n > (if who = 0 then t.idle else 0) then begin
+    if who > 0 then t.idle <- t.idle - 1;
+    Condition.signal t.not_full;
+    Some (Queue.pop t.jobs)
+  end
+  else if t.closed then None
+  else begin
+    Condition.wait (if who = 0 then t.wake0 else t.wake) t.m;
+    take t ~who
+  end
+
 let worker_loop t who () =
+  Mutex.lock t.m;
   let rec loop () =
-    match Lp.Wsched.next t.sched ~who with
-    | Lp.Wsched.Done | Lp.Wsched.Stopped -> ()
-    | Lp.Wsched.Work (_, task) ->
-        (* The task left the deques: free a capacity slot. *)
-        Mutex.lock t.m;
-        Condition.signal t.not_full;
+    match take t ~who with
+    | None -> Mutex.unlock t.m
+    | Some task ->
         Mutex.unlock t.m;
         let r =
           try run_task ~tiered:t.tiered ~trace:t.trace task
@@ -291,8 +304,15 @@ let worker_loop t who () =
               solve_s = 0.0;
             }
         in
+        (* Idle again before the ticket resolves, so a submitter woken
+           by it finds this worker free for its next job. *)
+        if who > 0 then begin
+          Mutex.lock t.m;
+          t.idle <- t.idle + 1;
+          Mutex.unlock t.m
+        end;
         resolve task.ticket r;
-        Lp.Wsched.done_one t.sched;
+        Mutex.lock t.m;
         loop ()
   in
   loop ()
@@ -312,12 +332,13 @@ let create ?(workers = 2) ?(queue_capacity = 64) ?(cache_capacity = 256)
   let t =
     {
       workers;
-      sched =
-        Lp.Wsched.create ~workers:(max 1 workers) ~finite:false ~drain:true ();
-      seq = Atomic.make 0;
+      jobs = Queue.create ();
+      idle = max 0 (workers - 1);
       queue_capacity = max 1 queue_capacity;
       m = Mutex.create ();
       not_full = Condition.create ();
+      wake = Condition.create ();
+      wake0 = Condition.create ();
       closed = false;
       joins = [];
       tiered = Tiered.create ~tiers ~cache_capacity:(max 0 cache_capacity) ();
@@ -340,7 +361,11 @@ let cache t = Tiered.lru t.tiered
 let tiered t = t.tiered
 let trace t = t.trace
 
-let queue_depth t = Lp.Wsched.queued t.sched
+let queue_depth t =
+  Mutex.lock t.m;
+  let n = Queue.length t.jobs in
+  Mutex.unlock t.m;
+  n
 
 let fresh_task job =
   let ticket =
@@ -364,23 +389,18 @@ let admit t task ~wait ~what =
         true
     | None ->
         Mutex.lock t.m;
-        while
-          wait && Lp.Wsched.queued t.sched >= t.queue_capacity && not t.closed
-        do
+        while wait && Queue.length t.jobs >= t.queue_capacity && not t.closed do
           Condition.wait t.not_full t.m
         done;
         if t.closed then begin
           Mutex.unlock t.m;
           invalid_arg (what ^ ": pool is shut down")
         end;
-        let room = Lp.Wsched.queued t.sched < t.queue_capacity in
+        let room = Queue.length t.jobs < t.queue_capacity in
         if room then begin
-          (* The submission sequence number doubles as the best-first
-             key, so owners serve their slices in submission order, and
-             as the deal: job [k] lands on worker [k mod workers]. *)
-          let k = Atomic.fetch_and_add t.seq 1 in
-          Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k)
-            task
+          Queue.push task t.jobs;
+          Condition.signal t.wake;
+          if Queue.length t.jobs > t.idle then Condition.signal t.wake0
         end;
         Mutex.unlock t.m;
         room
@@ -520,11 +540,12 @@ let shutdown t =
   let was_closed = t.closed in
   t.closed <- true;
   Condition.broadcast t.not_full;
+  Condition.broadcast t.wake;
+  Condition.broadcast t.wake0;
   Mutex.unlock t.m;
   if not was_closed then begin
-    (* Drain-mode stop: workers finish everything already queued (every
-       accepted ticket resolves), then observe Stopped and exit. *)
-    Lp.Wsched.stop t.sched;
+    (* Workers finish everything already queued (every accepted ticket
+       resolves), then find the queue empty and exit. *)
     List.iter (fun join -> join ()) t.joins;
     t.joins <- []
   end

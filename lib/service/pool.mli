@@ -53,11 +53,14 @@ type ticket
 (** [create ()] starts [workers] workers on [workers] domains in
     total: worker 0 is a systhread in the calling domain (the reactor's,
     in the server) and workers [1 .. workers-1] each spawn a domain.
-    [workers = 0] runs jobs inline in the submitting thread — fully
-    sequential and deterministic in submission order.  [queue_capacity] bounds the backlog; submission blocks when
-    full.  [cache_capacity] sizes the in-memory plan cache; [tiers] adds
-    backing cache tiers behind it (disk store, peer lookup — see
-    {!Tiered}). *)
+    Queued jobs go first to idle domain workers: worker 0 takes one only
+    when the queue holds more jobs than there are idle domain workers
+    (so at [workers = 1] it takes every job).  [workers = 0] runs jobs
+    inline in the submitting thread — fully sequential and deterministic
+    in submission order.  [queue_capacity] bounds the backlog;
+    submission blocks when full.  [cache_capacity] sizes the in-memory
+    plan cache; [tiers] adds backing cache tiers behind it (disk store,
+    peer lookup — see {!Tiered}). *)
 val create :
   ?workers:int ->
   ?queue_capacity:int ->
@@ -151,7 +154,8 @@ val stream :
     order, plus a ["batch"] trace summary. *)
 val run_batch : t -> Job.t list -> result list
 
-(** Drain the queue and join the workers.  Idempotent. *)
+(** Refuse further submissions, let the workers serve every job already
+    queued, and join them.  Idempotent. *)
 val shutdown : t -> unit
 
 (** [clamp_workers ~what n] caps a worker-count flag at

@@ -334,13 +334,13 @@ let test_pool_parallel_equals_sequential () =
   | None -> Alcotest.fail "first job has no outcome"
 
 let test_pool_thousand_tiny_jobs () =
-  (* Stress the work-stealing pool: 1000 tiny jobs through 4 worker
-     domains.  Every ticket must resolve, results must come back in
-     submission order, and nothing may be dropped or duplicated.  The
-     jobs cycle through 8 distinct specs, so the plan cache carries most
-     of the load — which is exactly the small-fast-job regime where a
-     scheduler race would surface as a lost wakeup or a misordered
-     stream. *)
+  (* Stress the pool's job queue: 1000 tiny jobs through 4 workers (3
+     domain workers plus worker 0).  Every ticket must resolve, results
+     must come back in submission order, and nothing may be dropped or
+     duplicated.  The jobs cycle through 8 distinct specs, so the plan
+     cache carries most of the load — which is exactly the
+     small-fast-job regime where a scheduler race would surface as a
+     lost wakeup or a misordered stream. *)
   let n = 1000 in
   let configs =
     [| (0.0, 0.0); (0.0, 0.5); (0.0, 1.0); (40.0, 0.5);
@@ -846,6 +846,68 @@ let test_pool_two_workers_two_domains () =
   Alcotest.(check bool) "one is the creator's" true
     (List.mem (Domain.self () :> int) seen)
 
+let test_pool_domains_first () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  (* With the domain worker idle, a lone cold job is never worker 0's:
+     each one is solved off the creator's domain. *)
+  let self = (Domain.self () :> int) in
+  let trace, domains = job_domains () in
+  Service.Pool.with_pool ~workers:2 ~trace (fun pool ->
+      List.iter
+        (fun (penalty, frac) ->
+          let r =
+            Service.Pool.await (Service.Pool.submit pool (small_job penalty frac))
+          in
+          Alcotest.(check bool) "cold job solved" false r.Service.Pool.cache_hit)
+        [ (0.0, 0.0); (0.0, 1.0); (80.0, 0.0); (80.0, 1.0) ]);
+  let seen = domains () in
+  Alcotest.(check bool) "jobs traced" true (seen <> []);
+  Alcotest.(check bool) "never on the creator's domain" false
+    (List.mem self seen)
+
+let test_pool_shutdown_drains () =
+  (* The one worker is held in the gate with three jobs queued behind
+     it; a shutdown that starts before the gate opens still serves all
+     four, and refuses later submissions. *)
+  let g = gate max_int in
+  Service.Pool.with_pool ~workers:1 ~queue_capacity:3 ~tiers:[ gate_tier g ]
+    (fun pool ->
+      Fun.protect ~finally:(fun () -> open_gate g) @@ fun () ->
+      let held = Service.Pool.submit pool (small_job 0.0 0.0) in
+      wait_entered g 1;
+      let queued =
+        List.map
+          (fun (penalty, frac) ->
+            Service.Pool.submit pool (small_job penalty frac))
+          [ (0.0, 1.0); (80.0, 0.0); (80.0, 1.0) ]
+      in
+      Alcotest.(check int) "three queued" 3 (Service.Pool.queue_depth pool);
+      let stopper = Thread.create Service.Pool.shutdown pool in
+      (* The queue is full, so until the shutdown closes the pool a
+         further local miss is refused without being queued. *)
+      let rec until_closed () =
+        match Service.Pool.try_submit pool (small_job 40.0 0.5) with
+        | None ->
+            Thread.yield ();
+            until_closed ()
+        | Some _ -> Alcotest.fail "a miss was queued on a full queue"
+        | exception Invalid_argument _ -> ()
+      in
+      until_closed ();
+      open_gate g;
+      Thread.join stopper;
+      List.iter
+        (fun ticket ->
+          match Service.Pool.poll ticket with
+          | Some r ->
+              Alcotest.(check bool) "solved" true
+                (r.Service.Pool.code = Service.Pool.Solved)
+          | None -> Alcotest.fail "a ticket was left unresolved")
+        (held :: queued);
+      Alcotest.check_raises "submit after shutdown"
+        (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+          ignore (Service.Pool.submit pool (small_job 0.0 0.0))))
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -890,4 +952,8 @@ let suite =
       test_pool_worker0_shares_domain;
     Alcotest.test_case "pool: two workers, two domains" `Quick
       test_pool_two_workers_two_domains;
+    Alcotest.test_case "pool: domain workers take misses first" `Quick
+      test_pool_domains_first;
+    Alcotest.test_case "pool: shutdown serves the backlog" `Quick
+      test_pool_shutdown_drains;
   ]

@@ -1,8 +1,8 @@
-(* The work-stealing scheduler under the MILP tree search and the service
-   pool (Lp.Wsdeque / Lp.Wsched): deque laws against a multiset model,
-   scripted single-thread chaos schedules through the [steal_order] hook,
-   stop/drain semantics, and a real multi-domain tree run with a watchdog
-   (the suite must never hang on a scheduler bug). *)
+(* The work-stealing scheduler under the MILP tree search (Lp.Wsdeque /
+   Lp.Wsched): deque laws against a multiset model, scripted
+   single-thread chaos schedules through the [steal_order] hook, stop
+   semantics, and a real multi-domain tree run with a watchdog (the
+   suite must never hang on a scheduler bug). *)
 
 module Prng = Datasets.Prng
 
@@ -165,24 +165,6 @@ let test_sched_stop_abandons () =
   Alcotest.(check (option (float 0.0))) "open bound" (Some 2.0)
     (Lp.Wsched.min_key sched)
 
-let test_sched_drain () =
-  let sched = Lp.Wsched.create ~workers:1 ~finite:false ~drain:true () in
-  List.iter
-    (fun k -> Lp.Wsched.push sched ~who:0 ~key:k ())
-    [ 3.0; 1.0; 2.0 ];
-  Lp.Wsched.stop sched;
-  let rec drain acc =
-    match Lp.Wsched.next sched ~who:0 with
-    | Lp.Wsched.Work (k, ()) ->
-        Lp.Wsched.done_one sched;
-        drain (k :: acc)
-    | Lp.Wsched.Stopped -> List.rev acc
-    | Lp.Wsched.Done -> Alcotest.fail "infinite scheduler reported Done"
-  in
-  Alcotest.(check (list (float 0.0)))
-    "drain serves backlog in order before stopping" [ 1.0; 2.0; 3.0 ]
-    (drain [])
-
 (* ------------------------------------------------------- real domains *)
 
 (* Four domains race over a 511-node synthetic tree.  A watchdog domain
@@ -243,6 +225,5 @@ let suite =
       test_sched_scripted_chaos;
     Alcotest.test_case "stop abandons, keeps open bound" `Quick
       test_sched_stop_abandons;
-    Alcotest.test_case "drain serves backlog on stop" `Quick test_sched_drain;
     Alcotest.test_case "four domains, watchdogged" `Quick test_sched_domains;
   ]
