@@ -175,6 +175,121 @@ let lp_certificate spec =
                 e.Lp.Simplex.obj_value)
   | st -> failf "unexpected status %s on a bounded LP" (Lp.Status.to_string st)
 
+(* --------------------------------------------- warm-start memo oracle *)
+
+(* [Simplex] keeps the last matrix and starting factorization per domain;
+   a solve that finds them must give exactly what a solve that rebuilds
+   them gives.  A random bounded LP and its root basis, then [steps]
+   cumulative bound tightenings, each warm-solved from the root basis or
+   from the previous step's basis: once right after a solve from the
+   other of the two, once more at once, and once after an unrelated
+   solve has evicted the memo.  All three must agree bit for bit. *)
+
+type memo_step = { var : int; raise_lo : bool; frac : float; from_root : bool }
+type memo_case = { lp : Gen_lp.spec; steps : memo_step array }
+
+let pp_memo_case ppf c =
+  Format.fprintf ppf "steps=[%s]@ %a"
+    (String.concat ";"
+       (List.map
+          (fun s ->
+            Printf.sprintf "v%d%s%g%s" s.var
+              (if s.raise_lo then ">=" else "<=")
+              s.frac
+              (if s.from_root then "" else "*"))
+          (Array.to_list c.steps)))
+    Gen_lp.pp c.lp
+
+let gen_memo_case rng =
+  let lp = Gen_lp.lp_bounded rng in
+  let step rng =
+    {
+      var = Gen.int_range 0 99 rng;
+      raise_lo = Gen.bool rng;
+      frac = float_of_int (Gen.int_range 0 4 rng) /. 4.0;
+      from_root = Gen.bool rng;
+    }
+  in
+  { lp; steps = Gen.array ~max:8 step rng }
+
+let arb_memo_case =
+  Check.arb ~pp:pp_memo_case
+    ~shrink:(fun c -> Seq.map (fun lp -> { c with lp }) (Gen_lp.shrink c.lp))
+    gen_memo_case
+
+let evicting_lp =
+  {
+    Lp.Simplex.nvars = 2;
+    lo = [| 0.0; 0.0 |];
+    hi = [| 3.0; 3.0 |];
+    obj = [| -1.0; -2.0 |];
+    obj_const = 0.0;
+    minimize = true;
+    rows = [| ([| (0, 1.0); (1, 1.0) |], Lp.Model.Le, 4.0) |];
+  }
+
+(* Bit-level equality: [=] would call two NaN objectives different and
+   0.0 equal to -0.0. *)
+let same_result (a : Lp.Simplex.result) (b : Lp.Simplex.result) =
+  let bits x = Int64.bits_of_float x in
+  let floats u v =
+    Array.length u = Array.length v
+    && Array.for_all2 (fun x y -> bits x = bits y) u v
+  in
+  a.Lp.Simplex.status = b.Lp.Simplex.status
+  && bits a.Lp.Simplex.obj_value = bits b.Lp.Simplex.obj_value
+  && floats a.Lp.Simplex.x b.Lp.Simplex.x
+  && floats a.Lp.Simplex.duals b.Lp.Simplex.duals
+  && floats a.Lp.Simplex.reduced_costs b.Lp.Simplex.reduced_costs
+  && a.Lp.Simplex.iterations = b.Lp.Simplex.iterations
+  && a.Lp.Simplex.basis = b.Lp.Simplex.basis
+  && a.Lp.Simplex.warm_started = b.Lp.Simplex.warm_started
+
+let warm_memo_equivalence c =
+  let input = Lp.Simplex.of_model (Gen_lp.to_model c.lp) in
+  let root = Lp.Simplex.solve ~want_basis:true input in
+  match root.Lp.Simplex.basis with
+  | None -> Ok ()
+  | Some root_basis ->
+      let n = input.Lp.Simplex.nvars in
+      let lo = Array.copy input.Lp.Simplex.lo
+      and hi = Array.copy input.Lp.Simplex.hi in
+      let last = ref root_basis in
+      let rec go k =
+        if k = Array.length c.steps then Ok ()
+        else begin
+          let s = c.steps.(k) in
+          let j = s.var mod n in
+          let v = lo.(j) +. (s.frac *. (hi.(j) -. lo.(j))) in
+          if s.raise_lo then lo.(j) <- v else hi.(j) <- v;
+          let inp =
+            { input with Lp.Simplex.lo = Array.copy lo; hi = Array.copy hi }
+          in
+          let warm, other =
+            if s.from_root then (root_basis, !last) else (!last, root_basis)
+          in
+          (* The other basis's factorization is in the memo when [warm]'s
+             first solve looks; its second solve finds its own. *)
+          ignore (Lp.Simplex.solve ~warm:other inp);
+          let first = Lp.Simplex.solve ~warm inp in
+          let kept = Lp.Simplex.solve ~warm inp in
+          ignore (Lp.Simplex.solve ~want_basis:true evicting_lp);
+          let rebuilt = Lp.Simplex.solve ~warm inp in
+          let differs what (r : Lp.Simplex.result) =
+            failf "step %d: %s gave obj %h in %d iterations, rebuilt %h in %d"
+              k what r.Lp.Simplex.obj_value r.Lp.Simplex.iterations
+              rebuilt.Lp.Simplex.obj_value rebuilt.Lp.Simplex.iterations
+          in
+          if not (same_result first rebuilt) then differs "after another basis" first
+          else if not (same_result kept rebuilt) then differs "memo hit" kept
+          else begin
+            Option.iter (fun b -> last := b) kept.Lp.Simplex.basis;
+            go (k + 1)
+          end
+        end
+      in
+      go 0
+
 (* ------------------------------------- cross-configuration MILP oracle *)
 
 let milp_config_equivalence spec =
@@ -720,6 +835,8 @@ let props =
       milp_vs_enumeration;
     prop ~count:90 ~smoke_count:18 "lp_certificate" Gen_lp.arb_lp_bounded
       lp_certificate;
+    prop ~count:200 ~smoke_count:48 "warm_memo_equivalence" arb_memo_case
+      warm_memo_equivalence;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"
       Gen_lp.arb_milp_mixed milp_config_equivalence;
     prop ~count:50 ~smoke_count:8 "milp_steal_chaos" arb_chaos

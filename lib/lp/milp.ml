@@ -245,9 +245,9 @@ let solve ?(options = default_options) ?steal_order m =
                provisional: zeros pinned early can strand a variable's
                row-mates and make later rounds infeasible, so on conflict the
                batch is dropped (the explicitly chosen single fixes are kept)
-               and diving continues from a fresh LP.  Dives fix many bounds at
-               once, which is outside the one-bound-change regime the dual
-               warm start is good at, so they stay on the cold path. *)
+               and diving continues from a fresh LP.  Every round
+               warm-starts from the previous round's basis (see
+               [try_fix] below). *)
             let dive ?(stop_frac = 0.8) diffs r0 =
               let fixed = Hashtbl.create 64 in
               List.iter (fun (j, _, _) -> Hashtbl.replace fixed j ()) diffs;

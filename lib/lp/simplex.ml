@@ -295,19 +295,23 @@ let push_eta st ~p (d : float array) =
   for i = 0 to m - 1 do
     if i <> p && Float.abs (Array.unsafe_get d i) > 1e-13 then incr nz
   done;
-  let erow = Array.make (max 1 !nz) 0 and evals = Array.make (max 1 !nz) 0.0 in
-  let erow = if !nz = 0 then [||] else erow
-  and evals = if !nz = 0 then [||] else evals in
-  let k = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> p && Float.abs (Array.unsafe_get d i) > 1e-13 then begin
-      erow.(!k) <- i;
-      evals.(!k) <- d.(i);
-      incr k
+  let e =
+    if !nz = 0 then { ep = p; erow = [||]; evals = [||]; epiv = d.(p) }
+    else begin
+      let erow = Array.make !nz 0 and evals = Array.make !nz 0.0 in
+      let k = ref 0 in
+      for i = 0 to m - 1 do
+        if i <> p && Float.abs (Array.unsafe_get d i) > 1e-13 then begin
+          erow.(!k) <- i;
+          evals.(!k) <- d.(i);
+          incr k
+        end
+      done;
+      { ep = p; erow; evals; epiv = d.(p) }
     end
-  done;
+  in
   ensure_eta_capacity st;
-  st.etas.(st.neta) <- { ep = p; erow; evals; epiv = d.(p) };
+  st.etas.(st.neta) <- e;
   st.neta <- st.neta + 1
 
 let push_unit_eta st ~p piv =
@@ -608,10 +612,67 @@ let finish ~emit_basis ~warm_started input st status =
   { status; x; obj_value; duals; reduced_costs = reduced;
     iterations = st.siters; basis; warm_started }
 
+(* One-entry memo per domain: the compressed-column matrix of the last
+   [(rows, nvars)] seen, keyed on the physical identity of [rows], and
+   the fresh factorization of the last warm [vbasis] factored over it,
+   keyed on structural equality.  Branch and bound re-solves one row
+   array over and over, and both children and every strong-branching
+   probe start from their parent's basis, so most warm solves find both.
+   Only a fresh [refactorize] result is stored, never an eta file with
+   pivot etas on it, so a hit replays exactly the factorization a miss
+   would compute.  Snapshots are immutable and replaced whole: systhreads
+   sharing a domain may swap the entry between any two reads, and each
+   still sees a consistent one.  Eta records are immutable and shared;
+   the eta array and the permuted basis are copied into each state. *)
+type fact = { fkey : int array; fetas : eta array; fbasis : int array }
+
+type memo = {
+  mrows : ((int * float) array * Model.sense * float) array;
+  mnvars : int;
+  mmat : smat;
+  mfact : fact option;
+}
+
+let memo : memo option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let memo_for input =
+  match Domain.DLS.get memo with
+  | Some e when e.mrows == input.rows && e.mnvars = input.nvars -> e
+  | _ ->
+      let e =
+        { mrows = input.rows; mnvars = input.nvars; mmat = build_smat input;
+          mfact = None }
+      in
+      Domain.DLS.set memo (Some e);
+      e
+
+(* [refactorize] for a state fresh from [warm_state] (no etas yet),
+   through the memo entry [e] its matrix came from. *)
+let refactorize_memo e w st =
+  match e.mfact with
+  | Some f when f.fkey = w.vbasis ->
+      let k = Array.length f.fetas in
+      st.etas <- Array.make (max 16 (2 * k)) dummy_eta;
+      Array.blit f.fetas 0 st.etas 0 k;
+      st.neta <- k;
+      Array.blit f.fbasis 0 st.sbasis 0 st.ss_m;
+      recompute_xb st;
+      true
+  | _ ->
+      let ok = refactorize st in
+      if ok then begin
+        let f =
+          { fkey = Array.copy w.vbasis; fetas = Array.sub st.etas 0 st.neta;
+            fbasis = Array.copy st.sbasis }
+        in
+        Domain.DLS.set memo (Some { e with mfact = Some f })
+      end;
+      ok
+
 (* Cold start: slack crash, BTRAN-guided structural crash, two-phase
    primal. *)
 let cold_solve ?max_iters ~emit_basis input =
-  let mat = build_smat input in
+  let mat = (memo_for input).mmat in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
   let qlo = Array.make ntot 0.0 and qhi = Array.make ntot infinity in
@@ -863,7 +924,8 @@ let cold_solve ?max_iters ~emit_basis input =
 (* Rebuild a sparse factorization around the saved basis [w]; [None]
    when the basis does not fit these rows or is singular. *)
 let warm_state input (w : basis) =
-  let mat = build_smat input in
+  let e = memo_for input in
+  let mat = e.mmat in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
   if Array.length w.vstat <> ntot || Array.length w.vbasis <> m then None
@@ -923,7 +985,7 @@ let warm_state input (w : basis) =
           sd = Array.make (max 1 m) 0.0; siters = 0; sdegen = 0;
           refactor_every = refactor_cadence m }
       in
-      if refactorize st then Some st else None
+      if refactorize_memo e w st then Some st else None
     end
   end
 

@@ -17,7 +17,15 @@
     violations, which after a single branch-and-bound bound change is
     typically a handful of pivots instead of a full cold solve.  Warm
     solves fall back to the cold path automatically when the saved basis is
-    singular or the reoptimization struggles numerically. *)
+    singular or the reoptimization struggles numerically.
+
+    Each domain remembers the compressed-column matrix of the last
+    [(rows, nvars)] it solved, keyed on the physical identity of [rows],
+    and the fresh factorization of the last warm basis it factored over
+    that matrix.  A warm solve that finds both skips the matrix build and
+    the refactorization.  Only a factorization with no pivot etas on it is
+    kept, so results are bit-identical with or without the memo.  A [rows]
+    array must not be mutated after it has been solved. *)
 
 type input = {
   nvars : int;

@@ -434,6 +434,133 @@ let test_basis_rows () =
   done;
   Alcotest.(check bool) "products checked" true (!checked > 100)
 
+(* ---- the per-domain matrix and factorization memo ------------------- *)
+
+(* A solve over other rows: replaces the memo entry, so the next warm
+   solve rebuilds its matrix and refactorizes its basis. *)
+let evict () = ignore (Simplex.solve ~want_basis:true (textbook_input ~hiy:5.0))
+
+let same_solve what (a : Simplex.result) (b : Simplex.result) =
+  let same =
+    a.Simplex.status = b.Simplex.status
+    && a.Simplex.x = b.Simplex.x
+    && a.Simplex.duals = b.Simplex.duals
+    && a.Simplex.obj_value = b.Simplex.obj_value
+    && a.Simplex.iterations = b.Simplex.iterations
+    && a.Simplex.basis = b.Simplex.basis
+    && a.Simplex.warm_started = b.Simplex.warm_started
+  in
+  if not same then
+    Alcotest.failf "%s: results differ (obj %.17g vs %.17g, %d vs %d iterations)"
+      what a.Simplex.obj_value b.Simplex.obj_value a.Simplex.iterations
+      b.Simplex.iterations
+
+(* An LP wide enough that a warm repair takes several pivots, its optimal
+   basis, and [k] tightened copies of it over the same rows array. *)
+let memo_case seed k =
+  let rng = Datasets.Prng.create seed in
+  let input = random_feasible_lp rng 14 9 in
+  let r0 = Simplex.solve ~want_basis:true input in
+  let basis =
+    match (r0.Simplex.status, r0.Simplex.basis) with
+    | Status.Optimal, Some b -> b
+    | _ -> Alcotest.failf "seed %d: root LP not optimal" seed
+  in
+  let tightened =
+    List.init k (fun _ ->
+        let hi = Array.copy input.Simplex.hi in
+        for _ = 1 to 3 do
+          let j = Datasets.Prng.int rng input.Simplex.nvars in
+          hi.(j) <- Float.min hi.(j) (Datasets.Prng.range rng 0.0 3.0)
+        done;
+        { input with Simplex.hi })
+  in
+  (input, basis, tightened)
+
+let test_memo_warm_bound_sets () =
+  (* Each bound set is solved from the root basis after the previous
+     set's solves, again after a solve from another basis over the same
+     rows, and once more after an unrelated LP evicted the memo; the
+     solve from the other basis is repeated after an eviction too.  Each
+     pair must agree exactly. *)
+  let warm = ref 0 in
+  List.iter
+    (fun seed ->
+      let _, basis, tightened = memo_case seed 6 in
+      let other = ref None in
+      List.iteri
+        (fun i inp ->
+          let what = Printf.sprintf "seed %d set %d" seed i in
+          let a = Simplex.solve ~warm:basis inp in
+          Option.iter
+            (fun ob ->
+              let p = Simplex.solve ~warm:ob inp in
+              let b = Simplex.solve ~warm:basis inp in
+              evict ();
+              same_solve (what ^ " other basis, evicted") p
+                (Simplex.solve ~warm:ob inp);
+              same_solve (what ^ " after another basis") a b)
+            !other;
+          evict ();
+          same_solve (what ^ " after eviction") a (Simplex.solve ~warm:basis inp);
+          if a.Simplex.warm_started && a.Simplex.iterations > 0 then incr warm;
+          if a.Simplex.basis <> None then other := a.Simplex.basis)
+        tightened)
+    [ 3; 11; 29 ];
+  Alcotest.(check bool) "warm pivots exercised" true (!warm > 0)
+
+let test_memo_row_identity () =
+  (* A structurally equal copy of the rows, and the same rows array under
+     a wider [nvars], must solve exactly as a fresh solve does. *)
+  List.iter
+    (fun seed ->
+      let input, basis, tightened = memo_case seed 2 in
+      let inp = List.hd tightened in
+      let copied = { inp with Simplex.rows = Array.copy inp.Simplex.rows } in
+      let a = Simplex.solve ~warm:basis inp in
+      let b = Simplex.solve ~warm:basis copied in
+      evict ();
+      let c = Simplex.solve ~warm:basis copied in
+      same_solve (Printf.sprintf "seed %d copied rows" seed) a b;
+      same_solve (Printf.sprintf "seed %d copied rows, evicted" seed) a c;
+      (* One extra free-standing column over the very same rows array. *)
+      let n = input.Simplex.nvars in
+      let wide inp =
+        { inp with
+          Simplex.nvars = n + 1;
+          lo = Array.append inp.Simplex.lo [| 0.0 |];
+          hi = Array.append inp.Simplex.hi [| 2.0 |];
+          obj = Array.append inp.Simplex.obj [| -1.0 |] }
+      in
+      let r0 = Simplex.solve ~want_basis:true (wide input) in
+      let wbasis = Option.get r0.Simplex.basis in
+      ignore (Simplex.solve ~warm:basis inp);
+      let d = Simplex.solve ~warm:wbasis (wide inp) in
+      evict ();
+      let e = Simplex.solve ~warm:wbasis (wide inp) in
+      same_solve (Printf.sprintf "seed %d wider nvars" seed) d e;
+      if d.Simplex.status = Status.Optimal then
+        check_float "extra column at its upper bound" 2.0 d.Simplex.x.(n))
+    [ 5; 17 ]
+
+let test_memo_two_domains () =
+  (* Two domains warm-solve different LPs at the same time; each domain's
+     memo is its own, so every result matches the sequential run. *)
+  let run (_, basis, tightened) =
+    List.map (fun inp -> Simplex.solve ~warm:basis inp) tightened
+  in
+  let ca = memo_case 41 8 and cb = memo_case 43 8 in
+  let ref_a = run ca and ref_b = run cb in
+  let rounds = 25 in
+  let repeat case reference =
+    for _ = 1 to rounds do
+      List.iter2 (same_solve "concurrent") reference (run case)
+    done
+  in
+  let d = Domain.spawn (fun () -> repeat ca ref_a) in
+  repeat cb ref_b;
+  Domain.join d
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -458,5 +585,11 @@ let suite =
     Alcotest.test_case "eta refactorization drift" `Quick
       test_eta_refactorization_drift;
     Alcotest.test_case "basis rows from BTRAN" `Quick test_basis_rows;
+    Alcotest.test_case "memo: warm bound sets, evicted or not" `Quick
+      test_memo_warm_bound_sets;
+    Alcotest.test_case "memo: copied rows and wider nvars" `Quick
+      test_memo_row_identity;
+    Alcotest.test_case "memo: two domains at once" `Quick
+      test_memo_two_domains;
     q prop_random_feasible;
   ]
