@@ -349,17 +349,16 @@ let kernel_thunks () =
        Service.Pool.create ~workers:0 ~cache_capacity:0
          ~tiers:(Cluster.Node.tiers node) ())
   in
-  let milp_opts ?(warm_start = true) ?(workers = 1) () =
-    { Lp.Milp.default_options with
-      Lp.Milp.node_limit = 50; warm_start; workers }
+  let milp_opts ?(warm_start = true) () =
+    { Lp.Milp.default_options with Lp.Milp.node_limit = 50; warm_start }
   in
   (* The gap-tree kernels time the branch-and-bound tree in isolation:
      root heuristics are disabled (the pump and cut machinery has its own
      kernel, federal_milp_root) so a regression here means the tree — the
      selector, the node LPs, the queue — got slower, not that root-stage
      policy changed. *)
-  let gap_opts ?warm_start ?workers () =
-    { (milp_opts ?warm_start ?workers ()) with
+  let gap_opts ?warm_start () =
+    { (milp_opts ?warm_start ()) with
       Lp.Milp.node_limit = 5000; dive_first = false; pump = false;
       root_cuts = false }
   in
@@ -428,16 +427,9 @@ let kernel_thunks () =
           (Lp.Milp.solve
              ~options:(milp_opts ~warm_start:false ())
              built.Etransform.Lp_builder.model) );
-    ( "e1_milp_assignment_par4",
-      fun () ->
-        ignore
-          (Lp.Milp.solve ~options:(milp_opts ~workers:4 ())
-             built.Etransform.Lp_builder.model) );
     ( "e1_milp_gap_tree_cold",
       tree "e1_milp_gap_tree_cold" (gap_opts ~warm_start:false ()) gap_model );
     ("e1_milp_gap_tree_warm", tree "e1_milp_gap_tree_warm" (gap_opts ()) gap_model);
-    ( "e1_milp_gap_tree_par4",
-      tree "e1_milp_gap_tree_par4" (gap_opts ~workers:4 ()) gap_model );
     ( "e1_milp_pseudocost",
       tree "e1_milp_pseudocost"
         { (gap_opts ()) with
@@ -452,18 +444,6 @@ let kernel_thunks () =
         { (gap_opts ()) with
           Lp.Milp.branch_strategy = Lp.Branching.Most_fractional }
         gap_model );
-    (* Work-stealing scaling ladder: the same gap tree at 1, 2 and 4
-       workers.  w1 always runs (it is the sequential reference); w2/w4
-       are in [multi_worker_kernels], so on hosts with fewer cores they
-       are skip-tagged instead of timing oversubscription thrash.  On a
-       multicore host `kernels --check` compares them against baseline:
-       the w2 entry is the speed-up gate (w2 should beat 0.75x w1). *)
-    ( "milp_scale_w1",
-      tree "milp_scale_w1" (gap_opts ~workers:1 ()) gap_model );
-    ( "milp_scale_w2",
-      tree "milp_scale_w2" (gap_opts ~workers:2 ()) gap_model );
-    ( "milp_scale_w4",
-      tree "milp_scale_w4" (gap_opts ~workers:4 ()) gap_model );
     ( "federal_milp_root",
       fun () ->
         tree "federal_milp_root" federal_root_opts (Lazy.force federal_root) ()
@@ -525,8 +505,6 @@ let multi_worker_kernels =
   [
     ("service_batch_line_w2", 2);
     ("service_batch_line_w4", 4);
-    ("milp_scale_w2", 2);
-    ("milp_scale_w4", 4);
   ]
 
 let oversubscribed name =

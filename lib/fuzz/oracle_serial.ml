@@ -207,7 +207,6 @@ type job_case = {
   nodes : int option;
   time : float option;
   gap : float option;
-  workers : int option;
   deadline_s : float option;
   degrade : bool option;
   shuffle_a : int;
@@ -237,7 +236,6 @@ let gen_job_case : job_case Gen.t =
     nodes = opt (Gen.int_range 1 64) rng;
     time = opt (Gen.choose [ 1.0; 30.0 ]) rng;
     gap = opt (Gen.choose [ 0.001; 0.01 ]) rng;
-    workers = opt (Gen.int_range 1 4) rng;
     deadline_s = opt (Gen.choose [ 5.0; 60.0 ]) rng;
     degrade = opt Gen.bool rng;
     shuffle_a = Gen.int_range 0 0x3FFF_FFFF rng;
@@ -262,7 +260,6 @@ let job_fields ?(id = "j") c =
   in
   let milp =
     []
-    |> optf "workers" (Option.map float_of_int c.workers)
     |> optf "gap" c.gap |> optf "time" c.time
     |> optf "nodes" (Option.map float_of_int c.nodes)
   in
@@ -362,7 +359,7 @@ let arb_job_case =
              { c with omega = None };
              { c with reserve = None };
              { c with dr_server_cost = None };
-             { c with nodes = None; time = None; gap = None; workers = None };
+             { c with nodes = None; time = None; gap = None };
              { c with deadline_s = None; degrade = None };
              { c with estate_name = "enterprise1" };
            ]))

@@ -300,20 +300,6 @@ let milp_config_equivalence spec =
       ("default", base);
       ("cold", { base with Lp.Milp.warm_start = false });
       ("no-dive", { base with Lp.Milp.dive_first = false });
-      ("workers2", { base with Lp.Milp.workers = 2 });
-      (* The work-stealing scheduler matrix: more domains, and domains
-         crossed with branching strategies whose pseudocost state is the
-         shared-mutable part of the search.  On few-core hosts the
-         worker counts clamp down, which must also preserve results. *)
-      ("workers4", { base with Lp.Milp.workers = 4 });
-      ( "workers2+mf",
-        { base with
-          Lp.Milp.workers = 2;
-          branch_strategy = Lp.Branching.Most_fractional } );
-      ( "workers4+pseudo",
-        { base with
-          Lp.Milp.workers = 4;
-          branch_strategy = Lp.Branching.Pseudocost } );
     ]
     (* Full branching matrix: every selection strategy crossed with the
        root heuristics on and off.  The optimum must not depend on how
@@ -364,70 +350,6 @@ let milp_config_equivalence spec =
         else check rest
   in
   check (List.tl results)
-
-(* --------------------------------------------- steal-ordering chaos *)
-
-(* Determinism under adversarial steal schedules: a random MILP plus a
-   random victim script driven through [Milp.solve ~steal_order].  The
-   hook fully determines which deque every idle worker raids on every
-   sweep round — including pathological scripts that always send a thief
-   to itself or to one fixed victim — and no script may change the
-   optimal status or objective at any worker count. *)
-
-type chaos_case = { spec : Gen_lp.spec; script : int array }
-
-let pp_chaos ppf c =
-  Format.fprintf ppf "script=[%s]@ %a"
-    (String.concat ";"
-       (List.map string_of_int (Array.to_list c.script)))
-    Gen_lp.pp c.spec
-
-let gen_chaos rng =
-  {
-    spec = Gen_lp.milp_mixed rng;
-    script = Gen.array ~max:16 (Gen.int_range 0 3) rng;
-  }
-
-let arb_chaos =
-  Check.arb ~pp:pp_chaos
-    ~shrink:(fun c ->
-      Seq.map (fun spec -> { c with spec }) (Gen_lp.shrink c.spec))
-    gen_chaos
-
-let milp_steal_chaos c =
-  let model = Gen_lp.to_model c.spec in
-  let base =
-    { Lp.Milp.default_options with
-      Lp.Milp.node_limit = 50_000;
-      dive_first = false }
-  in
-  let seq = Lp.Milp.solve ~options:{ base with Lp.Milp.workers = 1 } model in
-  let script = if Array.length c.script = 0 then [| 0 |] else c.script in
-  let n = Array.length script in
-  let steal_order ~thief ~round = script.((thief + round) mod n) in
-  let rec check = function
-    | [] -> Ok ()
-    | w :: rest ->
-        let par =
-          Lp.Milp.solve
-            ~options:{ base with Lp.Milp.workers = w }
-            ~steal_order model
-        in
-        if par.Lp.Milp.status <> seq.Lp.Milp.status then
-          failf "w%d status %s, sequential %s" w
-            (Lp.Status.to_string par.Lp.Milp.status)
-            (Lp.Status.to_string seq.Lp.Milp.status)
-        else if
-          par.Lp.Milp.status = Lp.Status.Optimal
-          && not (close par.Lp.Milp.obj seq.Lp.Milp.obj)
-        then
-          failf "w%d objective %g, sequential %g" w par.Lp.Milp.obj
-            seq.Lp.Milp.obj
-        else if par.Lp.Milp.workers > w then
-          failf "w%d reported effective workers %d" w par.Lp.Milp.workers
-        else check rest
-  in
-  check [ 2; 4 ]
 
 (* ------------------------------------------- pool worker-count oracle *)
 
@@ -839,8 +761,6 @@ let props =
       warm_memo_equivalence;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"
       Gen_lp.arb_milp_mixed milp_config_equivalence;
-    prop ~count:50 ~smoke_count:8 "milp_steal_chaos" arb_chaos
-      milp_steal_chaos;
     prop ~count:4 ~smoke_count:1 "pool_workers_equivalence" arb_pool_case
       pool_workers_equivalence;
     prop ~count:300 ~smoke_count:60 "local_search_equivalence" arb_ls_case

@@ -1,20 +1,15 @@
 type strategy = Most_fractional | Pseudocost | Reliability
 
-(* Per-direction statistics are (sum, count) pairs of atomics rather
-   than in-place running means: a lock-free mean update needs a single
-   word to CAS, and a sum is monotone under concurrent adds where a
-   running mean is not.  Readers divide sum by count; both are
-   non-negative at every interleaving (per_unit is clamped into
-   [0, infeasible_degradation] before the add), so a torn read between
-   the two fetches can bias a mean but never produce NaN or a negative
-   pseudocost. *)
+(* Per-direction statistics are (sum, count) pairs rather than running
+   means: the search order, and so the plans, depend on the exact float
+   values readers get by dividing one by the other. *)
 type t = {
   strategy : strategy;
-  down : float Atomic.t array;  (* per-unit degradation sums, down branch *)
-  up : float Atomic.t array;
-  ndown : int Atomic.t array;
-  nup : int Atomic.t array;
-  nobs : int Atomic.t;
+  down : float array;  (* per-unit degradation sums, down branch *)
+  up : float array;
+  ndown : int array;
+  nup : int array;
+  mutable nobs : int;
 }
 
 let reliability_threshold = 4
@@ -28,19 +23,12 @@ let sb_nsteps = 8
 let create ~nvars ~strategy =
   {
     strategy;
-    down = Array.init nvars (fun _ -> Atomic.make 0.0);
-    up = Array.init nvars (fun _ -> Atomic.make 0.0);
-    ndown = Array.init nvars (fun _ -> Atomic.make 0);
-    nup = Array.init nvars (fun _ -> Atomic.make 0);
-    nobs = Atomic.make 0;
+    down = Array.make nvars 0.0;
+    up = Array.make nvars 0.0;
+    ndown = Array.make nvars 0;
+    nup = Array.make nvars 0;
+    nobs = 0;
   }
-
-let atomic_add a v =
-  let rec go () =
-    let c = Atomic.get a in
-    if not (Atomic.compare_and_set a c (c +. v)) then go ()
-  in
-  go ()
 
 let observe t ~var ~up ~frac ~degradation =
   let dist = if up then 1.0 -. frac else frac in
@@ -49,17 +37,17 @@ let observe t ~var ~up ~frac ~degradation =
       Float.min infeasible_degradation (Float.max 0.0 degradation /. dist)
     in
     let a, n = if up then (t.up, t.nup) else (t.down, t.ndown) in
-    atomic_add a.(var) per_unit;
-    ignore (Atomic.fetch_and_add n.(var) 1);
-    ignore (Atomic.fetch_and_add t.nobs 1)
+    a.(var) <- a.(var) +. per_unit;
+    n.(var) <- n.(var) + 1;
+    t.nobs <- t.nobs + 1
   end
 
 let dir_stats sums counts var =
-  let c = Atomic.get counts.(var) in
-  (c, if c > 0 then Atomic.get sums.(var) /. float_of_int c else 0.0)
+  let c = counts.(var) in
+  (c, if c > 0 then sums.(var) /. float_of_int c else 0.0)
 
 let stats t ~var = (dir_stats t.down t.ndown var, dir_stats t.up t.nup var)
-let observations t = Atomic.get t.nobs
+let observations t = t.nobs
 
 let most_fractional int_ids tol x =
   let best = ref (-1) and score = ref tol in
@@ -101,7 +89,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
             match t.strategy with
             | Pseudocost -> nodes < sb_nsteps
             | Reliability ->
-                min (Atomic.get t.ndown.(j)) (Atomic.get t.nup.(j))
+                min t.ndown.(j) t.nup.(j)
                 < reliability_threshold
             | Most_fractional -> false
           in
@@ -121,7 +109,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
                 | None -> ()
               end)
             cands;
-          if Atomic.get t.nobs = 0 then
+          if t.nobs = 0 then
             let j, _, _ = List.hd cands in
             j
           else begin
@@ -131,9 +119,8 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
             let fold sums counts =
               Array.iteri
                 (fun j n ->
-                  let n = Atomic.get n in
                   if n > 0 then begin
-                    gsum := !gsum +. (Atomic.get sums.(j) /. float_of_int n);
+                    gsum := !gsum +. (sums.(j) /. float_of_int n);
                     incr gn
                   end)
                 counts
@@ -148,8 +135,8 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
               (fun (j, f, dist) ->
                 let _, dmean = dir_stats t.down t.ndown j in
                 let _, umean = dir_stats t.up t.nup j in
-                let dn = if Atomic.get t.ndown.(j) > 0 then dmean else gmean in
-                let up = if Atomic.get t.nup.(j) > 0 then umean else gmean in
+                let dn = if t.ndown.(j) > 0 then dmean else gmean in
+                let up = if t.nup.(j) > 0 then umean else gmean in
                 let score =
                   Float.max eps (dn *. f) *. Float.max eps (up *. (1.0 -. f))
                 in

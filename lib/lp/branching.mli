@@ -18,16 +18,7 @@
       instead of a global window: any candidate whose up or down branch
       has fewer than {!reliability_threshold} observations is considered
       unreliable and is re-probed (up to 8 probes per node),
-      regardless of how many nodes the tree has processed.
-
-    The state is shared across worker domains and is domain-safe without
-    any lock: per-direction statistics are (sum, count) pairs of
-    [Atomic] cells (a CAS loop for the float sum, fetch-and-add for the
-    count), and readers divide sum by count.  Both components are
-    non-negative under every interleaving, so concurrent updates can
-    bias a mean a reader computes mid-update but can never produce a NaN
-    or negative pseudocost.  Visit-order nondeterminism with
-    [workers > 1] changes the tree shape but never the optimum. *)
+      regardless of how many nodes the tree has processed. *)
 
 type strategy = Most_fractional | Pseudocost | Reliability
 
@@ -54,8 +45,7 @@ val observe : t -> var:int -> up:bool -> frac:float -> degradation:float -> unit
 
 (** [stats t ~var] is [((ndown, mean_down), (nup, mean_up))]: the
     observation count and mean per-unit degradation for each branching
-    direction of [var].  Safe to call concurrently with {!observe}; the
-    means are always finite and non-negative. *)
+    direction of [var].  The means are always finite and non-negative. *)
 val stats : t -> var:int -> (int * float) * (int * float)
 
 (** Total observations folded in so far. *)

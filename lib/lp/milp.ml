@@ -6,7 +6,6 @@ type options = {
   gap_tol : float;
   dive_first : bool;
   warm_start : bool;
-  workers : int;
   core : core;
   branch_strategy : Branching.strategy;
   pump : bool;
@@ -20,7 +19,6 @@ let default_options =
     gap_tol = 1e-6;
     dive_first = true;
     warm_start = true;
-    workers = 1;
     core = Sparse;
     branch_strategy = Branching.Reliability;
     pump = true;
@@ -37,7 +35,6 @@ type result = {
   nodes : int;
   cuts : int;
   lp_iterations : int;
-  workers : int;
 }
 
 let relax ?core:_ m = Simplex.solve (Simplex.of_model m)
@@ -69,10 +66,6 @@ let most_fractional = Branching.most_fractional
 (* Integrality tolerance on LP values. *)
 let int_tol = 1e-6
 
-(* Helper domains spawn only once this many nodes have been processed and
-   this many are open at the same time. *)
-let par_threshold = 64
-
 let rec mem_assoc3 j = function
   | [] -> false
   | (k, _, _) :: rest -> k = j || mem_assoc3 j rest
@@ -87,33 +80,17 @@ let round_integers int_ids x =
    is abandoned (the probe then reports "no information"). *)
 let probe_iters = 200
 
-(* One warning per process, not one per solve: the fuzz oracles run
-   thousands of solves with deliberately oversubscribed options. *)
-let clamp_warned = Atomic.make false
-
-let solve ?(options = default_options) ?steal_order m =
+let solve ?(options = default_options) m =
   let input0 = Simplex.of_model m in
   let minimize = input0.Simplex.minimize in
   (* Internal keys are always "smaller is better". *)
   let key_of_obj o = if minimize then o else -.o in
   let obj_of_key k = if minimize then k else -.k in
   let int_ids = List.map (fun (v : Model.var) -> v.Model.id) (Model.integer_vars m) in
-  let lp_iters = Atomic.make 0 in
+  let lp_iters = ref 0 in
   let count (r : Simplex.result) =
-    ignore (Atomic.fetch_and_add lp_iters r.Simplex.iterations);
+    lp_iters := !lp_iters + r.Simplex.iterations;
     r
-  in
-  (* Oversubscribing domains on a machine with fewer cores only adds
-     scheduler thrash; clamp and say so once. *)
-  let workers =
-    let avail = Domain.recommended_domain_count () in
-    if options.workers > avail then begin
-      if not (Atomic.exchange clamp_warned true) then
-        Printf.eprintf "milp: clamping workers %d -> %d (recommended domain count)\n%!"
-          options.workers avail;
-      avail
-    end
-    else options.workers
   in
   let solve_on (input : Simplex.input) ?warm ?max_iters ?(want_basis = false)
       diffs =
@@ -143,13 +120,9 @@ let solve ?(options = default_options) ?steal_order m =
        > !root_elapsed
          +. (frac *. Float.max 0.0 (options.time_limit -. !root_elapsed))
   in
-  (* The incumbent is an atomic (key, point) pair installed by a
-     monotonic compare-and-set: a candidate only replaces the current
-     value if its key is strictly better, and a lost race simply
-     retries against the fresher value.  Workers prune against
-     [Atomic.get incumbent] with no lock, so a new incumbent is visible
-     to every domain at its very next node pop. *)
-  let incumbent = Atomic.make None (* (key, x) *) in
+  (* The incumbent (key, point): a candidate only replaces it if its key
+     is strictly better. *)
+  let incumbent = ref None (* (key, x) *) in
   (* Candidates are re-priced against the original objective after rounding
      the integer variables exactly, so heuristics (dive, pump) can never
      corrupt the reported optimum — at worst they fail to help. *)
@@ -161,15 +134,9 @@ let solve ?(options = default_options) ?steal_order m =
            (Array.mapi (fun j c -> c *. x.(j)) input0.Simplex.obj)
     in
     let k = key_of_obj objv in
-    let rec install () =
-      let cur = Atomic.get incumbent in
-      match cur with
-      | Some (k0, _) when k0 <= k +. 1e-12 -> ()
-      | _ ->
-          if not (Atomic.compare_and_set incumbent cur (Some (k, x))) then
-            install ()
-    in
-    install ()
+    match !incumbent with
+    | Some (k0, _) when k0 <= k +. 1e-12 -> ()
+    | _ -> incumbent := Some (k, x)
   in
   (* When root cuts are on, the initial root solve exports its basis so
      the cut rounds, the dive and the tree all warm-start from this one
@@ -184,25 +151,22 @@ let solve ?(options = default_options) ?steal_order m =
       match root0.Simplex.status with
       | Status.Infeasible ->
           { status = Status.Infeasible; x = [||]; relax_x = [||]; obj = nan; bound = nan;
-            gap = nan; nodes = 0; cuts = 0; lp_iterations = Atomic.get lp_iters;
-            workers }
+            gap = nan; nodes = 0; cuts = 0; lp_iterations = !lp_iters }
       | Status.Unbounded ->
           { status = Status.Unbounded; x = [||]; relax_x = [||]; obj = nan; bound = nan;
-            gap = nan; nodes = 0; cuts = 0; lp_iterations = Atomic.get lp_iters;
-            workers }
+            gap = nan; nodes = 0; cuts = 0; lp_iterations = !lp_iters }
       | Status.Iteration_limit | Status.Time_limit | Status.Node_limit
       | Status.Feasible ->
           { status = Status.Iteration_limit; x = [||]; relax_x = [||]; obj = nan; bound = nan;
-            gap = nan; nodes = 0; cuts = 0; lp_iterations = Atomic.get lp_iters;
-            workers }
+            gap = nan; nodes = 0; cuts = 0; lp_iterations = !lp_iters }
       | Status.Optimal when most_fractional int_ids int_tol root0.Simplex.x = -1 ->
           accept_point root0.Simplex.x;
-          let _, x = Option.get (Atomic.get incumbent) in
+          let _, x = Option.get !incumbent in
           let root_key = key_of_obj root0.Simplex.obj_value in
           { status = Status.Optimal; x; relax_x = root0.Simplex.x;
             obj = obj_of_key root_key;
             bound = obj_of_key root_key; gap = 0.0; nodes = 1; cuts = 0;
-            lp_iterations = Atomic.get lp_iters; workers }
+            lp_iterations = !lp_iters }
       | Status.Optimal ->
           (* Root strengthening: Gomory mixed-integer and cover cuts appended
              before the tree opens, so every node LP — and every warm-started
@@ -230,11 +194,11 @@ let solve ?(options = default_options) ?steal_order m =
           if most_fractional int_ids int_tol root.Simplex.x = -1 then begin
             (* The cut rounds closed the integrality gap outright. *)
             accept_point root.Simplex.x;
-            let _, x = Option.get (Atomic.get incumbent) in
+            let _, x = Option.get !incumbent in
             { status = Status.Optimal; x; relax_x = root0.Simplex.x;
               obj = obj_of_key root_key;
               bound = obj_of_key root_key; gap = 0.0; nodes = 1; cuts = ncuts;
-              lp_iterations = Atomic.get lp_iters; workers }
+              lp_iterations = !lp_iters }
           end
           else begin
             (* Dive-and-fix.  Each round pins every integer variable already
@@ -523,7 +487,7 @@ let solve ?(options = default_options) ?steal_order m =
             end;
             if
               options.dive_first
-              && Atomic.get incumbent = None
+              && !incumbent = None
               && not (out_of_time ())
             then dive ~stop_frac:0.8 [] root;
             let bstate =
@@ -533,55 +497,39 @@ let solve ?(options = default_options) ?steal_order m =
             let child_warm (r : Simplex.result) =
               if options.warm_start then r.Simplex.basis else None
             in
-            (* Work-stealing tree search.  Every worker owns a best-first
-               deque in [sched]; children are pushed to the worker that
-               solved the parent (so the owner dives down its own subtree
-               with warm bases), and an out-of-work domain steals a
-               victim's *worst* open node — a far-away subtree the victim
-               would reach last, which keeps the stolen work disjoint from
-               the victim's warm-start chain.  The only shared mutable
-               state on the node path is atomic: the incumbent (monotonic
-               CAS), the node counter, the stop reason, and the pseudocost
-               accumulators inside [Branching]. *)
-            let sched = Wsched.create ~workers ?steal_order () in
-            (* The tree's root node is the LP we just solved: hand it the
-               root basis so the first pop is a no-op repair, not a third
-               cold solve of the same relaxation. *)
-            Wsched.push sched ~who:0 ~key:root_key
+            (* Best-first tree search over the open-node frontier.  The
+               tree's root node is the LP we just solved: hand it the root
+               basis so the first pop is a no-op repair, not a third cold
+               solve of the same relaxation. *)
+            let frontier = Frontier.create () in
+            Frontier.push frontier ~key:root_key
               { diffs = []; depth = 0; warm = child_warm root;
                 branched = None };
-            let nodes = Atomic.make 0 in
-            let stop_reason = Atomic.make None in
-            let request_stop s =
-              ignore (Atomic.compare_and_set stop_reason None (Some s));
-              Wsched.stop sched
-            in
+            let nodes = ref 0 in
+            let stop_reason = ref None in
             (* Deadline-aware per-node budget: once the solve has burned
                enough clock to estimate its pivot rate, each node LP is
-               capped at the iterations the *remaining* budget can afford
-               (split across workers).  A node whose LP alone would
-               outlive the deadline is pushed back open and the search
-               stops, instead of blowing through the limit inside one
-               uninterruptible simplex call. *)
+               capped at the iterations the *remaining* budget can afford.
+               A node whose LP alone would outlive the deadline is pushed
+               back open and the search stops, instead of blowing through
+               the limit inside one uninterruptible simplex call. *)
             let node_budget () =
               if not (Float.is_finite options.time_limit) then None
               else begin
                 let elapsed = Sys.time () -. start in
-                let iters = Atomic.get lp_iters in
+                let iters = !lp_iters in
                 if elapsed <= 1e-3 || iters <= 0 then None
                 else begin
                   let remaining =
                     Float.max 0.0 (options.time_limit -. elapsed)
                   in
                   let rate = float_of_int iters /. elapsed in
-                  let cap =
-                    rate *. remaining /. float_of_int (max 1 workers)
-                  in
+                  let cap = rate *. remaining in
                   Some (max 500 (int_of_float (Float.min 1e8 cap)))
                 end
               end
             in
-            let process_result who nd (r : Simplex.result) =
+            let process_result nd (r : Simplex.result) =
               (match (nd.branched, r.Simplex.status) with
               | Some (j, up, pk, f), Status.Optimal ->
                   Branching.observe bstate ~var:j ~up ~frac:f
@@ -592,7 +540,7 @@ let solve ?(options = default_options) ?steal_order m =
               | Status.Optimal -> (
                   let k' = key_of_obj r.Simplex.obj_value in
                   let worse =
-                    match Atomic.get incumbent with
+                    match !incumbent with
                     | Some (ki, _) -> k' >= ki -. 1e-9 *. (1.0 +. Float.abs ki)
                     | None -> false
                   in
@@ -623,7 +571,7 @@ let solve ?(options = default_options) ?steal_order m =
                     in
                     match
                       Branching.select bstate ~int_ids ~tol:int_tol
-                        ~x:r.Simplex.x ~nodes:(Atomic.get nodes) ~probe
+                        ~x:r.Simplex.x ~nodes:!nodes ~probe
                     with
                     | -1 -> accept_point r.Simplex.x
                     | j ->
@@ -631,11 +579,11 @@ let solve ?(options = default_options) ?steal_order m =
                         let f = xv -. Float.floor xv in
                         let fl = Float.floor xv and ce = Float.ceil xv in
                         let warm = child_warm r in
-                        Wsched.push sched ~who ~key:k'
+                        Frontier.push frontier ~key:k'
                           { diffs = (j, neg_infinity, fl) :: nd.diffs;
                             depth = nd.depth + 1; warm;
                             branched = Some (j, false, k', f) };
-                        Wsched.push sched ~who ~key:k'
+                        Frontier.push frontier ~key:k'
                           { diffs = (j, ce, infinity) :: nd.diffs;
                             depth = nd.depth + 1; warm;
                             branched = Some (j, true, k', f) })
@@ -644,94 +592,62 @@ let solve ?(options = default_options) ?steal_order m =
                      incumbent, if any, remains valid. *)
                   ()
             in
-            (* Adaptive granularity is kept: the search starts strictly
-               sequential and helper domains are spawned at most once, when
-               the node count and the open frontier both show enough work
-               to amortize domain spawn (small trees — the common
-               warm-started case — never pay it). *)
-            let extra = max 0 (min (workers - 1) 63) in
-            let spawned = ref false in
-            let doms = ref [||] in
-            (* Worker body.  With one worker this visits nodes in exactly
-               the sequential best-bound order: the single deque *is* the
-               global best-bound heap. *)
-            let rec worker who =
-              match Wsched.next sched ~who with
-              | Wsched.Done | Wsched.Stopped -> ()
-              | Wsched.Work (k, nd) ->
+            (* A node stopped by a budget goes back on the frontier, so
+               its key still feeds the reported bound. *)
+            let rec search () =
+              match Frontier.pop_min frontier with
+              | None -> ()
+              | Some (k, nd) ->
                   let pruned =
-                    match Atomic.get incumbent with
+                    match !incumbent with
                     | Some (ki, _) -> k >= ki -. 1e-12
                     | None -> false
                   in
-                  if pruned then begin
-                    (* Prune at pop: stale nodes fall out lazily, one
-                       wasted pop each, instead of a frontier sweep under
-                       a global lock. *)
-                    Wsched.done_one sched;
-                    worker who
-                  end
-                  else if Atomic.get nodes >= options.node_limit then begin
-                    Wsched.push sched ~who ~key:k nd;
-                    Wsched.done_one sched;
-                    request_stop Status.Node_limit
+                  if pruned then search ()
+                  else if !nodes >= options.node_limit then begin
+                    Frontier.push frontier ~key:k nd;
+                    stop_reason := Some Status.Node_limit
                   end
                   else if out_of_time () then begin
-                    Wsched.push sched ~who ~key:k nd;
-                    Wsched.done_one sched;
-                    request_stop Status.Time_limit
+                    Frontier.push frontier ~key:k nd;
+                    stop_reason := Some Status.Time_limit
                   end
                   else begin
-                    ignore (Atomic.fetch_and_add nodes 1);
-                    if
-                      who = 0 && extra > 0 && (not !spawned)
-                      && Atomic.get nodes >= par_threshold
-                      && Wsched.pending sched >= par_threshold
-                    then begin
-                      spawned := true;
-                      doms :=
-                        Array.init extra (fun i ->
-                            Domain.spawn (fun () -> worker (i + 1)))
-                    end;
+                    incr nodes;
                     let cap = node_budget () in
                     let r =
                       solve_node ?warm:nd.warm ?max_iters:cap
                         ~want_basis:options.warm_start nd.diffs
                     in
-                    (match r.Simplex.status with
+                    match r.Simplex.status with
                     | Status.Iteration_limit when cap <> None ->
-                        (* Our own deadline cap fired: the node stays open
-                           (its key keeps feeding the reported bound) and
-                           the search winds down. *)
-                        Wsched.push sched ~who ~key:k nd;
-                        request_stop Status.Time_limit
-                    | _ -> process_result who nd r);
-                    (* Children are pushed before this [done_one], so
-                       [pending] can never dip to 0 while successors
-                       exist. *)
-                    Wsched.done_one sched;
-                    worker who
+                        (* Our own deadline cap fired: the search winds
+                           down. *)
+                        Frontier.push frontier ~key:k nd;
+                        stop_reason := Some Status.Time_limit
+                    | _ ->
+                        process_result nd r;
+                        search ()
                   end
             in
-            worker 0;
-            Array.iter Domain.join !doms;
+            search ();
             let open_bound =
-              match (Atomic.get stop_reason, Wsched.min_key sched) with
+              match (!stop_reason, Frontier.min_key frontier) with
               | None, _ -> infinity (* tree exhausted: incumbent is optimal *)
               | Some _, Some k -> k
               | Some _, None -> infinity
             in
-            match Atomic.get incumbent with
+            match !incumbent with
             | None ->
                 let status =
-                  match Atomic.get stop_reason with
+                  match !stop_reason with
                   | None -> Status.Infeasible
                   | Some s -> s
                 in
                 { status; x = [||]; relax_x = root0.Simplex.x; obj = nan;
                   bound = obj_of_key root_key;
-                  gap = nan; nodes = Atomic.get nodes; cuts = ncuts;
-                  lp_iterations = Atomic.get lp_iters; workers }
+                  gap = nan; nodes = !nodes; cuts = ncuts;
+                  lp_iterations = !lp_iters }
             | Some (ki, x) ->
                 let bound_key =
                   if open_bound = infinity then ki
@@ -742,13 +658,13 @@ let solve ?(options = default_options) ?steal_order m =
                   Float.abs (ki -. bound_key) /. Float.max 1.0 (Float.abs ki)
                 in
                 let status =
-                  match Atomic.get stop_reason with
+                  match !stop_reason with
                   | None -> Status.Optimal
                   | Some _ when gap <= options.gap_tol -> Status.Optimal
                   | Some _ -> Status.Feasible
                 in
                 { status; x; relax_x = root0.Simplex.x; obj = obj_of_key ki;
                   bound = obj_of_key bound_key;
-                  gap; nodes = Atomic.get nodes; cuts = ncuts;
-                  lp_iterations = Atomic.get lp_iters; workers }
+                  gap; nodes = !nodes; cuts = ncuts;
+                  lp_iterations = !lp_iters }
           end)

@@ -20,23 +20,11 @@
     as built.  Integer values are judged with a fixed tolerance of
     [1e-6].
 
-    With [workers > 1] the tree search fans out over that many OCaml 5
-    domains under a work-stealing scheduler ({!Wsched}): each domain
-    owns a best-first deque, children go to the domain that solved the
-    parent (keeping warm-start basis chains local), and an idle domain
-    steals a victim's worst open node.  The incumbent is broadcast
-    lock-free through an [Atomic] with a monotonic compare-and-set, so
-    pruning always uses the freshest bound.  The fan-out is adaptive:
-    the search starts sequential and the helper domains are spawned only
-    once at least 64 nodes have been processed {e and} that many are
-    simultaneously pending — so small trees (the common
-    warm-started case) never pay domain spawn costs.  The returned
-    solution is still optimal whenever the sequential solver's is, but
-    the visit order — and therefore [nodes] and [lp_iterations] — may
-    differ run to run.  [workers = 1] is exactly the deterministic
-    sequential search.  Requested worker counts beyond
-    [Domain.recommended_domain_count ()] are clamped; the effective
-    count is reported in [result.workers]. *)
+    The search runs on the calling domain, one node at a time, so a
+    solve that [time_limit] does not cut short is deterministic: the
+    same model and options give the same [x], [nodes] and
+    [lp_iterations].  Parallelism lives one level up, where a pool runs
+    whole solves on separate domains. *)
 
 (** Compatibility shim with one constructor: the solver has a single
     simplex engine and ignores this value.  It exists only because
@@ -48,8 +36,9 @@ type options = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 5000) *)
   time_limit : float;
       (** CPU-seconds budget ([Sys.time]), [infinity] = none.  Note that
-          with [workers > 1] CPU time accumulates across domains, so the
-          budget is consumed up to [workers] times faster than wall clock. *)
+          [Sys.time] is the CPU time of the whole process, so solves
+          running at the same time on other pool domains spend the same
+          budget. *)
   gap_tol : float;
       (** relative-gap tolerance for reporting (default [1e-6]).  It does
           not stop the search early: a solve that ends on [node_limit] or
@@ -58,8 +47,6 @@ type options = {
   dive_first : bool;       (** seed the incumbent by diving at the root *)
   warm_start : bool;
       (** reoptimize node LPs from the parent basis (default [true]) *)
-  workers : int;
-      (** domains searching the tree (default 1 = sequential) *)
   core : core;  (** ignored; see {!core} *)
   branch_strategy : Branching.strategy;
       (** branching-variable selection (default {!Branching.Reliability}) *)
@@ -86,24 +73,10 @@ type result = {
   nodes : int;             (** branch-and-bound nodes explored *)
   cuts : int;              (** cutting planes appended at the root *)
   lp_iterations : int;     (** total simplex iterations *)
-  workers : int;
-  (** effective worker-domain count after clamping the requested
-      [options.workers] to [Domain.recommended_domain_count ()] — the
-      observable form of the one-shot stderr clamp warning *)
 }
 
-(** [solve m] solves the model, honouring integrality marks on variables.
-
-    [steal_order] is a test seam forwarded to the work-stealing
-    scheduler (see {!Wsched.create}): it maps an idle worker and its
-    sweep round to the victim it should try to steal from, letting the
-    determinism suite script adversarial steal interleavings.  Leave it
-    unset for the default cyclic sweep. *)
-val solve :
-  ?options:options ->
-  ?steal_order:(thief:int -> round:int -> int) ->
-  Model.t ->
-  result
+(** [solve m] solves the model, honouring integrality marks on variables. *)
+val solve : ?options:options -> Model.t -> result
 
 (** [relax m] solves the LP relaxation only.  [core] is ignored. *)
 val relax : ?core:core -> Model.t -> Simplex.result

@@ -61,8 +61,7 @@ let milp_of_json j =
       let* node_limit = opt integer "nodes" in
       let* time_limit = opt number "time" in
       let* gap_tol = opt number "gap" in
-      let* workers = opt integer "workers" in
-      Ok { Job.node_limit; time_limit; gap_tol; workers }
+      Ok { Job.node_limit; time_limit; gap_tol }
 
 let scenario_of_json j =
   match Json.member "scenario" j with

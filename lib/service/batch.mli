@@ -7,7 +7,7 @@
      "estate":{"kind":"dataset","name":"enterprise1","scale":1.0},
      "dr":false, "eos":false, "fixed_charges":false,
      "omega":0.5, "reserve":0.3, "dr_server_cost":100.0,
-     "milp":{"nodes":24,"time":60.0,"gap":0.005,"workers":1},
+     "milp":{"nodes":24,"time":60.0,"gap":0.005},
      "deadline_s":10.0, "degrade":true}
     v}
 
@@ -20,8 +20,9 @@
     Keys the schema does not name are ignored, at the top level and
     inside ["milp"] and ["scenario"]: they change neither the decoded
     job nor its fingerprint.  This includes the retired ["milp"]
-    keys ["branching"], ["pump"] and ["cuts"], so older clients that
-    still send them get the default solver.
+    keys ["branching"], ["pump"], ["cuts"] and ["workers"], so older
+    clients that still send them get the default solver, which searches
+    each MILP on one domain.
 
     Blank lines and lines starting with [#] are skipped. *)
 

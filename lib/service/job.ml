@@ -12,7 +12,6 @@ type milp_overrides = {
   node_limit : int option;
   time_limit : float option;
   gap_tol : float option;
-  workers : int option;
 }
 
 let no_overrides =
@@ -20,7 +19,6 @@ let no_overrides =
     node_limit = None;
     time_limit = None;
     gap_tol = None;
-    workers = None;
   }
 
 type scenario_overrides = {
@@ -106,7 +104,6 @@ let canonical job =
       "nodes=" ^ opt string_of_int job.milp.node_limit;
       "time=" ^ opt fl job.milp.time_limit;
       "gap=" ^ opt fl job.milp.gap_tol;
-      "workers=" ^ opt string_of_int job.milp.workers;
     ]
   in
   let scen =
@@ -174,5 +171,4 @@ let milp_options job =
     time_limit =
       Option.value job.milp.time_limit ~default:base.Lp.Milp.time_limit;
     gap_tol = Option.value job.milp.gap_tol ~default:base.Lp.Milp.gap_tol;
-    workers = Option.value job.milp.workers ~default:base.Lp.Milp.workers;
   }

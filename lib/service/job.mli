@@ -37,7 +37,6 @@ type milp_overrides = {
   node_limit : int option;
   time_limit : float option;
   gap_tol : float option;
-  workers : int option;
 }
 
 val no_overrides : milp_overrides

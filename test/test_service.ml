@@ -238,7 +238,7 @@ let test_fingerprint_pinned () =
       {|{"id":"pin","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20},"dr":false}|}
   in
   Alcotest.(check string)
-    "pinned fingerprint" "0871dab308aacb37ed48de9d075e0c07"
+    "pinned fingerprint" "4fd1af45cdd5155174ebe2c6fd69ecc2"
     (Service.Job.fingerprint job)
 
 (* Unknown keys are ignored (Batch's contract), including the "milp"
@@ -250,7 +250,7 @@ let test_unknown_milp_keys_ignored () =
   in
   let extra =
     parse_job
-      {|{"estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20,"branching":"pseudocost","pump":false,"cuts":false}}|}
+      {|{"estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20,"branching":"pseudocost","pump":false,"cuts":false,"workers":4}}|}
   in
   Alcotest.(check bool) "same milp overrides" true
     (plain.Service.Job.milp = extra.Service.Job.milp);
