@@ -351,6 +351,166 @@ let milp_config_equivalence spec =
   in
   check (List.tl results)
 
+(* ------------------------------------------------ cut dedup oracle *)
+
+(* [Cuts.keep_fresh] drops repeated root cuts without printing them.  The
+   reference is the filter it replaced: each cut rendered to a key (sense,
+   rhs and every term at [%.9g]) and kept when its key is new.  A case is
+   a few rounds of cuts drawn to hit every edge of "prints the same":
+   exact repeats, values moved below and above nine significant digits or
+   by one ulp, 0.0 against -0.0, the same support under another sense,
+   and supports shifted or reordered.  Both filters, each keeping its
+   seen set across rounds, must keep the same cuts in the same order. *)
+
+type cut = (int * float) array * Lp.Model.sense * float
+
+let reference_cut_key ((terms, sense, rhs) : cut) =
+  let b = Buffer.create 64 in
+  (match sense with
+  | Lp.Model.Le -> Buffer.add_char b 'L'
+  | Lp.Model.Ge -> Buffer.add_char b 'G'
+  | Lp.Model.Eq -> Buffer.add_char b 'E');
+  Buffer.add_string b (Printf.sprintf "%.9g" rhs);
+  Array.iter
+    (fun (j, c) -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j c))
+    terms;
+  Buffer.contents b
+
+let reference_dedup rounds =
+  let seen = Hashtbl.create 64 in
+  List.map
+    (List.filter (fun cut ->
+         let k = reference_cut_key cut in
+         if Hashtbl.mem seen k then false
+         else begin
+           Hashtbl.replace seen k ();
+           true
+         end))
+    rounds
+
+let pp_cut ppf ((terms, sense, rhs) : cut) =
+  Format.fprintf ppf "%s%h[%s]"
+    (match sense with Lp.Model.Le -> "<=" | Lp.Model.Ge -> ">=" | Lp.Model.Eq -> "=")
+    rhs
+    (String.concat " "
+       (List.map (fun (j, c) -> Printf.sprintf "%d:%h" j c) (Array.to_list terms)))
+
+let pp_rounds ppf rounds =
+  List.iteri
+    (fun k round ->
+      Format.fprintf ppf "@[<hov 2>round %d:@ %a@]@ " k
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_cut)
+        round)
+    rounds
+
+(* Values on zero or small integers, on or near a nine-digit rounding
+   tie or a power of ten, at magnitudes from subnormal to 1e30, besides
+   plain random ones. *)
+let gen_value : float Gen.t =
+  Gen.frequency
+    [
+      (3, Gen.float_range (-10.0) 10.0);
+      (2, Gen.map float_of_int (Gen.int_range (-3) 3));
+      (1, Gen.choose [ 0.0; -0.0 ]);
+      ( 1,
+        Gen.choose
+          [ 0.1234567885; -2.0000000005; 1e-9; 123456789.5; 1000000005.0;
+            -12345678950.0; 9.999999995; -99999999.95; 1.000000005; 1e-15;
+            2.5e25; 5e-324; 1e300; infinity ] );
+      ( 1,
+        Gen.map2
+          (fun m e -> m *. (10.0 ** float_of_int e))
+          (Gen.float_range (-10.0) 10.0)
+          (Gen.int_range (-20) 32) );
+    ]
+
+let gen_fresh_cut : cut Gen.t =
+ fun rng ->
+  let support =
+    List.filter (fun _ -> Gen.int_range 0 2 rng = 0) (List.init 12 Fun.id)
+  in
+  let support = if support = [] then [ Gen.int_range 0 11 rng ] else support in
+  let terms = Array.of_list (List.map (fun j -> (j, gen_value rng)) support) in
+  (terms, Gen.choose [ Lp.Model.Ge; Lp.Model.Ge; Lp.Model.Le; Lp.Model.Eq ] rng,
+   gen_value rng)
+
+(* One value moved: by a relative step below or above nine significant
+   digits, by one ulp, across the sign of zero, or to its negation. *)
+let gen_nudge : (float -> float) Gen.t =
+  Gen.oneof
+    [
+      Gen.map
+        (fun e v -> v *. (1.0 +. e))
+        (Gen.choose [ 1e-13; 1e-11; 4e-10; 1e-9; 6e-9; 1.2e-8; 3e-8; 1e-7 ]);
+      Gen.choose [ Float.succ; Float.pred ];
+      Gen.return (fun v -> if v = 0.0 then -.v else v);
+      Gen.return (fun v -> if v = 0.0 then -.v else 0.0);
+      Gen.return Float.neg;
+    ]
+
+let gen_variant ((terms, sense, rhs) : cut) : cut Gen.t =
+ fun rng ->
+  match Gen.int_range 0 5 rng with
+  | 0 -> (terms, sense, rhs)
+  | 1 -> (terms, sense, gen_nudge rng rhs)
+  | 2 ->
+      let k = Gen.int_range 0 (Array.length terms - 1) rng in
+      let f = gen_nudge rng in
+      (Array.mapi (fun i (j, c) -> if i = k then (j, f c) else (j, c)) terms,
+       sense, rhs)
+  | 3 ->
+      (terms, Gen.choose [ Lp.Model.Le; Lp.Model.Ge; Lp.Model.Eq ] rng, rhs)
+  | 4 ->
+      let k = Gen.int_range 0 (Array.length terms - 1) rng in
+      (Array.mapi (fun i (j, c) -> if i = k then (j + 12, c) else (j, c)) terms,
+       sense, rhs)
+  | _ ->
+      let n = Array.length terms in
+      (Array.init n (fun i -> terms.(n - 1 - i)), sense, rhs)
+
+let gen_rounds : cut list list Gen.t =
+ fun rng ->
+  let drawn = ref [||] in
+  let gen_cut rng =
+    let cut =
+      if Array.length !drawn = 0 || Gen.int_range 0 2 rng = 0 then
+        gen_fresh_cut rng
+      else
+        gen_variant
+          !drawn.(Gen.int_range 0 (Array.length !drawn - 1) rng) rng
+    in
+    drawn := Array.append !drawn [| cut |];
+    cut
+  in
+  List.init (Gen.int_range 1 4 rng) (fun _ -> Gen.list ~max:12 gen_cut rng)
+
+let arb_rounds =
+  Check.arb ~pp:pp_rounds ~shrink:(Shrink.list ~elt:Shrink.list) gen_rounds
+
+(* Positions in [round] of the cuts a filter kept, which are a
+   subsequence of it. *)
+let kept_positions round kept =
+  let rec go i round kept =
+    match (round, kept) with
+    | c :: round', k :: kept' when c == k -> i :: go (i + 1) round' kept'
+    | _ :: round', _ -> go (i + 1) round' kept
+    | [], _ -> []
+  in
+  go 0 round kept
+
+let cut_dedup_equivalence rounds =
+  let seen = Lp.Cuts.seen () in
+  let got = List.map (fun r -> kept_positions r (Lp.Cuts.keep_fresh seen r)) rounds in
+  let want = List.map2 kept_positions rounds (reference_dedup rounds) in
+  let show ps = String.concat "," (List.map string_of_int ps) in
+  let rec check k = function
+    | [] -> Ok ()
+    | (g, w) :: rest ->
+        if g = w then check (k + 1) rest
+        else failf "round %d: keep_fresh kept [%s], the reference [%s]" k (show g) (show w)
+  in
+  check 0 (List.combine got want)
+
 (* ------------------------------------------- pool worker-count oracle *)
 
 (* Random batches of line-estate scenarios through the service pool at
@@ -761,6 +921,8 @@ let props =
       warm_memo_equivalence;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"
       Gen_lp.arb_milp_mixed milp_config_equivalence;
+    prop ~count:2000 ~smoke_count:400 "cut_dedup_equivalence" arb_rounds
+      cut_dedup_equivalence;
     prop ~count:4 ~smoke_count:1 "pool_workers_equivalence" arb_pool_case
       pool_workers_equivalence;
     prop ~count:300 ~smoke_count:60 "local_search_equivalence" arb_ls_case

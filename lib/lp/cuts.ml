@@ -350,17 +350,81 @@ let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
     Some { Simplex.vbasis; vstat }
   end
 
-let cut_key (terms, sense, rhs) =
-  let b = Buffer.create 64 in
-  (match sense with
-  | Model.Le -> Buffer.add_char b 'L'
-  | Model.Ge -> Buffer.add_char b 'G'
-  | Model.Eq -> Buffer.add_char b 'E');
-  Buffer.add_string b (Printf.sprintf "%.9g" rhs);
-  Array.iter
-    (fun (j, c) -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j c))
-    terms;
-  Buffer.contents b
+(* Two cuts repeat each other when they have the same sense and the
+   same column indices in the same order, and their rhs and each
+   coefficient print alike at [%.9g] ([0.0] and [-0.0] do not).  Equal
+   bits always print alike; other pairs are compared by [key_9g], and
+   printed only when it cannot tell.  The seen cuts are bucketed by
+   sense and column indices, each bucket holding the rhs and
+   coefficients of its cuts. *)
+type seen = (Model.sense * int array, (float * float array) list) Hashtbl.t
+
+let seen () : seen = Hashtbl.create 64
+
+let pow10 = Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
+
+(* [%.9g] of a nonzero finite [a] is fixed by its sign and by the nine
+   significant digits and the decimal exponent it rounds to.  [key_9g a]
+   packs them into one int without printing, when they are certain: [a]
+   is scaled into [1e8, 1e9) by an exact power of ten with one rounding,
+   an error below 1e-7, so the key is [-1] ("print it") when the scaled
+   value lies within 1e-6 of a rounding tie or of the ends of that
+   range, or when |a| lies outside [1e-14, 1e31), where the power of ten
+   needed is not an exact double. *)
+let key_9g a =
+  let x = Float.abs a in
+  let scaled e =
+    let k = 8 - e in
+    if k >= 0 && k <= 22 then x *. pow10.(k)
+    else if k < 0 && k >= -22 then x /. pow10.(-k)
+    else nan
+  in
+  if x = 0.0 || not (Float.is_finite x) then -1
+  else begin
+    let e = int_of_float (Float.floor (Float.log10 x)) in
+    let s = scaled e in
+    let e, s =
+      if s < 1e8 then (e - 1, scaled (e - 1))
+      else if s >= 1e9 then (e + 1, scaled (e + 1))
+      else (e, s)
+    in
+    if not (s >= 1e8 +. 1.0 && s <= 1e9 -. 1.0) then -1
+    else begin
+      let fl = Float.floor s in
+      let f = s -. fl in
+      if Float.abs (f -. 0.5) < 1e-6 then -1
+      else begin
+        let digits = int_of_float fl + if f > 0.5 then 1 else 0 in
+        ((((e + 100) * 1_000_000_000) + digits) * 2)
+        + if Float.sign_bit a then 1 else 0
+      end
+    end
+  end
+
+let same_9g a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  ||
+  let ka = key_9g a and kb = key_9g b in
+  if ka >= 0 && kb >= 0 then ka = kb
+  else String.equal (Printf.sprintf "%.9g" a) (Printf.sprintf "%.9g" b)
+
+let keep_fresh (seen : seen) cuts =
+  List.filter
+    (fun (terms, sense, rhs) ->
+      let key = (sense, Array.map fst terms) in
+      let coefs = Array.map snd terms in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
+      if
+        List.exists
+          (fun (rhs', coefs') ->
+            same_9g rhs rhs' && Array.for_all2 same_9g coefs coefs')
+          bucket
+      then false
+      else begin
+        Hashtbl.replace seen key ((rhs, coefs) :: bucket);
+        true
+      end)
+    cuts
 
 (* Separation is skipped above this many rows.  The limit fixes which
    models get cuts at all, so moving it changes plans. *)
@@ -376,7 +440,7 @@ let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
   if Array.length input0.Simplex.rows > max_separation_rows then None
   else begin
     let base_rows = Array.length input0.Simplex.rows in
-    let seen = Hashtbl.create 64 in
+    let seen = seen () in
     (* Reuse the caller's root solve when it already carries a basis: on
        wide models a cold LP is the single most expensive step of the
        whole cut pass, and the caller has usually just paid for it. *)
@@ -400,17 +464,7 @@ let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
             cover_cuts ~integer input r.Simplex.x ~base_rows
               ~max_cuts:max_per_round
           in
-          let fresh =
-            List.filter
-              (fun cut ->
-                let k = cut_key cut in
-                if Hashtbl.mem seen k then false
-                else begin
-                  Hashtbl.replace seen k ();
-                  true
-                end)
-              (g @ c)
-          in
+          let fresh = keep_fresh seen (g @ c) in
           if fresh = [] then (input, r)
           else begin
             let ng =

@@ -29,6 +29,23 @@ type stats = { gomory : int; cover : int; rounds : int }
 
 val total : stats -> int
 
+(** The repeated-cut filter of {!strengthen}: cuts already seen, across
+    rounds. *)
+type seen
+
+val seen : unit -> seen
+
+(** [keep_fresh seen cuts] keeps, in order, the cuts of [cuts] that
+    repeat no cut in [seen] nor an earlier one of [cuts], and adds them
+    to [seen].  A cut [(terms, sense, rhs)] repeats another when both
+    have the same [sense], the same column indices in the same order,
+    and their [rhs] and each coefficient print the same under
+    [Printf.sprintf "%.9g"] (so [0.0] and [-0.0] differ). *)
+val keep_fresh :
+  seen ->
+  ((int * float) array * Model.sense * float) list ->
+  ((int * float) array * Model.sense * float) list
+
 (** [strengthen ~solve ~integer ~int_tol ~stop input] runs separation
     rounds at the root: solve (with a basis), separate, append, repeat.
     [solve] must export a basis ([want_basis]) for Gomory separation to

@@ -188,8 +188,15 @@ let phase2_cost input ntot =
 (* orientation directly.                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Compressed-row copy of the same matrix, for the dual simplex's row
+   pricing.  Entries within a row are stored in increasing column
+   order. *)
+type rmat = { rstart : int array; rcol : int array; rval : float array }
+
 (* Compressed-column copy of [A | slacks | artificials].  Entries within
-   a column are stored in increasing row order. *)
+   a column are stored in increasing row order.  The row copy is built
+   the first time a dual simplex prices over the matrix; systhreads
+   sharing it may both build it, and both build the same. *)
 type smat = {
   sm_m : int;
   sm_n : int;
@@ -199,6 +206,7 @@ type smat = {
   crow : int array;
   cval : float array;
   sm_slack : int array;      (* slack column of each row, or -1 *)
+  mutable sm_rows : rmat option;
 }
 
 let build_smat input =
@@ -249,7 +257,33 @@ let build_smat input =
       put (art0 + i) i 1.0)
     input.rows;
   { sm_m = m; sm_n = n; sm_art0 = art0; sm_ntot = ntot; cstart; crow; cval;
-    sm_slack = slack }
+    sm_slack = slack; sm_rows = None }
+
+let row_matrix mat =
+  match mat.sm_rows with
+  | Some r -> r
+  | None ->
+      let m = mat.sm_m and nnz = mat.cstart.(mat.sm_ntot) in
+      let rstart = Array.make (m + 1) 0 in
+      for k = 0 to nnz - 1 do
+        rstart.(mat.crow.(k) + 1) <- rstart.(mat.crow.(k) + 1) + 1
+      done;
+      for i = 0 to m - 1 do
+        rstart.(i + 1) <- rstart.(i + 1) + rstart.(i)
+      done;
+      let rcol = Array.make (max 1 nnz) 0 and rval = Array.make (max 1 nnz) 0.0 in
+      let fill = Array.sub rstart 0 m in
+      for j = 0 to mat.sm_ntot - 1 do
+        for k = mat.cstart.(j) to mat.cstart.(j + 1) - 1 do
+          let i = mat.crow.(k) in
+          rcol.(fill.(i)) <- j;
+          rval.(fill.(i)) <- mat.cval.(k);
+          fill.(i) <- fill.(i) + 1
+        done
+      done;
+      let r = { rstart; rcol; rval } in
+      mat.sm_rows <- Some r;
+      r
 
 (* One eta factor of the product-form inverse: pivoting column [d] into
    row [ep] multiplies B by the identity with column [ep] replaced by
@@ -289,6 +323,11 @@ let ensure_eta_capacity st =
     st.etas <- grown
   end
 
+let add_eta st e =
+  ensure_eta_capacity st;
+  st.etas.(st.neta) <- e;
+  st.neta <- st.neta + 1
+
 let push_eta st ~p (d : float array) =
   let m = st.ss_m in
   let nz = ref 0 in
@@ -310,14 +349,10 @@ let push_eta st ~p (d : float array) =
       { ep = p; erow; evals; epiv = d.(p) }
     end
   in
-  ensure_eta_capacity st;
-  st.etas.(st.neta) <- e;
-  st.neta <- st.neta + 1
+  add_eta st e
 
 let push_unit_eta st ~p piv =
-  ensure_eta_capacity st;
-  st.etas.(st.neta) <- { ep = p; erow = [||]; evals = [||]; epiv = piv };
-  st.neta <- st.neta + 1
+  add_eta st { ep = p; erow = [||]; evals = [||]; epiv = piv }
 
 (* x := B^-1 x: apply eta inverses oldest to newest. *)
 let ftran st (x : float array) =
@@ -401,15 +436,18 @@ let refactorize st =
   else begin
     let cols = Array.sub st.sbasis 0 m in
     let order = Array.init m (fun i -> i) in
-    let colnnz i =
-      let j = cols.(i) in
-      st.mat.cstart.(j + 1) - st.mat.cstart.(j)
+    let colnnz =
+      Array.map (fun j -> st.mat.cstart.(j + 1) - st.mat.cstart.(j)) cols
     in
-    Array.sort (fun a b -> Int.compare (colnnz a) (colnnz b)) order;
+    Array.sort (fun a b -> Int.compare colnnz.(a) colnnz.(b)) order;
     let claimed = Array.make m false in
     let newbasis = Array.make m (-1) in
     let ok = ref true in
     let d = st.sd in
+    (* Rows of the transformed column above the eta threshold, in
+       increasing order, recorded during the pivot scan so the eta is
+       built from them without another pass over [d]. *)
+    let nzrow = Array.make m 0 in
     (try
        Array.iter
          (fun i0 ->
@@ -418,18 +456,36 @@ let refactorize st =
            let p = ref (-1) and best = ref 1e-10 and nz = ref 0 in
            for i = 0 to m - 1 do
              let a = Float.abs (Array.unsafe_get d i) in
-             if a > 1e-13 then incr nz;
-             if (not claimed.(i)) && a > !best then begin
-               best := a;
-               p := i
+             if a > 1e-13 then begin
+               Array.unsafe_set nzrow !nz i;
+               incr nz;
+               if a > !best && not claimed.(i) then begin
+                 best := a;
+                 p := i
+               end
              end
            done;
            if !p < 0 then raise Exit;
            let p = !p in
            claimed.(p) <- true;
            newbasis.(p) <- j;
-           (* a still-unit column pivoting its own row needs no eta *)
-           if not (!nz = 1 && d.(p) = 1.0) then push_eta st ~p d)
+           (* a still-unit column pivoting its own row needs no eta; [p]
+              is always among the [nz] recorded rows *)
+           let nz = !nz in
+           if not (nz = 1 && d.(p) = 1.0) then begin
+             let erow = Array.make (nz - 1) 0
+             and evals = Array.make (nz - 1) 0.0 in
+             let k = ref 0 in
+             for t = 0 to nz - 1 do
+               let i = Array.unsafe_get nzrow t in
+               if i <> p then begin
+                 erow.(!k) <- i;
+                 evals.(!k) <- Array.unsafe_get d i;
+                 incr k
+               end
+             done;
+             add_eta st { ep = p; erow; evals; epiv = d.(p) }
+           end)
          order
      with Exit -> ok := false);
     if !ok then begin
@@ -442,16 +498,20 @@ let refactorize st =
 let maybe_refactor st =
   if st.neta >= st.refactor_every then refactorize st else true
 
-(* Duals y = c_B^T B^-1 and reduced costs z_j = c_j - y A_j, recomputed
-   from the factorization at every pricing round, so the engine never
-   accumulates incremental reduced-cost drift. *)
-let reset_reduced_costs st (c : float array) =
-  let m = st.ss_m in
+(* Duals y = c_B^T B^-1 into [sy]. *)
+let reset_duals st (c : float array) =
   let y = st.sy in
-  for i = 0 to m - 1 do
+  for i = 0 to st.ss_m - 1 do
     y.(i) <- c.(st.sbasis.(i))
   done;
-  btran st y;
+  btran st y
+
+(* Duals and reduced costs z_j = c_j - y A_j, recomputed from the
+   factorization at every pricing round, so the engine never accumulates
+   incremental reduced-cost drift. *)
+let reset_reduced_costs st (c : float array) =
+  reset_duals st c;
+  let y = st.sy in
   (* Flat CSC sweep: this runs every pricing round over all unpinned
      columns, so the per-column [col_dot] call is inlined by hand. *)
   let mat = st.mat in
@@ -992,13 +1052,14 @@ let warm_state input (w : basis) =
 (* Bounded-variable dual simplex.  The basis is assumed (near) dual
    feasible; primal feasibility is restored one bound violation at a time,
    with the transformed leaving row obtained by BTRAN of a unit vector and
-   one pass over the column nonzeros.  Returns [`Feasible] when all basic
+   one pass over the row-wise nonzeros of its support.  Returns [`Feasible] when all basic
    values are within bounds, [`Infeasible] when some violated row admits
    no entering column (a primal-infeasibility certificate independent of
    the reduced costs), or [`Iters] when the budget runs out or a pivot
    collapses. *)
 let dual_simplex st max_iters (c : float array) =
   let m = st.ss_m and ntot = st.ss_ntot in
+  let rho = Array.make (max 1 m) 0.0 and alpha = Array.make ntot 0.0 in
   let rec loop () =
     if st.siters >= max_iters then `Iters
     else begin
@@ -1025,17 +1086,35 @@ let dual_simplex st max_iters (c : float array) =
         let r = !row in
         let b = st.sbasis.(r) in
         let target = if !below then st.qlo.(b) else st.qhi.(b) in
-        (* Fresh reduced costs first ([reset_reduced_costs] owns [sy]),
-           then the transformed row rho = B^-T e_r. *)
-        reset_reduced_costs st c;
-        let rho = st.sy in
+        (* Fresh duals y in [sy] and the transformed row rho = B^-T e_r.
+           Only columns that pass the eligibility test on rho need their
+           reduced cost c_j - y A_j, computed in the same order as
+           [reset_reduced_costs] computes it; [sz] is not touched, and
+           [run_phase] refreshes it before it prices. *)
+        reset_duals st c;
         Array.fill rho 0 m 0.0;
         rho.(r) <- 1.0;
         btran st rho;
+        (* alpha_j = rho A_j for every column, accumulated row by row
+           over the nonzeros of rho.  Each alpha_j sums its terms in
+           increasing row order from +0.0, as [col_dot] does; the terms
+           it skips are the signed zeros of rows where rho is zero, which
+           leave such a sum unchanged. *)
+        Array.fill alpha 0 ntot 0.0;
+        let { rstart; rcol; rval } = row_matrix st.mat in
+        for i = 0 to m - 1 do
+          let ri = rho.(i) in
+          if ri <> 0.0 then
+            for k = rstart.(i) to rstart.(i + 1) - 1 do
+              let j = Array.unsafe_get rcol k in
+              Array.unsafe_set alpha j
+                (Array.unsafe_get alpha j +. (Array.unsafe_get rval k *. ri))
+            done
+        done;
         let q = ref (-1) and best_ratio = ref infinity and best_w = ref 0.0 in
         for j = 0 to ntot - 1 do
           if st.sstat.(j) <> Basic && st.qlo.(j) < st.qhi.(j) then begin
-            let w = col_dot st j rho in
+            let w = alpha.(j) in
             let eligible =
               if Float.abs w <= tol_piv then false
               else
@@ -1046,12 +1125,12 @@ let dual_simplex st max_iters (c : float array) =
                 | Basic -> false
             in
             if eligible then begin
+              let zj = c.(j) -. col_dot st j st.sy in
               let ratio =
                 match st.sstat.(j) with
-                | Free_nb -> Float.abs (st.sz.(j) /. w)
+                | Free_nb -> Float.abs (zj /. w)
                 | _ ->
-                    Float.max 0.0
-                      (if !below then -.(st.sz.(j) /. w) else st.sz.(j) /. w)
+                    Float.max 0.0 (if !below then -.(zj /. w) else zj /. w)
               in
               if
                 ratio < !best_ratio -. 1e-10

@@ -1,5 +1,6 @@
 (* Validator for the @service-smoke alias: the NDJSON stream produced by
-   `etransform batch` over test/service_smoke.ndjson must contain exactly
+   `etransform batch` over test/service_smoke.ndjson, read from stdin (or
+   from the file named by the first argument), must contain exactly
    one well-formed result line per job, all solved, in input order, and
    the permuted duplicate (s3 vs s1) must share a fingerprint and cost. *)
 
@@ -16,8 +17,7 @@ let num_field j name =
   | None -> fail "missing numeric field %S in %s" name (Service.Json.to_string j)
 
 let () =
-  let path = Sys.argv.(1) in
-  let ic = open_in path in
+  let ic = if Array.length Sys.argv > 1 then open_in Sys.argv.(1) else stdin in
   let rec read acc =
     match input_line ic with
     | line -> read (line :: acc)

@@ -1,9 +1,10 @@
 (* End-to-end smoke for the streaming sweep surface, run by the
    @sweep-smoke alias.
 
-   Stage 1 (driven by the dune rule): `etransform sweep` has already run
-   over the sweep_request.json fixture; argv gives us the request and the
-   captured output.  The stream must hold one ok point line per grid
+   Stage 1 (driven by the dune rule): `etransform sweep` runs over the
+   sweep_request.json fixture named by the first argument, its output
+   piped to stdin (or read from the file named by a second argument).
+   The stream must hold one ok point line per grid
    point, in grid order, closed by a frontier line whose tags point back
    into the sweep.
 
@@ -161,7 +162,6 @@ let get port path =
 
 let () =
   let request_file = Sys.argv.(1) in
-  let cli_output = Sys.argv.(2) in
   let body = read_file request_file in
 
   (* The expected tag sequence, from the same expansion the service uses. *)
@@ -179,8 +179,12 @@ let () =
   check (List.length tags >= 2) "fixture grid too small (%d points)"
     (List.length tags);
 
-  (* Stage 1: the CLI stream captured by the dune rule. *)
-  ignore (check_stream ~what:"cli" ~tags (read_file cli_output));
+  (* Stage 1: the CLI stream piped in by the dune rule. *)
+  let cli_stream =
+    if Array.length Sys.argv > 2 then read_file Sys.argv.(2)
+    else In_channel.input_all stdin
+  in
+  ignore (check_stream ~what:"cli" ~tags cli_stream);
 
   (* Stage 2: the same request over HTTP. *)
   let metrics = Service.Metrics.create () in

@@ -561,6 +561,52 @@ let test_memo_two_domains () =
   repeat cb ref_b;
   Domain.join d
 
+(* ---- pinned literal --------------------------------------------------- *)
+
+(* Seeded cold solves and chains of warm bound tightenings, each result
+   reduced to its status, the bits of its objective and point, and its
+   iteration count, all hashed into one MD5.  Any change to the pivot
+   sequence or to the floating-point order of the engine's arithmetic
+   moves the digest, so a change that claims to keep plans bit-identical
+   must leave this literal as it is. *)
+let test_pinned_literal () =
+  let buf = Buffer.create 4096 in
+  let warm = ref 0 in
+  let record (r : Simplex.result) =
+    Buffer.add_string buf (Status.to_string r.Simplex.status);
+    Buffer.add_string buf
+      (Printf.sprintf " %Lx %d" (Int64.bits_of_float r.Simplex.obj_value)
+         r.Simplex.iterations);
+    Array.iter
+      (fun v -> Buffer.add_string buf (Printf.sprintf " %Lx" (Int64.bits_of_float v)))
+      r.Simplex.x;
+    Buffer.add_char buf '\n';
+    if r.Simplex.warm_started && r.Simplex.iterations > 0 then incr warm
+  in
+  List.iter
+    (fun (seed, n, rows) ->
+      let rng = Datasets.Prng.create seed in
+      let input = random_feasible_lp rng n rows in
+      record (Simplex.solve input);
+      let root = Simplex.solve ~want_basis:true input in
+      record root;
+      let lo = Array.copy input.Simplex.lo and hi = Array.copy input.Simplex.hi in
+      let last = ref root.Simplex.basis in
+      for _ = 1 to 8 do
+        let j = Datasets.Prng.int rng n in
+        let v = Datasets.Prng.range rng lo.(j) hi.(j) in
+        if Datasets.Prng.int rng 2 = 0 then lo.(j) <- v else hi.(j) <- v;
+        let inp = { input with Simplex.lo = Array.copy lo; hi = Array.copy hi } in
+        let r = Simplex.solve ?warm:!last inp in
+        record r;
+        if r.Simplex.basis <> None then last := r.Simplex.basis
+      done)
+    [ (1, 6, 4); (2, 9, 7); (3, 14, 9); (4, 20, 14); (5, 40, 30); (6, 60, 45);
+      (7, 80, 70) ];
+  Alcotest.(check bool) "warm pivots exercised" true (!warm > 10);
+  Alcotest.(check string) "pinned digest" "2a3a244cfe46bc0638284e46179fb305"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -591,5 +637,7 @@ let suite =
       test_memo_row_identity;
     Alcotest.test_case "memo: two domains at once" `Quick
       test_memo_two_domains;
+    Alcotest.test_case "pinned literal: cold and warm solves" `Quick
+      test_pinned_literal;
     q prop_random_feasible;
   ]
