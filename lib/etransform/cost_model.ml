@@ -37,12 +37,40 @@ let latency_penalty asis ~group dc =
     ~avg_latency_ms:(avg_latency_ms asis ~group dc)
     ~users:(App_group.total_users g)
 
-let assign_cost ?(include_first_tier_space = true) asis ~group dc =
+type pairs = {
+  estate : Asis.t;
+  wan : float array array;
+  penalty : float array array;
+}
+
+(* One entry per domain, keyed on the estate's physical identity and
+   replaced whole.  An estate is never changed in place — a variant is a
+   new record ({ asis with ... }) and so a new key — so an entry cannot go
+   stale, and a plan's consumers on one domain share one table. *)
+let memo : pairs option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let pairs asis =
+  match Domain.DLS.get memo with
+  | Some e when e.estate == asis -> e
+  | _ ->
+      let table f =
+        Array.init (Asis.num_groups asis) (fun group ->
+            Array.map (f asis ~group) asis.Asis.targets)
+      in
+      let e =
+        { estate = asis; wan = table wan_cost; penalty = table latency_penalty }
+      in
+      Domain.DLS.set memo (Some e);
+      e
+
+let assign_cost ?(include_first_tier_space = true) asis ~group j =
+  let dc = asis.Asis.targets.(j) in
   let g = asis.Asis.groups.(group) in
   let servers = float_of_int g.App_group.servers in
   let space =
     if include_first_tier_space then Data_center.first_tier_space dc else 0.0
   in
+  let t = pairs asis in
   (servers *. (space +. power_labor_per_server asis dc))
-  +. wan_cost asis ~group dc
-  +. latency_penalty asis ~group dc
+  +. t.wan.(group).(j)
+  +. t.penalty.(group).(j)

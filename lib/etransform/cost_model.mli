@@ -24,10 +24,28 @@ val power_labor_per_server : Asis.t -> Data_center.t -> float
     the group's users if placed at [dc]. *)
 val latency_penalty : Asis.t -> group:int -> Data_center.t -> float
 
-(** [assign_cost ?include_first_tier_space asis ~group dc] is the linear
-    placement coefficient c_ij.  When [include_first_tier_space] (default
-    true) the space term uses the first volume tier's unit price — exact
-    under flat pricing, an upper bound under volume discounts. *)
+(** The WAN cost and latency penalty of every (group, target) pair:
+    [wan.(i).(j)] and [penalty.(i).(j)] are
+    [wan_cost asis ~group:i asis.targets.(j)] and
+    [latency_penalty asis ~group:i asis.targets.(j)], bit for bit.  The
+    arrays are shared: read them, never write them. *)
+type pairs = private {
+  estate : Asis.t;
+  wan : float array array;
+  penalty : float array array;
+}
+
+(** [pairs asis] is the pair table of [asis].  Each domain keeps the
+    table of the last estate it was asked for, keyed on the estate's
+    physical identity, so the consumers of one plan compute it once.  It
+    relies on estates never being changed in place: derive a variant as
+    a new record ([{ asis with ... }]), which gets a table of its own. *)
+val pairs : Asis.t -> pairs
+
+(** [assign_cost ?include_first_tier_space asis ~group j] is the linear
+    placement coefficient c_ij of target [j], read from {!pairs}.  When
+    [include_first_tier_space] (default true) the space term uses the first
+    volume tier's unit price — exact under flat pricing, an upper bound
+    under volume discounts. *)
 val assign_cost :
-  ?include_first_tier_space:bool -> Asis.t -> group:int -> Data_center.t ->
-  float
+  ?include_first_tier_space:bool -> Asis.t -> group:int -> int -> float

@@ -151,7 +151,7 @@ let build ?(options = default_options) asis =
       | Some v ->
           terms :=
             Lp.Model.Linexpr.term
-              (Cost_model.assign_cost asis ~group:i asis.Asis.targets.(j))
+              (Cost_model.assign_cost asis ~group:i j)
               v
             :: !terms
     done

@@ -70,10 +70,7 @@ let cost_over asis ~estate ~assign ~backups =
       let dc = estate.(j) in
       wan := !wan +. Cost_model.wan_cost asis ~group:i dc;
       let g = asis.Asis.groups.(i) in
-      let lat =
-        Geo.Latency_model.average ~weights:g.App_group.users
-          dc.Data_center.user_latency_ms
-      in
+      let lat = Cost_model.avg_latency_ms asis ~group:i dc in
       penalty :=
         !penalty
         +. Latency_penalty.total g.App_group.latency ~avg_latency_ms:lat

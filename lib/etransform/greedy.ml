@@ -9,8 +9,8 @@ let order_by_size asis =
   idx
 
 (* Marginal cost of adding [group] to [j] when [load] servers already
-   landed there. *)
-let marginal_cost asis ~group ~j ~load =
+   landed there; [t] is the estate's pair table. *)
+let marginal_cost asis (t : Cost_model.pairs) ~group ~j ~load =
   let dc = asis.Asis.targets.(j) in
   let s = float_of_int asis.Asis.groups.(group).App_group.servers in
   let space =
@@ -18,14 +18,15 @@ let marginal_cost asis ~group ~j ~load =
   in
   space
   +. (s *. Cost_model.power_labor_per_server asis dc)
-  +. Cost_model.wan_cost asis ~group dc
-  +. Cost_model.latency_penalty asis ~group dc
+  +. t.Cost_model.wan.(group).(j)
+  +. t.Cost_model.penalty.(group).(j)
   +. (if load = 0.0 then dc.Data_center.rates.Data_center.fixed_monthly else 0.0)
 
 let place_primaries asis =
   let m = Asis.num_groups asis and n = Asis.num_targets asis in
   let load = Array.make n 0.0 in
   let primary = Array.make m (-1) in
+  let t = Cost_model.pairs asis in
   Array.iter
     (fun i ->
       let g = asis.Asis.groups.(i) in
@@ -37,7 +38,7 @@ let place_primaries asis =
           App_group.allowed g j
           && load.(j) +. s <= float_of_int dc.Data_center.capacity
         then begin
-          let c = marginal_cost asis ~group:i ~j ~load:load.(j) in
+          let c = marginal_cost asis t ~group:i ~j ~load:load.(j) in
           if c < !best_c then begin
             best_c := c;
             best := j

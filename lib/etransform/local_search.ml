@@ -17,16 +17,17 @@ let min_gain = 1e-6
 let slack asis ~dr =
   let m = Asis.num_groups asis and n = Asis.num_targets asis in
   let p = asis.Asis.params in
+  let t = Cost_model.pairs asis in
   let groups = ref 0.0 in
   for i = 0 to m - 1 do
-    groups :=
-      !groups
-      +. Array.fold_left
-           (fun acc dc ->
-             Float.max acc
-               (Float.abs (Cost_model.wan_cost asis ~group:i dc)
-               +. Float.abs (Cost_model.latency_penalty asis ~group:i dc)))
-           0.0 asis.Asis.targets
+    let dearest = ref 0.0 in
+    for j = 0 to n - 1 do
+      dearest :=
+        Float.max !dearest
+          (Float.abs t.Cost_model.wan.(i).(j)
+          +. Float.abs t.Cost_model.penalty.(i).(j))
+    done;
+    groups := !groups +. !dearest
   done;
   let segs = ref 0 and lin = ref 0.0 and fixed = ref 0.0 in
   Array.iter
@@ -81,12 +82,8 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
   let targets = asis.Asis.targets in
   let w = Array.map (fun g -> g.App_group.servers) asis.Asis.groups in
   let gc =
-    Array.init m (fun i ->
-        Array.map
-          (fun dc ->
-            Cost_model.wan_cost asis ~group:i dc
-            +. Cost_model.latency_penalty asis ~group:i dc)
-          targets)
+    let t = Cost_model.pairs asis in
+    Array.map2 (Array.map2 ( +. )) t.Cost_model.wan t.Cost_model.penalty
   in
   let dr = plan.Placement.secondary <> None in
   let shared = dr && not plan.Placement.dedicated_backups in

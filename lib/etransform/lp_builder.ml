@@ -17,21 +17,6 @@ let default_options =
     max_latency_ms = None;
   }
 
-(* User-weighted mean latency of hosting group [i] at target [j]; the
-   admissibility measure behind [max_latency_ms]. *)
-let mean_latency asis i j =
-  let g = asis.Asis.groups.(i) in
-  let dc = asis.Asis.targets.(j) in
-  let total = App_group.total_users g in
-  if total <= 0.0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    Array.iteri
-      (fun u w -> acc := !acc +. (w *. dc.Data_center.user_latency_ms.(u)))
-      g.App_group.users;
-    !acc /. total
-  end
-
 type built = {
   model : Lp.Model.t;
   x : Lp.Model.var option array array;
@@ -65,7 +50,9 @@ let build ?(options = default_options) asis =
           let best = ref (-1) and best_lat = ref infinity in
           for j = 0 to n - 1 do
             if base_admissible i j then begin
-              let l = mean_latency asis i j in
+              let l =
+                Cost_model.avg_latency_ms asis ~group:i asis.Asis.targets.(j)
+              in
               if l < !best_lat then begin
                 best_lat := l;
                 best := j
@@ -79,11 +66,13 @@ let build ?(options = default_options) asis =
         fun i j -> Hashtbl.mem within (i, j) || Hashtbl.mem pinned (i, j)
   in
   let admissible i j = base_admissible i j && latency_ok i j in
+  let col_suffix = Array.init n string_of_int in
   let x =
     Array.init m (fun i ->
+        let row_prefix = "X_" ^ string_of_int i ^ "_" in
         Array.init n (fun j ->
             if admissible i j then
-              Some (Model.add_var model ~binary:true (Printf.sprintf "X_%d_%d" i j))
+              Some (Model.add_var model ~binary:true (row_prefix ^ col_suffix.(j)))
             else None))
   in
   List.iter
@@ -180,7 +169,7 @@ let build ?(options = default_options) asis =
           let c =
             Cost_model.assign_cost
               ~include_first_tier_space:(not options.economies_of_scale) asis
-              ~group:i asis.Asis.targets.(j)
+              ~group:i j
           in
           cost_terms := Model.Linexpr.term c v :: !cost_terms
     done

@@ -66,7 +66,7 @@ let lp_round ?(relax_x = [||]) asis (built : Lp_builder.built) =
                  | Some v ->
                      let value = relax_x.(v.Lp.Model.id) in
                      let cost =
-                       Cost_model.assign_cost asis ~group:i asis.Asis.targets.(j)
+                       Cost_model.assign_cost asis ~group:i j
                      in
                      Some ((-.value, cost), j))
           |> List.sort compare

@@ -183,35 +183,36 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                       done;
                       (* Hygiene: sparsify, bound dynamism, demand real
                          violation at the current LP point. *)
-                      let terms = ref [] in
+                      let kept = ref 0 in
                       let cmax = ref 0.0 and cmin = ref infinity in
-                      Array.iteri
-                        (fun j c ->
-                          if Float.abs c > 1e-9 then begin
-                            terms := (j, c) :: !terms;
-                            cmax := Float.max !cmax (Float.abs c);
-                            cmin := Float.min !cmin (Float.abs c)
-                          end)
-                        coef;
-                      let lhs_now =
-                        List.fold_left
-                          (fun a (j, c) -> a +. (c *. r.Simplex.x.(j)))
-                          0.0 !terms
-                      in
-                      let viol = !cut_rhs -. lhs_now in
+                      let lhs_now = ref 0.0 in
+                      for j = n - 1 downto 0 do
+                        let c = coef.(j) in
+                        if Float.abs c > 1e-9 then begin
+                          incr kept;
+                          cmax := Float.max !cmax (Float.abs c);
+                          cmin := Float.min !cmin (Float.abs c);
+                          lhs_now := !lhs_now +. (c *. r.Simplex.x.(j))
+                        end
+                      done;
+                      let viol = !cut_rhs -. !lhs_now in
                       if
-                        !terms <> []
+                        !kept > 0
                         && !cmax <= 1e8
                         && !cmax /. !cmin <= 1e8
                         && Float.abs !cut_rhs <= 1e10
                         && viol > 1e-4
                       then begin
                         incr ncuts;
-                        cuts :=
-                          ( Array.of_list (List.rev !terms),
-                            Model.Ge,
-                            !cut_rhs )
-                          :: !cuts
+                        let terms = Array.make !kept (0, 0.0) and k = ref 0 in
+                        Array.iteri
+                          (fun j c ->
+                            if Float.abs c > 1e-9 then begin
+                              terms.(!k) <- (j, c);
+                              incr k
+                            end)
+                          coef;
+                        cuts := (terms, Model.Ge, !cut_rhs) :: !cuts
                       end
                     end
                   end

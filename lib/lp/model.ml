@@ -53,7 +53,11 @@ module Linexpr = struct
     (* Canonicalize by sort-and-merge over flat id/coefficient arrays
        rather than a hash table: builders emit terms in variable order
        almost always, so the pre-sorted check usually reduces the whole
-       pass to two array fills and one merge sweep. *)
+       pass to two array fills and one merge sweep.  A built-by-prepending
+       expression arrives strictly descending; its ids are distinct, so
+       reversing it gives the only ascending order.  Any other order goes
+       through the pair sort: with repeated ids, its tie order fixes the
+       order in which their coefficients are summed. *)
     let ids = ref (Array.make 16 0) and cs = ref (Array.make 16 0.0) in
     let k = ref 0 in
     fold_terms e
@@ -71,11 +75,22 @@ module Linexpr = struct
         incr k);
     let n0 = !k in
     let ids = !ids and cs = !cs in
-    let sorted = ref true in
+    let ascending = ref true and descending = ref true in
     for i = 1 to n0 - 1 do
-      if ids.(i - 1) > ids.(i) then sorted := false
+      if ids.(i - 1) > ids.(i) then ascending := false
+      else descending := false
     done;
-    if not !sorted then begin
+    if !ascending then ()
+    else if !descending then
+      for i = 0 to (n0 / 2) - 1 do
+        let k = n0 - 1 - i in
+        let id = ids.(i) and c = cs.(i) in
+        ids.(i) <- ids.(k);
+        cs.(i) <- cs.(k);
+        ids.(k) <- id;
+        cs.(k) <- c
+      done
+    else begin
       let pairs = Array.init n0 (fun i -> (ids.(i), cs.(i))) in
       Array.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) pairs;
       Array.iteri

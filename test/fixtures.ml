@@ -71,3 +71,15 @@ let synthetic ?(seed = 42) ?(groups = 24) ?(targets = 5) () =
       n_current = 6;
       total_servers = groups * 8;
     }
+
+(* A line estate of the parameter studies with a banded latency penalty,
+   so the penalty differs from site to site. *)
+let line ?(groups = 12) ?(use_vpn = false) () =
+  Harness.Line_estate.make
+    {
+      Harness.Line_estate.default with
+      Harness.Line_estate.n_groups = groups;
+      frac_at_0 = 0.3;
+      latency_penalty = Harness.Line_estate.banded_penalty 40.0;
+      use_vpn;
+    }

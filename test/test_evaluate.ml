@@ -26,7 +26,7 @@ let test_cost_model_components () =
     (Cost_model.latency_penalty asis ~group:0 a);
   (* Full assignment coefficient of g0 at A: 4 * (100+10+10) + 1 + 0. *)
   Alcotest.(check (float 1e-9)) "assign cost g0 at A" 481.0
-    (Cost_model.assign_cost asis ~group:0 a)
+    (Cost_model.assign_cost asis ~group:0 0)
 
 let test_plan_breakdown () =
   let asis = Fixtures.asis () in
@@ -149,6 +149,50 @@ let prop_moving_to_cheaper_dc_never_counted_wrong =
       let p = Greedy.plan asis in
       total asis p = total asis p)
 
+(* Every entry of the pair table has the bits of a direct call, and an
+   estate derived with [{ asis with ... }] gets a table of its own. *)
+let test_pair_table_matches_direct () =
+  let same name a b =
+    if Int64.bits_of_float a <> Int64.bits_of_float b then
+      Alcotest.failf "%s: table %h, direct %h" name a b
+  in
+  let check_table label asis =
+    let t = Cost_model.pairs asis in
+    Alcotest.(check bool) (label ^ ": keyed on this estate") true
+      (t.Cost_model.estate == asis);
+    Array.iteri
+      (fun j dc ->
+        for i = 0 to Asis.num_groups asis - 1 do
+          let at = Printf.sprintf "%s (%d, %d)" label i j in
+          same ("wan " ^ at) t.Cost_model.wan.(i).(j)
+            (Cost_model.wan_cost asis ~group:i dc);
+          same ("penalty " ^ at) t.Cost_model.penalty.(i).(j)
+            (Cost_model.latency_penalty asis ~group:i dc)
+        done)
+      asis.Asis.targets;
+    t
+  in
+  List.iter
+    (fun (label, asis) ->
+      let t = check_table label asis in
+      Alcotest.(check bool) (label ^ ": memo hit") true
+        (Cost_model.pairs asis == t);
+      let flipped =
+        {
+          asis with
+          Asis.targets = Array.of_list (List.rev (Array.to_list asis.Asis.targets));
+        }
+      in
+      let t' = check_table (label ^ " flipped") flipped in
+      Alcotest.(check bool) (label ^ ": copy has its own table") true (t' != t);
+      ignore (check_table (label ^ " again") asis))
+    [
+      ("line", Fixtures.line ());
+      ("line vpn", Fixtures.line ~use_vpn:true ());
+      ("synthetic", Fixtures.synthetic ~groups:30 ~targets:6 ());
+      ("florida x0.3", Datasets.Florida.asis ~scale:0.3 ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "cost model components" `Quick test_cost_model_components;
@@ -160,6 +204,8 @@ let suite =
     Alcotest.test_case "as-is + basic DR" `Quick test_asis_with_basic_dr_adds_cost;
     Alcotest.test_case "VPN WAN pricing" `Quick test_vpn_wan_mode;
     Alcotest.test_case "fixed charges once per site" `Quick test_fixed_charges_counted_once;
+    Alcotest.test_case "pair table matches direct costs" `Quick
+      test_pair_table_matches_direct;
     QCheck_alcotest.to_alcotest prop_total_is_sum;
     QCheck_alcotest.to_alcotest prop_moving_to_cheaper_dc_never_counted_wrong;
   ]

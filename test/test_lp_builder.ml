@@ -31,7 +31,7 @@ let test_solves_to_optimal_assignment () =
         let c =
           Array.to_list assign
           |> List.mapi (fun g j ->
-                 Cost_model.assign_cost asis ~group:g asis.Asis.targets.(j))
+                 Cost_model.assign_cost asis ~group:g j)
           |> List.fold_left ( +. ) 0.0
         in
         if c < !best then best := c
@@ -172,7 +172,7 @@ let prop_matches_brute_force =
             let c = ref 0.0 in
             Array.iteri
               (fun g j ->
-                c := !c +. Cost_model.assign_cost asis ~group:g asis.Asis.targets.(j))
+                c := !c +. Cost_model.assign_cost asis ~group:g j)
               assign;
             if !c < !best then best := !c
           end
@@ -189,6 +189,19 @@ let prop_matches_brute_force =
       ignore built;
       true)
 
+(* The LP text of two built models, pinned: variable and row names and the
+   order of every row's and the objective's terms. *)
+let test_lp_text_pinned () =
+  let md5 asis =
+    Digest.to_hex
+      (Digest.string
+         (Lp.Lp_format.model_to_string (Lp_builder.build asis).Lp_builder.model))
+  in
+  Alcotest.(check string) "line 12" "455b43ae6bb696bf2868dc48ce0846c4"
+    (md5 (Fixtures.line ()));
+  Alcotest.(check string) "synthetic 30x6" "ba3dff4de7c4387ca00d136361c0d24c"
+    (md5 (Fixtures.synthetic ~seed:7 ~groups:30 ~targets:6 ()))
+
 let suite =
   [
     Alcotest.test_case "model dimensions" `Quick test_model_dimensions;
@@ -201,5 +214,6 @@ let suite =
     Alcotest.test_case "economies of scale priced exactly" `Quick test_eos_objective_matches_curve;
     Alcotest.test_case "pin/forbid conflict" `Quick test_pin_on_forbidden_rejected;
     Alcotest.test_case "LP file export" `Quick test_lp_file_export;
+    Alcotest.test_case "LP text pinned" `Quick test_lp_text_pinned;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
   ]

@@ -203,6 +203,86 @@ let prop_random_models_roundtrip =
       then QCheck2.Test.fail_reportf "objective %g vs %g" r1.Milp.obj r2.Milp.obj;
       true)
 
+(* [Model.Linexpr.terms] against the sort-and-merge it replaced for
+   descending input: keep the input order when ids ascend, otherwise sort
+   (id, coefficient) pairs with [Array.sort], then sum each run of equal
+   ids in order and drop zero sums.  Compared bit for bit. *)
+let reference_terms (l : (float * int) list) =
+  let ids = Array.of_list (List.map snd l)
+  and cs = Array.of_list (List.map fst l) in
+  let n0 = Array.length ids in
+  let sorted = ref true in
+  for i = 1 to n0 - 1 do
+    if ids.(i - 1) > ids.(i) then sorted := false
+  done;
+  if not !sorted then begin
+    let pairs = Array.init n0 (fun i -> (ids.(i), cs.(i))) in
+    Array.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) pairs;
+    Array.iteri
+      (fun i (id, c) ->
+        ids.(i) <- id;
+        cs.(i) <- c)
+      pairs
+  end;
+  let out = ref [] and i = ref 0 in
+  while !i < n0 do
+    let id = ids.(!i) in
+    let acc = ref 0.0 in
+    while !i < n0 && ids.(!i) = id do
+      acc := !acc +. cs.(!i);
+      incr i
+    done;
+    if !acc <> 0.0 then out := (id, !acc) :: !out
+  done;
+  Array.of_list (List.rev !out)
+
+let test_terms_match_reference () =
+  let m = Model.create () in
+  let vars = Array.init 40 (fun i -> Model.add_var m (Printf.sprintf "v%d" i)) in
+  let st = Random.State.make [| 24 |] in
+  let coef () = Random.State.float st 2.0 -. 1.0 in
+  let distinct ids = List.map (fun id -> (coef (), id)) ids in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let k = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(k);
+      a.(k) <- t
+    done;
+    Array.to_list a
+  in
+  let up = List.init 40 Fun.id in
+  let cases =
+    [
+      ("empty", []);
+      ("single", [ (0.5, 7) ]);
+      ("ascending", distinct up);
+      ("strictly descending", distinct (List.rev up));
+      ("shuffled distinct", distinct (shuffle up));
+      ( "repeated ids",
+        shuffle (List.concat_map (fun id -> [ (0.1, id); (0.2, id); (0.3, id) ]) up)
+      );
+      ("repeats ascending", List.concat_map (fun id -> [ (0.7, id); (coef (), id) ]) up);
+      ( "repeats descending",
+        List.concat_map
+          (fun id -> [ (coef (), id); (0.1, id); (coef (), id); (0.2, id) ])
+          (List.rev up) );
+      ("cancelling sums", [ (0.3, 5); (1.0, 2); (-0.3, 5); (-1.0, 2); (0.25, 1) ]);
+      ("signed zeros", [ (0.0, 9); (-0.0, 6); (2.0, 4); (-0.0, 1); (0.0, 0) ]);
+      ("signed zeros ascending", [ (-0.0, 1); (0.0, 3); (1.5, 8) ]);
+    ]
+  in
+  List.iter
+    (fun (name, l) ->
+      let e =
+        Model.Linexpr.sum (List.map (fun (c, id) -> Model.Linexpr.term c vars.(id)) l)
+      in
+      let got = Model.Linexpr.terms e and want = reference_terms l in
+      let bits a = Array.map (fun (id, c) -> (id, Int64.bits_of_float c)) a in
+      if bits got <> bits want then Alcotest.failf "%s: terms differ" name)
+    cases
+
 let suite =
   [
     Alcotest.test_case "roundtrip preserves optimum" `Quick test_roundtrip_solution_equal;
@@ -218,5 +298,7 @@ let suite =
       test_validate_empty_integral_domain;
     Alcotest.test_case "validate crossed bounds" `Quick
       test_validate_crossed_bounds;
+    Alcotest.test_case "terms match sort-and-merge" `Quick
+      test_terms_match_reference;
     QCheck_alcotest.to_alcotest prop_random_models_roundtrip;
   ]
