@@ -120,7 +120,7 @@ let kernel_thunks () =
   let greedy_plan = Etransform.Greedy.plan fixture in
   (* A generalized-assignment model with tight bin capacities: unlike the
      consolidation fixture (which solves at the root) its relaxation is
-     fractional, so the branch-and-bound variants exercise a real tree. *)
+     fractional, so the branch-and-bound kernel exercises a real tree. *)
   let gap_model =
     let nitems = 14 and nbins = 4 in
     let rng = Datasets.Prng.create 7 in
@@ -145,10 +145,9 @@ let kernel_thunks () =
     done;
     let total_w = Array.fold_left ( +. ) 0.0 weight in
     (* 2 % slack: at 12 % the root dive already lands on the optimum and
-       every strategy closes the tree in 3 nodes, which measures nothing.
-       Near-tight capacities force a real search (thousands of nodes under
-       most-fractional branching) — the regime where branching-rule and
-       node-LP costs actually show up. *)
+       the tree closes in 3 nodes, which measures nothing.  Near-tight
+       capacities force a real search, the regime where branching-rule
+       and node-LP costs actually show up. *)
     let cap = 1.02 *. total_w /. float_of_int nbins in
     for b = 0 to nbins - 1 do
       Lp.Model.add_le m (Printf.sprintf "cap_%d" b)
@@ -349,19 +348,9 @@ let kernel_thunks () =
        Service.Pool.create ~workers:0 ~cache_capacity:0
          ~tiers:(Cluster.Node.tiers node) ())
   in
-  let milp_opts ?(warm_start = true) () =
-    { Lp.Milp.default_options with Lp.Milp.node_limit = 50; warm_start }
-  in
-  (* The gap-tree kernels time the branch-and-bound tree in isolation:
-     root heuristics are disabled (the pump and cut machinery has its own
-     kernel, federal_milp_root) so a regression here means the tree — the
-     selector, the node LPs, the queue — got slower, not that root-stage
-     policy changed. *)
-  let gap_opts ?warm_start () =
-    { (milp_opts ?warm_start ()) with
-      Lp.Milp.node_limit = 5000; dive_first = false; pump = false;
-      root_cuts = false }
-  in
+  (* The gap-tree kernel times the shipped pipeline (root cuts, pump,
+     reliability branching) on a model whose tree stays real. *)
+  let gap_opts = { Lp.Milp.default_options with Lp.Milp.node_limit = 5000 } in
   let tree name options model () =
     let r = Lp.Milp.solve ~options model in
     Hashtbl.replace tree_nodes name r.Lp.Milp.nodes
@@ -419,31 +408,10 @@ let kernel_thunks () =
     ( "e1_milp_assignment",
       fun () ->
         ignore
-          (Lp.Milp.solve ~options:(milp_opts ())
-             built.Etransform.Lp_builder.model) );
-    ( "e1_milp_assignment_cold",
-      fun () ->
-        ignore
           (Lp.Milp.solve
-             ~options:(milp_opts ~warm_start:false ())
+             ~options:{ Lp.Milp.default_options with Lp.Milp.node_limit = 50 }
              built.Etransform.Lp_builder.model) );
-    ( "e1_milp_gap_tree_cold",
-      tree "e1_milp_gap_tree_cold" (gap_opts ~warm_start:false ()) gap_model );
-    ("e1_milp_gap_tree_warm", tree "e1_milp_gap_tree_warm" (gap_opts ()) gap_model);
-    ( "e1_milp_pseudocost",
-      tree "e1_milp_pseudocost"
-        { (gap_opts ()) with
-          Lp.Milp.branch_strategy = Lp.Branching.Pseudocost }
-        gap_model );
-    (* Uninformed reference point for the tree kernels above: same model,
-       same budget, most-fractional selection.  The nodes field in the
-       JSON makes the pseudocost/reliability node reduction auditable
-       from a single run. *)
-    ( "e1_milp_mf_tree",
-      tree "e1_milp_mf_tree"
-        { (gap_opts ()) with
-          Lp.Milp.branch_strategy = Lp.Branching.Most_fractional }
-        gap_model );
+    ("e1_milp_gap_tree", tree "e1_milp_gap_tree" gap_opts gap_model);
     ( "federal_milp_root",
       fun () ->
         tree "federal_milp_root" federal_root_opts (Lazy.force federal_root) ()

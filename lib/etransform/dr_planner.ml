@@ -100,20 +100,20 @@ let secondary_model ?scenario asis (primary : int array) =
   let evac_mb = effective_evac scenario in
   let co_fail = co_fail_matrix events n in
   let model = Model.create ~name:(asis.Asis.name ^ "_dr_stage2") () in
+  let col_suffix = Array.init n string_of_int in
   let y =
     Array.init m (fun i ->
+        let row_prefix = "Y_" ^ string_of_int i ^ "_" in
         Array.init n (fun b ->
             if
               b <> primary.(i)
               && App_group.allowed asis.Asis.groups.(i) b
               && not co_fail.(primary.(i)).(b)
             then
-              Some (Model.add_var model ~binary:true (Printf.sprintf "Y_%d_%d" i b))
+              Some (Model.add_var model ~binary:true (row_prefix ^ col_suffix.(b)))
             else None))
   in
-  let g =
-    Array.init n (fun b -> Model.add_var model (Printf.sprintf "G_%d" b))
-  in
+  let g = Array.init n (fun b -> Model.add_var model ("G_" ^ col_suffix.(b))) in
   for i = 0 to m - 1 do
     let terms =
       Array.to_list y.(i) |> List.filter_map (Option.map Model.Linexpr.var)

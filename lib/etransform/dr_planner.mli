@@ -54,6 +54,15 @@ val default_options : options
 
 val plan : ?options:options -> Asis.t -> Solver.outcome
 
+(** [secondary_model ?scenario asis primary] is stage 2's MILP for the
+    fixed [primary] sites, with its [Y_i_b] variables by group and
+    target ([None] where [b] cannot back up group [i]). *)
+val secondary_model :
+  ?scenario:scenario ->
+  Asis.t ->
+  int array ->
+  Lp.Model.t * Lp.Model.var option array array
+
 (** [joint_plan asis] solves the faithful §IV MILP directly (small
     instances only). *)
 val joint_plan :

@@ -121,8 +121,9 @@ let lp_bounded : spec Gen.t =
   in
   { minimize = Gen.bool rng; vars; obj; rows }
 
-(* Mixed instances for cross-configuration MILP equivalence: some
-   continuous columns, some integer, still bounded and small. *)
+(* Mixed instances: some continuous columns, some integer, still
+   bounded and small.  The integer lattice has at most 4^6 points, so it
+   can be enumerated with one LP over the continuous columns per point. *)
 let milp_mixed : spec Gen.t =
  fun rng ->
   let nvars = Gen.int_range 1 6 rng in

@@ -1,10 +1,7 @@
-type strategy = Most_fractional | Pseudocost | Reliability
-
 (* Per-direction statistics are (sum, count) pairs rather than running
    means: the search order, and so the plans, depend on the exact float
    values readers get by dividing one by the other. *)
 type t = {
-  strategy : strategy;
   down : float array;  (* per-unit degradation sums, down branch *)
   up : float array;
   ndown : int array;
@@ -12,17 +9,16 @@ type t = {
   mutable nobs : int;
 }
 
-let reliability_threshold = 4
 let infeasible_degradation = 1e10
 
-(* Strong-branching probes per node, and the Pseudocost warmup window in
-   processed tree nodes. *)
+(* A candidate with fewer observations than this in either direction is
+   unreliable and gets probed (SCIP's eta-rel), up to [sb_nvars] probes
+   per node. *)
+let reliability_threshold = 4
 let sb_nvars = 8
-let sb_nsteps = 8
 
-let create ~nvars ~strategy =
+let create ~nvars =
   {
-    strategy;
     down = Array.make nvars 0.0;
     up = Array.make nvars 0.0;
     ndown = Array.make nvars 0;
@@ -42,12 +38,7 @@ let observe t ~var ~up ~frac ~degradation =
     t.nobs <- t.nobs + 1
   end
 
-let dir_stats sums counts var =
-  let c = counts.(var) in
-  (c, if c > 0 then sums.(var) /. float_of_int c else 0.0)
-
-let stats t ~var = (dir_stats t.down t.ndown var, dir_stats t.up t.nup var)
-let observations t = t.nobs
+let mean sums counts var = sums.(var) /. float_of_int counts.(var)
 
 let most_fractional int_ids tol x =
   let best = ref (-1) and score = ref tol in
@@ -74,80 +65,66 @@ let candidates int_ids tol x =
   |> List.sort (fun (i, _, da) (j, _, db) ->
          match compare db da with 0 -> compare i j | c -> c)
 
-let select t ~int_ids ~tol ~x ~nodes ~probe =
+let select t ~int_ids ~tol ~x ~probe =
   match candidates int_ids tol x with
   | [] -> -1
-  | cands -> (
-      match t.strategy with
-      | Most_fractional ->
-          let j, _, _ = List.hd cands in
-          (* candidates are sorted by distance; [most_fractional] keeps the
-             first maximum, which the id tie-break above reproduces. *)
-          j
-      | Pseudocost | Reliability ->
-          let unreliable j =
-            match t.strategy with
-            | Pseudocost -> nodes < sb_nsteps
-            | Reliability ->
-                min t.ndown.(j) t.nup.(j)
-                < reliability_threshold
-            | Most_fractional -> false
-          in
-          (* Strong-branching warmup: probe the most fractional unreliable
-             candidates and fold the observed degradations in. *)
-          let budget = ref sb_nvars in
-          List.iter
-            (fun (j, f, _) ->
-              if !budget > 0 && unreliable j then begin
-                decr budget;
-                let dn, up = probe j x.(j) in
-                (match dn with
-                | Some d -> observe t ~var:j ~up:false ~frac:f ~degradation:d
-                | None -> ());
-                match up with
-                | Some d -> observe t ~var:j ~up:true ~frac:f ~degradation:d
-                | None -> ()
-              end)
-            cands;
-          if t.nobs = 0 then
-            let j, _, _ = List.hd cands in
-            j
-          else begin
-            (* Global mean per-unit degradations stand in for variables
-               without their own history yet. *)
-            let gsum = ref 0.0 and gn = ref 0 in
-            let fold sums counts =
-              Array.iteri
-                (fun j n ->
-                  if n > 0 then begin
-                    gsum := !gsum +. (sums.(j) /. float_of_int n);
-                    incr gn
-                  end)
-                counts
-            in
-            fold t.down t.ndown;
-            fold t.up t.nup;
-            let gmean = if !gn > 0 then !gsum /. float_of_int !gn else 1.0 in
-            let eps = 1e-6 in
-            let best = ref (-1) and best_score = ref neg_infinity
-            and best_dist = ref 0.0 in
-            List.iter
-              (fun (j, f, dist) ->
-                let _, dmean = dir_stats t.down t.ndown j in
-                let _, umean = dir_stats t.up t.nup j in
-                let dn = if t.ndown.(j) > 0 then dmean else gmean in
-                let up = if t.nup.(j) > 0 then umean else gmean in
-                let score =
-                  Float.max eps (dn *. f) *. Float.max eps (up *. (1.0 -. f))
-                in
-                if
-                  score > !best_score +. 1e-12
-                  || (score > !best_score -. 1e-12 && dist > !best_dist +. 1e-12)
-                then begin
-                  best := j;
-                  best_score := score;
-                  best_dist := dist
-                end)
-              cands;
-            !best
+  | cands ->
+      (* Strong branching: probe the most fractional unreliable candidates
+         and fold the observed degradations in. *)
+      let budget = ref sb_nvars in
+      List.iter
+        (fun (j, f, _) ->
+          if
+            !budget > 0
+            && min t.ndown.(j) t.nup.(j) < reliability_threshold
+          then begin
+            decr budget;
+            let dn, up = probe j x.(j) in
+            (match dn with
+            | Some d -> observe t ~var:j ~up:false ~frac:f ~degradation:d
+            | None -> ());
+            match up with
+            | Some d -> observe t ~var:j ~up:true ~frac:f ~degradation:d
+            | None -> ()
           end)
+        cands;
+      if t.nobs = 0 then
+        let j, _, _ = List.hd cands in
+        j
+      else begin
+        (* Global mean per-unit degradations stand in for variables
+           without their own history yet. *)
+        let gsum = ref 0.0 and gn = ref 0 in
+        let fold sums counts =
+          Array.iteri
+            (fun j n ->
+              if n > 0 then begin
+                gsum := !gsum +. mean sums counts j;
+                incr gn
+              end)
+            counts
+        in
+        fold t.down t.ndown;
+        fold t.up t.nup;
+        let gmean = if !gn > 0 then !gsum /. float_of_int !gn else 1.0 in
+        let eps = 1e-6 in
+        let best = ref (-1) and best_score = ref neg_infinity
+        and best_dist = ref 0.0 in
+        List.iter
+          (fun (j, f, dist) ->
+            let dn = if t.ndown.(j) > 0 then mean t.down t.ndown j else gmean in
+            let up = if t.nup.(j) > 0 then mean t.up t.nup j else gmean in
+            let score =
+              Float.max eps (dn *. f) *. Float.max eps (up *. (1.0 -. f))
+            in
+            if
+              score > !best_score +. 1e-12
+              || (score > !best_score -. 1e-12 && dist > !best_dist +. 1e-12)
+            then begin
+              best := j;
+              best_score := score;
+              best_dist := dist
+            end)
+          cands;
+        !best
+      end

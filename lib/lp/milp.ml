@@ -4,12 +4,7 @@ type options = {
   node_limit : int;
   time_limit : float;
   gap_tol : float;
-  dive_first : bool;
-  warm_start : bool;
   core : core;
-  branch_strategy : Branching.strategy;
-  pump : bool;
-  root_cuts : bool;
 }
 
 let default_options =
@@ -17,12 +12,7 @@ let default_options =
     node_limit = 5000;
     time_limit = infinity;
     gap_tol = 1e-6;
-    dive_first = true;
-    warm_start = true;
     core = Sparse;
-    branch_strategy = Branching.Reliability;
-    pump = true;
-    root_cuts = true;
   }
 
 type result = {
@@ -138,14 +128,12 @@ let solve ?(options = default_options) m =
     | Some (k0, _) when k0 <= k +. 1e-12 -> ()
     | _ -> incumbent := Some (k, x)
   in
-  (* When root cuts are on, the initial root solve exports its basis so
-     the cut rounds, the dive and the tree all warm-start from this one
-     cold solve instead of each paying for their own.  On wide models a
-     cold root LP runs tens of seconds while a warm repair is near-free,
-     so the pipeline must never cold-solve the root twice. *)
-  let root0 =
-    solve_on input0 ~want_basis:(options.root_cuts && int_ids <> []) []
-  in
+  (* The initial root solve of a model with integers exports its basis
+     so the cut rounds, the heuristics and the tree all warm-start from
+     this one cold solve instead of each paying for their own.  On wide
+     models a cold root LP runs tens of seconds while a warm repair is
+     near-free, so the pipeline must never cold-solve the root twice. *)
+  let root0 = solve_on input0 ~want_basis:(int_ids <> []) [] in
   root_elapsed := Sys.time () -. start;
   (
       match root0.Simplex.status with
@@ -174,7 +162,7 @@ let solve ?(options = default_options) m =
           let integer = Array.make input0.Simplex.nvars false in
           List.iter (fun j -> integer.(j) <- true) int_ids;
           let input, root, ncuts =
-            if options.root_cuts && not (out_of_time ()) then
+            if not (out_of_time ()) then
               match
                 Cuts.strengthen
                   ~solve:(fun ?warm inp ->
@@ -212,9 +200,8 @@ let solve ?(options = default_options) m =
                and diving continues from a fresh LP.  Every round
                warm-starts from the previous round's basis (see
                [try_fix] below). *)
-            let dive ?(stop_frac = 0.8) diffs r0 =
+            let dive r0 =
               let fixed = Hashtbl.create 64 in
-              List.iter (fun (j, _, _) -> Hashtbl.replace fixed j ()) diffs;
               (* Each dive round re-solves after a batch of bound fixes with
                  the same objective, which is exactly the dual-simplex warm
                  regime — just with many repairs instead of one.  The warm
@@ -238,7 +225,7 @@ let solve ?(options = default_options) m =
               in
               let try_fix extra =
                 let r' =
-                  solve_node ?warm:!dive_basis ~want_basis:true (extra @ diffs)
+                  solve_node ?warm:!dive_basis ~want_basis:true extra
                 in
                 if r'.Simplex.status = Status.Optimal then begin
                   (match r'.Simplex.basis with
@@ -248,7 +235,7 @@ let solve ?(options = default_options) m =
                 end
                 else None
               in
-              let dive_stop = budget_stop stop_frac in
+              let dive_stop = budget_stop 0.8 in
               let rec go ~singles ~batch (r : Simplex.result) fuel =
                 if fuel = 0 || dive_stop () then ()
                 else if r.Simplex.status <> Status.Optimal then ()
@@ -306,7 +293,7 @@ let solve ?(options = default_options) m =
                all.  The objective-guided dive runs after, and only when the
                pump came up empty — until feasibility is in hand, dive
                rounds that chase the objective are mostly wasted solves. *)
-            if options.pump && not (out_of_time ()) then begin
+            if not (out_of_time ()) then begin
               (* Pump rounds keep bounds and rows fixed and only swap the
                  objective, so the previous round's basis stays primal
                  feasible: a warm solve skips straight to phase-2 primal
@@ -485,25 +472,16 @@ let solve ?(options = default_options) m =
                   end
               | Fpump.Near _ | Fpump.Failed -> ())
             end;
-            if
-              options.dive_first
-              && !incumbent = None
-              && not (out_of_time ())
-            then dive ~stop_frac:0.8 [] root;
-            let bstate =
-              Branching.create ~nvars:input0.Simplex.nvars
-                ~strategy:options.branch_strategy
-            in
-            let child_warm (r : Simplex.result) =
-              if options.warm_start then r.Simplex.basis else None
-            in
+            if !incumbent = None && not (out_of_time ()) then
+              dive root;
+            let bstate = Branching.create ~nvars:input0.Simplex.nvars in
             (* Best-first tree search over the open-node frontier.  The
                tree's root node is the LP we just solved: hand it the root
                basis so the first pop is a no-op repair, not a third cold
                solve of the same relaxation. *)
             let frontier = Frontier.create () in
             Frontier.push frontier ~key:root_key
-              { diffs = []; depth = 0; warm = child_warm root;
+              { diffs = []; depth = 0; warm = root.Simplex.basis;
                 branched = None };
             let nodes = ref 0 in
             let stop_reason = ref None in
@@ -548,12 +526,10 @@ let solve ?(options = default_options) m =
                     let probe j xv =
                       if out_of_time () then (None, None)
                       else begin
-                        let warm =
-                          if options.warm_start then r.Simplex.basis else None
-                        in
                         let dir l h =
                           let pr =
-                            solve_node ?warm ~max_iters:probe_iters
+                            solve_node ?warm:r.Simplex.basis
+                              ~max_iters:probe_iters
                               ((j, l, h) :: nd.diffs)
                           in
                           match pr.Simplex.status with
@@ -571,14 +547,14 @@ let solve ?(options = default_options) m =
                     in
                     match
                       Branching.select bstate ~int_ids ~tol:int_tol
-                        ~x:r.Simplex.x ~nodes:!nodes ~probe
+                        ~x:r.Simplex.x ~probe
                     with
                     | -1 -> accept_point r.Simplex.x
                     | j ->
                         let xv = r.Simplex.x.(j) in
                         let f = xv -. Float.floor xv in
                         let fl = Float.floor xv and ce = Float.ceil xv in
-                        let warm = child_warm r in
+                        let warm = r.Simplex.basis in
                         Frontier.push frontier ~key:k'
                           { diffs = (j, neg_infinity, fl) :: nd.diffs;
                             depth = nd.depth + 1; warm;
@@ -617,7 +593,7 @@ let solve ?(options = default_options) m =
                     let cap = node_budget () in
                     let r =
                       solve_node ?warm:nd.warm ?max_iters:cap
-                        ~want_basis:options.warm_start nd.diffs
+                        ~want_basis:true nd.diffs
                     in
                     match r.Simplex.status with
                     | Status.Iteration_limit when cap <> None ->

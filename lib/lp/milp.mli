@@ -1,20 +1,19 @@
 (** Mixed-integer linear programming by LP-based branch-and-bound.
 
     The solver runs best-bound branch-and-bound over the bounded-variable
-    simplex of {!Simplex}.  Before the tree opens the root is worked hard:
-    {!Cuts} appends Gomory mixed-integer and knapsack-cover cutting planes
-    ([root_cuts]), a dive-and-fix heuristic and the {!Fpump} feasibility
-    pump ([pump]) hunt for an early incumbent, and the tree then branches
-    under a {!Branching} strategy (pseudocost / reliability with
-    strong-branching warmup by default) instead of blind most-fractional
-    selection.  A feasible plan is almost always returned together with
-    the LP lower bound and the resulting optimality gap.
+    simplex of {!Simplex}, and every solve runs one pipeline.  Before the
+    tree opens the root is worked hard: {!Cuts} appends Gomory
+    mixed-integer and knapsack-cover cutting planes, the {!Fpump}
+    feasibility pump hunts for an early incumbent, and a dive-and-fix
+    heuristic runs only when the pump left none.  The tree then branches
+    by {!Branching}'s reliability rule.  A feasible plan is almost always
+    returned together with the LP lower bound and the resulting
+    optimality gap.
 
-    With [warm_start] (the default) every branch-and-bound node carries its
-    parent's optimal basis and the node LP is reoptimized by the dual
-    simplex instead of solved from scratch; the solver falls back to a cold
-    solve per node whenever the warm path struggles, so statuses are
-    unchanged and objectives agree to solver tolerance.
+    Every branch-and-bound node carries its parent's optimal basis, and
+    the node LP is reoptimized by the dual simplex instead of solved from
+    scratch; {!Simplex.solve} falls back to a cold solve whenever the
+    warm path struggles.
 
     Every LP, root or node, is solved by {!Simplex.solve} on the model
     as built.  Integer values are judged with a fixed tolerance of
@@ -44,18 +43,7 @@ type options = {
           not stop the search early: a solve that ends on [node_limit] or
           [time_limit] is reported {!Status.Optimal} when its final gap
           is at most [gap_tol], and {!Status.Feasible} otherwise *)
-  dive_first : bool;       (** seed the incumbent by diving at the root *)
-  warm_start : bool;
-      (** reoptimize node LPs from the parent basis (default [true]) *)
   core : core;  (** ignored; see {!core} *)
-  branch_strategy : Branching.strategy;
-      (** branching-variable selection (default {!Branching.Reliability}) *)
-  pump : bool;
-      (** run the {!Fpump} feasibility pump at the root when diving left
-          no incumbent (default [true]) *)
-  root_cuts : bool;
-      (** strengthen the root with {!Cuts} separation rounds before the
-          tree opens (default [true]) *)
 }
 
 val default_options : options

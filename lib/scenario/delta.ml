@@ -127,7 +127,6 @@ let replan ?(builder = Lp_builder.default_options)
   let builder =
     { builder with Lp_builder.pins = pinned @ builder.Lp_builder.pins }
   in
-  let milp = { milp with Lp.Milp.warm_start = true } in
   let outcome = Solver.consolidate ~builder ~milp ~local_search asis in
   {
     outcome;

@@ -4,8 +4,7 @@
     a nightly re-plan should not pay the full MILP again when 90% of the
     estate is untouched.  [replan] pins every structurally-unchanged
     group to its previous primary (via {!Etransform.Lp_builder.options}
-    pins) and forces the branch-and-bound warm start, so the solver only
-    re-decides the delta. *)
+    pins), so the solver only re-decides the delta. *)
 
 type change =
   | Resize of string * int        (** [Resize (name, servers)] *)
@@ -39,8 +38,7 @@ type replanned = {
   previous_fingerprint : string;
 }
 
-(** Warm-started incremental re-plan.  Extra [builder] pins are kept;
-    [milp] is forced to [warm_start = true]. *)
+(** Incremental re-plan.  Extra [builder] pins are kept. *)
 val replan :
   ?builder:Etransform.Lp_builder.options ->
   ?milp:Lp.Milp.options ->

@@ -116,6 +116,20 @@ let prop_two_stage_feasible =
       let o = Dr_planner.plan asis in
       Placement.validate asis o.Solver.placement = [])
 
+(* The stage-2 model of a 12-group DR line estate, written as LP text
+   and hashed: variable and row names, coefficients and their order are
+   pinned, so a change to how the model is built must leave this
+   literal as it is. *)
+let test_secondary_model_pinned () =
+  let asis =
+    Harness.Line_estate.make
+      { Harness.Line_estate.default with Harness.Line_estate.n_groups = 12 }
+  in
+  let primary = (Greedy.plan asis).Placement.primary in
+  let model, _ = Dr_planner.secondary_model asis primary in
+  Alcotest.(check string) "pinned digest" "58cca46fcaabca0c013a93ecdfa73d9b"
+    (Digest.to_hex (Digest.string (Lp.Lp_format.model_to_string model)))
+
 let suite =
   [
     Alcotest.test_case "joint model dimensions" `Quick test_joint_model_dimensions;
@@ -127,5 +141,7 @@ let suite =
     Alcotest.test_case "omega in joint model" `Quick test_omega_in_joint;
     Alcotest.test_case "DR beats as-is strawman" `Quick test_dr_cheaper_than_asis_dr;
     Alcotest.test_case "pool capacity respected" `Quick test_backup_capacity_respected;
+    Alcotest.test_case "stage-2 model: pinned literal" `Quick
+      test_secondary_model_pinned;
     QCheck_alcotest.to_alcotest prop_two_stage_feasible;
   ]

@@ -78,29 +78,37 @@ let test_node_limit_returns_feasible () =
   Alcotest.(check bool) "integral" true (Milp.integral m r.Milp.x);
   Alcotest.(check bool) "bound sane" true (r.Milp.bound >= r.Milp.obj -. 1e-6)
 
-let test_gap_tol_labels_limited_solve () =
-  (* [gap_tol] does not stop the search; it only decides how a solve
-     that ran out of nodes is labelled: Optimal exactly when the final
-     gap is at most [gap_tol], Feasible otherwise.  Cuts and the pump are
-     off so the root keeps a fractional bound while the dive still lands
-     an incumbent. *)
+(* A three-row 0/1 knapsack over [n] items, every row of capacity
+   [cap]. *)
+let multi_knapsack ~n ~cap =
   let m = Model.create () in
-  let n = 12 in
   let xs =
     Array.init n (fun i -> Model.add_var m ~binary:true (Printf.sprintf "x%d" i))
   in
-  let weights = Array.init n (fun i -> float_of_int (((i * 7) mod 9) + 2)) in
-  let values = Array.init n (fun i -> float_of_int (((i * 11) mod 13) + 3)) in
-  Model.add_le m "w"
-    (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term weights.(i) x) xs)))
-    17.0;
+  for r = 0 to 2 do
+    let weights =
+      Array.init n (fun i -> float_of_int ((((i + (3 * r)) * 5) mod 11) + 2))
+    in
+    Model.add_le m (Printf.sprintf "w%d" r)
+      (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term weights.(i) x) xs)))
+      cap
+  done;
+  let values = Array.init n (fun i -> float_of_int (((i * 7) mod 13) + 3)) in
   Model.set_objective m ~minimize:false
     (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term values.(i) x) xs)));
+  m
+
+let test_gap_tol_labels_limited_solve () =
+  (* [gap_tol] does not stop the search; it only decides how a solve
+     that ran out of nodes is labelled: Optimal exactly when the final
+     gap is at most [gap_tol], Feasible otherwise.  On this knapsack the
+     root cuts leave a fractional bound at one node while the root
+     heuristics still land an incumbent. *)
+  let m = multi_knapsack ~n:16 ~cap:29.0 in
   let solve gap_tol =
     Milp.solve
       ~options:
-        { Milp.default_options with
-          Milp.node_limit = 1; gap_tol; root_cuts = false; pump = false }
+        { Milp.default_options with Milp.node_limit = 1; gap_tol }
       m
   in
   let r0 = solve 0.0 in
@@ -255,8 +263,8 @@ let prop_assignment_matches_brute_force =
       | s, _ -> QCheck2.Test.fail_reportf "status %s" (Status.to_string s));
       true)
 
-(* Random generalized-assignment MILPs for the warm-start agreement and
-   deadline checks: eq assignment rows + tight capacity rows give
+(* Random generalized-assignment MILPs for the enumeration, deadline and
+   pinned-literal checks: eq assignment rows + tight capacity rows give
    fractional relaxations, so the branch-and-bound tree is real. *)
 let random_gap rng =
   let groups = 3 + Datasets.Prng.int rng 5 in
@@ -278,8 +286,8 @@ let random_gap rng =
   done;
   let total = Array.fold_left ( +. ) 0.0 sizes in
   let cap =
-    (* Usually tight but feasible; occasionally infeasible, which both
-       solver configurations must classify identically. *)
+    (* Usually tight but feasible; occasionally infeasible, which the
+       solver and enumeration must classify identically. *)
     total /. float_of_int dcs *. Datasets.Prng.range rng 0.95 1.4
   in
   for j = 0 to dcs - 1 do
@@ -300,17 +308,6 @@ let random_gap rng =
           (List.init groups Fun.id)));
   m
 
-let agree name a b =
-  if a.Milp.status <> b.Milp.status then
-    Alcotest.failf "%s: status mismatch %s vs %s" name
-      (Status.to_string a.Milp.status)
-      (Status.to_string b.Milp.status);
-  if
-    a.Milp.status = Status.Optimal
-    && Float.abs (a.Milp.obj -. b.Milp.obj)
-       > 1e-6 *. (1.0 +. Float.abs a.Milp.obj)
-  then Alcotest.failf "%s: objective mismatch %.9g vs %.9g" name a.Milp.obj b.Milp.obj
-
 (* A solve is deterministic: solving [m] again under the same options
    must return the same point, node count and simplex iterations. *)
 let solve_twice name options m =
@@ -323,28 +320,63 @@ let solve_twice name options m =
     a.Milp.lp_iterations b.Milp.lp_iterations;
   a
 
-let test_warm_matches_cold () =
-  (* >= 50 seeded random MILPs: the warm-started solver must agree with the
-     cold-started one on status and objective.  Diving is off so the tree
-     (and with it the dual warm path) is actually exercised. *)
+(* The optimum of a [random_gap] model by enumeration: every group
+   takes one of the dcs in turn (at most 3^7 assignments), and the
+   cheapest assignment the capacity rows admit wins.  Variables were
+   added group by group, so [x_i_j] has id [i * dcs + j]. *)
+let enumerate_gap m =
+  let input = Simplex.of_model m in
+  let groups =
+    Array.fold_left
+      (fun n (_, sense, _) -> if sense = Model.Eq then n + 1 else n)
+      0 input.Simplex.rows
+  in
+  let dcs = input.Simplex.nvars / groups in
+  let x = Array.make input.Simplex.nvars 0.0 in
+  let best = ref None in
+  let rec go i =
+    if i = groups then begin
+      if Simplex.feasible input x then begin
+        let cost = ref 0.0 in
+        Array.iteri (fun j c -> cost := !cost +. (c *. x.(j))) input.Simplex.obj;
+        match !best with
+        | Some b when b <= !cost -> ()
+        | _ -> best := Some !cost
+      end
+    end
+    else
+      for j = 0 to dcs - 1 do
+        x.((i * dcs) + j) <- 1.0;
+        go (i + 1);
+        x.((i * dcs) + j) <- 0.0
+      done
+  in
+  go 0;
+  !best
+
+let test_tree_matches_enumeration () =
+  (* 55 seeded random MILPs: the solver, deterministic on a re-solve,
+     must agree with enumeration on status and objective, and some of
+     the instances must open a real tree. *)
   let rng = Datasets.Prng.create 2024 in
   let trees = ref 0 in
   for case = 1 to 55 do
     let m = random_gap rng in
     let name = Printf.sprintf "case %d" case in
-    let cold =
-      solve_twice (name ^ " cold")
-        { Milp.default_options with
-          Milp.warm_start = false; dive_first = false }
-        m
-    in
-    let warm =
-      solve_twice (name ^ " warm")
-        { Milp.default_options with Milp.dive_first = false }
-        m
-    in
-    agree name cold warm;
-    if warm.Milp.nodes > 1 then incr trees
+    let r = solve_twice name Milp.default_options m in
+    (match (enumerate_gap m, r.Milp.status) with
+    | None, Status.Infeasible -> ()
+    | Some best, Status.Optimal ->
+        if Float.abs (r.Milp.obj -. best) > 1e-6 *. (1.0 +. Float.abs best) then
+          Alcotest.failf "%s: objective %.9g, enumeration %.9g" name r.Milp.obj
+            best
+    | None, s ->
+        Alcotest.failf "%s: enumeration says infeasible, solver returned %s"
+          name (Status.to_string s)
+    | Some best, s ->
+        Alcotest.failf "%s: enumeration found %.9g, solver returned %s" name
+          best (Status.to_string s));
+    if r.Milp.nodes > 1 then incr trees
   done;
   Alcotest.(check bool) "some instances branched" true (!trees > 0)
 
@@ -469,6 +501,44 @@ let test_wide_pure_lp () =
   Alcotest.(check bool) "feasible point" true
     (Simplex.feasible (Simplex.of_model m) r.Milp.x)
 
+(* ---- pinned literal --------------------------------------------------- *)
+
+(* Seeded generalized-assignment MILPs, mixed integer/continuous fuzz
+   specs and three knapsacks, each solved under the default options and
+   reduced to its status, the bits of its objective and point, its node
+   count and its simplex iterations, all hashed into one MD5.  Any change to the root
+   cuts, the heuristics, the branching rule or the node LPs' warm starts
+   moves the digest, so a change that claims to keep plans bit-identical
+   must leave this literal as it is. *)
+let test_pinned_literal () =
+  let buf = Buffer.create 4096 in
+  let trees = ref 0 in
+  let record (r : Milp.result) =
+    Buffer.add_string buf (Status.to_string r.Milp.status);
+    Buffer.add_string buf
+      (Printf.sprintf " %Lx %d %d" (Int64.bits_of_float r.Milp.obj)
+         r.Milp.nodes r.Milp.lp_iterations);
+    Array.iter
+      (fun v -> Buffer.add_string buf (Printf.sprintf " %Lx" (Int64.bits_of_float v)))
+      r.Milp.x;
+    Buffer.add_char buf '\n';
+    if r.Milp.nodes > 1 then incr trees
+  in
+  let rng = Datasets.Prng.create 4_711 in
+  for _ = 1 to 40 do
+    record (Milp.solve (random_gap rng))
+  done;
+  let rng = Datasets.Prng.create 1_729 in
+  for _ = 1 to 12 do
+    record (Milp.solve (Fuzz.Gen_lp.to_model (Fuzz.Gen_lp.milp_mixed rng)))
+  done;
+  List.iter
+    (fun (n, cap) -> record (Milp.solve (multi_knapsack ~n ~cap)))
+    [ (12, 17.0); (16, 29.0); (20, 37.0) ];
+  Alcotest.(check bool) "trees exercised" true (!trees > 5);
+  Alcotest.(check string) "pinned digest" "278cd48c1d4214a6cadf82864bfe0b26"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -481,12 +551,13 @@ let suite =
     Alcotest.test_case "wide pure LP is one root solve" `Quick test_wide_pure_lp;
     Alcotest.test_case "pump cycle detection terminates" `Quick
       test_pump_cycle_terminates;
-    Alcotest.test_case "warm start matches cold start" `Quick
-      test_warm_matches_cold;
+    Alcotest.test_case "tree matches enumeration" `Quick
+      test_tree_matches_enumeration;
     Alcotest.test_case "zero deadline ends a one-domain solve" `Quick
       test_deadline_terminates;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
     Alcotest.test_case "gap_tol labels a node-limited solve" `Quick
       test_gap_tol_labels_limited_solve;
+    Alcotest.test_case "pinned literal: MILP solves" `Quick test_pinned_literal;
   ]
