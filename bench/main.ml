@@ -3,12 +3,14 @@
    kernels with Bechamel.
 
    Usage: main.exe [--json] [--check BASELINE.json] [--tolerance PCT]
-                   [e0|e1|e2|e3|e4|e5|e6|e7|kernels|smoke|all]   (default: all)
+                   [e0|e1|e2|e3|e4|e5|e6|e7|kernels|smoke|quality|all]
+                   (default: all)
 
    [smoke] runs every kernel thunk exactly once (no timing) so the test
-   suite can exercise the bench harness cheaply; [--check] compares the
-   measured kernels against a committed baseline and fails the run on a
-   >25% regression. *)
+   suite can exercise the bench harness cheaply; [quality] prints the
+   plan-quality ledger that test/quality.expected pins; [--check]
+   compares the measured kernels against a committed baseline and fails
+   the run on a >25% regression. *)
 
 open Bechamel
 
@@ -523,6 +525,58 @@ let run_smoke () =
         (Domain.recommended_domain_count ()))
     skipped
 
+(* ----------------------------------------------------- quality ledger *)
+
+(* The plans of a fixed deck of benchmark jobs, generated by the
+   end-to-end benchmark's own generator and solved by the engine call the
+   server makes: 24 [estate_plans] jobs for each of seeds 1, 2 and 7 and
+   48 [cold_plans] jobs for seed 3.  Per job it prints the class, the
+   plan's [Evaluate] total, the MILP's gap, nodes and simplex iterations;
+   per class the median and max cost; then the deck total.  Every job's
+   node budget binds long before its CPU budget, so the output depends on
+   the code alone and prints no time: a change that moves a plan moves
+   this ledger. *)
+let quality_deck =
+  let open Perfbench.Gen in
+  List.concat_map
+    (fun (w, seed, n) -> List.init n (fun i -> (w, seed, i)))
+    [ (Estate_plans, 1, 24); (Estate_plans, 2, 24); (Estate_plans, 7, 24);
+      (Cold_plans, 3, 48) ]
+
+let run_quality () =
+  let by_class = Hashtbl.create 16 and classes = ref [] in
+  let deck_total = ref 0.0 in
+  List.iter
+    (fun (w, seed, i) ->
+      let g = Perfbench.Gen.fresh seed w i in
+      let job = Perfbench.Gen.decode g.Perfbench.Gen.body in
+      let asis = Service.Job.build_estate job in
+      let o = Perfbench.Replay.engine job asis in
+      let cost =
+        Etransform.Evaluate.total o.Etransform.Solver.summary.Etransform.Evaluate.cost
+      in
+      let cls = g.Perfbench.Gen.cls in
+      Printf.printf "%-12s s%d %2d  %-20s cost %14.4f  gap %.6e  nodes %d  lp_iterations %d\n"
+        (Perfbench.Gen.name w) seed i cls cost o.Etransform.Solver.milp_gap
+        o.Etransform.Solver.nodes o.Etransform.Solver.lp_iterations;
+      (match Hashtbl.find_opt by_class cls with
+      | Some l -> Hashtbl.replace by_class cls (cost :: l)
+      | None ->
+          classes := cls :: !classes;
+          Hashtbl.replace by_class cls [ cost ]);
+      deck_total := !deck_total +. cost)
+    quality_deck;
+  List.iter
+    (fun cls ->
+      let a = Array.of_list (Hashtbl.find by_class cls) in
+      Array.sort Float.compare a;
+      let n = Array.length a in
+      let median = (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0 in
+      Printf.printf "class %-20s jobs %2d  median %14.4f  max %14.4f\n" cls n
+        median a.(n - 1))
+    (List.rev !classes);
+  Printf.printf "deck total %.4f\n%!" !deck_total
+
 (* ------------------------------------------------- concurrency kernel *)
 
 (* Latency under load: hold [conns] concurrent keep-alive connections
@@ -873,11 +927,12 @@ let () =
   | "e7" -> ignore (Harness.Studies.e7_scenario_frontier ())
   | "kernels" -> passed := run_kernels ~json ?check ?tolerance ()
   | "smoke" -> run_smoke ()
+  | "quality" -> run_quality ()
   | "all" ->
       Harness.Studies.all ();
       passed := run_kernels ~json ?check ?tolerance ()
   | other ->
-      Printf.eprintf "unknown experiment %S (want e0..e7, kernels, smoke, all)\n"
+      Printf.eprintf "unknown experiment %S (want e0..e7, kernels, smoke, quality, all)\n"
         other;
       exit 2);
   Printf.printf "\nDone.\n%!";
