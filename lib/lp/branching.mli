@@ -7,10 +7,15 @@
     estimated down- and up-degradations.  A candidate with fewer than 4
     observations in either direction is unreliable and is probed by
     strong branching first: bounded warm-started dual-simplex solves of
-    both children, up to 8 probes per node, whose results are folded
-    into the table.  Until a variable has any statistics it borrows the
-    global mean; with no statistics at all the selector falls back to
-    the most fractional candidate. *)
+    both children, up to 8 candidates per node, whose results are
+    folded into the table.  Until a variable has any statistics it
+    borrows the global mean; with no statistics at all the selector
+    falls back to the most fractional candidate.
+
+    The caller owns the probes: {!Milp} runs none on the last node its
+    budget allows (the probe callback answers [(None, None)]) and hands
+    the chosen candidate's probe LPs to its children as their node
+    LPs. *)
 
 type t
 
@@ -38,7 +43,8 @@ val most_fractional : int list -> float -> float array -> int
     the LP solution [x], or [-1] when [x] is integral on [int_ids].
     [probe j xv] strong-branches candidate [j] at LP value [xv] and
     returns the observed objective-key degradations [(down, up)] —
-    [None] when the probe hit an iteration or time budget. *)
+    [None] when the probe hit an iteration or time budget or was not
+    run.  [select] calls it at most once per candidate. *)
 val select :
   t ->
   int_ids:int list ->

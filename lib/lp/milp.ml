@@ -42,13 +42,15 @@ let integral ?(tol = 1e-6) m x =
    repairs it in a handful of pivots.  [branched] remembers which variable
    and direction created the node, the parent's objective key and the
    branching value's fractional part, so the child LP's outcome can be fed
-   back into the pseudocost table. *)
+   back into the pseudocost table.  [solved] is the node's own LP result
+   when strong branching already computed it (see [probe] in [solve]). *)
 type node = {
   diffs : (int * float * float) list;
   depth : int;
   warm : Simplex.basis option;
   branched : (int * bool * float * float) option;
       (* (var, up?, parent key, fractional part) *)
+  solved : Simplex.result option;
 }
 
 let most_fractional = Branching.most_fractional
@@ -482,7 +484,7 @@ let solve ?(options = default_options) m =
             let frontier = Frontier.create () in
             Frontier.push frontier ~key:root_key
               { diffs = []; depth = 0; warm = root.Simplex.basis;
-                branched = None };
+                branched = None; solved = None };
             let nodes = ref 0 in
             let stop_reason = ref None in
             (* Deadline-aware per-node budget: once the solve has burned
@@ -523,8 +525,21 @@ let solve ?(options = default_options) m =
                     | None -> false
                   in
                   if not worse then
+                    (* Strong branching solves each candidate's children
+                       from this node's basis.  A child whose probe
+                       finished on the warm dual path, optimal or
+                       infeasible, within [probe_iters] is the very solve
+                       the child's own node LP would run (same bounds,
+                       same basis, and a node's iteration cap is never
+                       below 500), so the chosen candidate's probes are
+                       handed to its children and the rest dropped.  On
+                       the last node the budget allows, the children are
+                       never solved: the probes could change nothing but
+                       the choice of variable, so none are run. *)
+                    let probed = ref [] in
                     let probe j xv =
-                      if out_of_time () then (None, None)
+                      if out_of_time () || !nodes >= options.node_limit then
+                        (None, None)
                       else begin
                         let dir l h =
                           let pr =
@@ -532,17 +547,25 @@ let solve ?(options = default_options) m =
                               ~max_iters:probe_iters
                               ((j, l, h) :: nd.diffs)
                           in
+                          let kept =
+                            if pr.Simplex.warm_started then Some pr else None
+                          in
                           match pr.Simplex.status with
                           | Status.Optimal ->
-                              Some
-                                (Float.max 0.0
-                                   (key_of_obj pr.Simplex.obj_value -. k'))
+                              ( kept,
+                                Some
+                                  (Float.max 0.0
+                                     (key_of_obj pr.Simplex.obj_value -. k')) )
                           | Status.Infeasible ->
-                              Some Branching.infeasible_degradation
-                          | _ -> None
+                              (kept, Some Branching.infeasible_degradation)
+                          | _ -> (None, None)
                         in
-                        ( dir neg_infinity (Float.floor xv),
-                          dir (Float.ceil xv) infinity )
+                        (* Sequenced by [let]: the components of a tuple
+                           are evaluated in an unspecified order. *)
+                        let up_kept, up = dir (Float.ceil xv) infinity in
+                        let dn_kept, dn = dir neg_infinity (Float.floor xv) in
+                        probed := (j, dn_kept, up_kept) :: !probed;
+                        (dn, up)
                       end
                     in
                     match
@@ -555,14 +578,21 @@ let solve ?(options = default_options) m =
                         let f = xv -. Float.floor xv in
                         let fl = Float.floor xv and ce = Float.ceil xv in
                         let warm = r.Simplex.basis in
+                        let dn_solved, up_solved =
+                          match List.find_opt (fun (i, _, _) -> i = j) !probed with
+                          | Some (_, dn, up) -> (dn, up)
+                          | None -> (None, None)
+                        in
                         Frontier.push frontier ~key:k'
                           { diffs = (j, neg_infinity, fl) :: nd.diffs;
                             depth = nd.depth + 1; warm;
-                            branched = Some (j, false, k', f) };
+                            branched = Some (j, false, k', f);
+                            solved = dn_solved };
                         Frontier.push frontier ~key:k'
                           { diffs = (j, ce, infinity) :: nd.diffs;
                             depth = nd.depth + 1; warm;
-                            branched = Some (j, true, k', f) })
+                            branched = Some (j, true, k', f);
+                            solved = up_solved })
               | _ ->
                   (* A node LP that fails numerically is abandoned; the
                      incumbent, if any, remains valid. *)
@@ -592,8 +622,11 @@ let solve ?(options = default_options) m =
                     incr nodes;
                     let cap = node_budget () in
                     let r =
-                      solve_node ?warm:nd.warm ?max_iters:cap
-                        ~want_basis:true nd.diffs
+                      match nd.solved with
+                      | Some r -> r
+                      | None ->
+                          solve_node ?warm:nd.warm ?max_iters:cap
+                            ~want_basis:true nd.diffs
                     in
                     match r.Simplex.status with
                     | Status.Iteration_limit when cap <> None ->

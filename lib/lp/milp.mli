@@ -60,7 +60,10 @@ type result = {
   gap : float;             (** relative gap between [obj] and [bound] *)
   nodes : int;             (** branch-and-bound nodes explored *)
   cuts : int;              (** cutting planes appended at the root *)
-  lp_iterations : int;     (** total simplex iterations *)
+  lp_iterations : int;
+      (** total simplex iterations, each simplex run counted once: a node
+          whose LP strong branching already solved adds nothing when it is
+          popped *)
 }
 
 (** [solve m] solves the model, honouring integrality marks on variables. *)
