@@ -13,7 +13,7 @@ let infeasible_degradation = 1e10
 
 (* A candidate with fewer observations than this in either direction is
    unreliable and gets probed (SCIP's eta-rel), up to [sb_nvars] probes
-   per node. *)
+   per node and never more than the caller's [budget]. *)
 let reliability_threshold = 4
 let sb_nvars = 8
 
@@ -65,13 +65,13 @@ let candidates int_ids tol x =
   |> List.sort (fun (i, _, da) (j, _, db) ->
          match compare db da with 0 -> compare i j | c -> c)
 
-let select t ~int_ids ~tol ~x ~probe =
+let select t ~budget ~int_ids ~tol ~x ~probe =
   match candidates int_ids tol x with
   | [] -> -1
   | cands ->
       (* Strong branching: probe the most fractional unreliable candidates
          and fold the observed degradations in. *)
-      let budget = ref sb_nvars in
+      let budget = ref (min sb_nvars budget) in
       List.iter
         (fun (j, f, _) ->
           if

@@ -7,15 +7,14 @@
     estimated down- and up-degradations.  A candidate with fewer than 4
     observations in either direction is unreliable and is probed by
     strong branching first: bounded warm-started dual-simplex solves of
-    both children, up to 8 candidates per node, whose results are
-    folded into the table.  Until a variable has any statistics it
-    borrows the global mean; with no statistics at all the selector
-    falls back to the most fractional candidate.
+    both children, whose results are folded into the table.  Until a
+    variable has any statistics it borrows the global mean; with no
+    statistics at all the selector falls back to the most fractional
+    candidate.
 
-    The caller owns the probes: {!Milp} runs none on the last node its
-    budget allows (the probe callback answers [(None, None)]) and hands
-    the chosen candidate's probe LPs to its children as their node
-    LPs. *)
+    The caller owns the probes: {!Milp} sizes them to the nodes its
+    budget has left and hands the chosen candidate's probe LPs to its
+    children as their node LPs. *)
 
 type t
 
@@ -39,14 +38,15 @@ val observe : t -> var:int -> up:bool -> frac:float -> degradation:float -> unit
     integral; the dives and the root integrality test use it. *)
 val most_fractional : int list -> float -> float array -> int
 
-(** [select t ~int_ids ~tol ~x ~probe] picks the branching variable for
-    the LP solution [x], or [-1] when [x] is integral on [int_ids].
-    [probe j xv] strong-branches candidate [j] at LP value [xv] and
-    returns the observed objective-key degradations [(down, up)] —
-    [None] when the probe hit an iteration or time budget or was not
-    run.  [select] calls it at most once per candidate. *)
+(** [select t ~budget ~int_ids ~tol ~x ~probe] picks the branching
+    variable for the LP solution [x], or [-1] when [x] is integral on
+    [int_ids].  [probe j xv] strong-branches candidate [j] at [xv] and
+    returns the objective-key degradations [(down, up)] — [None] when
+    the probe hit an iteration or time budget or was not run.  [select]
+    calls it at most once per candidate, [min 8 budget] times in all. *)
 val select :
   t ->
+  budget:int ->
   int_ids:int list ->
   tol:float ->
   x:float array ->

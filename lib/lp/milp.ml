@@ -532,14 +532,12 @@ let solve ?(options = default_options) m =
                        the child's own node LP would run (same bounds,
                        same basis, and a node's iteration cap is never
                        below 500), so the chosen candidate's probes are
-                       handed to its children and the rest dropped.  On
-                       the last node the budget allows, the children are
-                       never solved: the probes could change nothing but
-                       the choice of variable, so none are run. *)
+                       handed to its children and the rest dropped.  The
+                       tree can solve at most [node_limit - !nodes] more
+                       LPs, so [select] probes no more candidates. *)
                     let probed = ref [] in
                     let probe j xv =
-                      if out_of_time () || !nodes >= options.node_limit then
-                        (None, None)
+                      if out_of_time () then (None, None)
                       else begin
                         let dir l h =
                           let pr =
@@ -569,8 +567,9 @@ let solve ?(options = default_options) m =
                       end
                     in
                     match
-                      Branching.select bstate ~int_ids ~tol:int_tol
-                        ~x:r.Simplex.x ~probe
+                      Branching.select bstate
+                        ~budget:(options.node_limit - !nodes) ~int_ids
+                        ~tol:int_tol ~x:r.Simplex.x ~probe
                     with
                     | -1 -> accept_point r.Simplex.x
                     | j ->

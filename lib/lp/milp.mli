@@ -6,9 +6,10 @@
     mixed-integer and knapsack-cover cutting planes, the {!Fpump}
     feasibility pump hunts for an early incumbent, and a dive-and-fix
     heuristic runs only when the pump left none.  The tree then branches
-    by {!Branching}'s reliability rule.  A feasible plan is almost always
-    returned together with the LP lower bound and the resulting
-    optimality gap.
+    by {!Branching}'s reliability rule, probing at most as many
+    candidates as [node_limit] has nodes left (at most 8).  A feasible
+    plan is almost always returned together with the LP lower bound and
+    the resulting optimality gap.
 
     Every branch-and-bound node carries its parent's optimal basis, and
     the node LP is reoptimized by the dual simplex instead of solved from

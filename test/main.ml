@@ -3,6 +3,7 @@ let () =
     [
       ("simplex", Test_simplex.suite);
       ("milp", Test_milp.suite);
+      ("branching", Test_branching.suite);
       (* Lp.Frontier, registered under the name its tests carried when
          it was the work-stealing deque. *)
       ("wsched", Test_frontier.suite);

@@ -591,7 +591,7 @@ let test_pinned_node_limited () =
   Alcotest.(check bool)
     (Printf.sprintf "solves stopped by the budget (%d)" !stops)
     true (!stops >= 40);
-  Alcotest.(check string) "node-limited digest" "18a07224372723ee8333f389fd28df0c"
+  Alcotest.(check string) "node-limited digest" "bbd83447ca8ee992ac7297ab1d1999bb"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =
