@@ -112,12 +112,15 @@ let consolidate ?(builder = Lp_builder.default_options)
   in
   (* Local search must not undo pins or revisit forbidden pairs. *)
   let may_place =
-    let pinned = Hashtbl.create 8 and banned = Hashtbl.create 8 in
-    List.iter (fun (i, j) -> Hashtbl.replace pinned i j) builder.Lp_builder.pins;
-    List.iter (fun ij -> Hashtbl.replace banned ij ()) builder.Lp_builder.forbids;
-    fun i j ->
-      (not (Hashtbl.mem banned (i, j)))
-      && match Hashtbl.find_opt pinned i with None -> true | Some j' -> j = j'
+    match (builder.Lp_builder.pins, builder.Lp_builder.forbids) with
+    | [], [] -> fun _ _ -> true
+    | pins, forbids ->
+        let pinned = Hashtbl.create 8 and banned = Hashtbl.create 8 in
+        List.iter (fun (i, j) -> Hashtbl.replace pinned i j) pins;
+        List.iter (fun ij -> Hashtbl.replace banned ij ()) forbids;
+        fun i j ->
+          (not (Hashtbl.mem banned (i, j)))
+          && match Hashtbl.find_opt pinned i with None -> true | Some j' -> j = j'
   in
   let polish placement =
     if local_search then begin

@@ -19,9 +19,10 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
   | Some b ->
       let rows = input.Simplex.rows in
       let m = Array.length rows and n = input.Simplex.nvars in
-      (* Mirror the frame's slack layout. *)
+      (* Mirror the frame's slack layout: slack column [n + s] belongs to
+         row [row_of_slack.(s)]. *)
       let slack_col = Array.make m (-1) in
-      let srow = ref [] in
+      let row_of_slack = Array.make m (-1) in
       let next = ref n in
       Array.iteri
         (fun i (_, s, _) ->
@@ -29,12 +30,10 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
           | Model.Eq -> ()
           | Model.Le | Model.Ge ->
               slack_col.(i) <- !next;
-              srow := (!next, i) :: !srow;
+              row_of_slack.(!next - n) <- i;
               incr next)
         rows;
       let art0 = !next in
-      let row_of_slack = Hashtbl.create 16 in
-      List.iter (fun (c, i) -> Hashtbl.add row_of_slack c i) !srow;
       let sigma i =
         match rows.(i) with _, Model.Le, _ -> 1.0 | _ -> -1.0
       in
@@ -64,16 +63,20 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
             let cands =
               List.sort
                 (fun (a, da) (b, db) ->
-                  match compare db da with 0 -> compare a b | c -> c)
+                  match Float.compare db da with
+                  | 0 -> Int.compare a b
+                  | c -> c)
                 !cands
             in
             let cuts = ref [] and ncuts = ref 0 in
+            (* Work rows shared by the candidates, cleared before use. *)
+            let abar = Array.make art0 0.0 and coef = Array.make n 0.0 in
             List.iter
               (fun (jb, _) ->
                 if !ncuts < max_cuts then begin
                   let w = basis_row jb in
                   (* The tableau row over all columns: abar_j = w · A_j. *)
-                  let abar = Array.make art0 0.0 in
+                  Array.fill abar 0 art0 0.0;
                   Array.iteri
                     (fun k (terms, _, _) ->
                       let wk = w.(k) in
@@ -120,7 +123,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                     let f0 = !shifted -. Float.floor !shifted in
                     if f0 > 0.005 && f0 < 0.995 then begin
                       (* GMI over the shifted nonbasics t_j >= 0. *)
-                      let coef = Array.make n 0.0 in
+                      Array.fill coef 0 n 0.0;
                       let cut_rhs = ref 1.0 in
                       let add_term j gamma =
                         if Float.abs gamma > 1e-12 then begin
@@ -134,7 +137,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                               else begin
                                 (* slack at lower (0): substitute
                                    s = sigma * (rhs_k - row_k . x). *)
-                                let k = Hashtbl.find row_of_slack j in
+                                let k = row_of_slack.(j - n) in
                                 let sg = sigma k in
                                 let terms, _, rk = rows.(k) in
                                 Array.iter
@@ -226,11 +229,14 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
 let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
   let lo = input.Simplex.lo and hi = input.Simplex.hi in
   let is_bin j = integer.(j) && lo.(j) = 0.0 && hi.(j) = 1.0 in
-  let cuts = ref [] in
+  let cuts = ref [] and ncuts = ref 0 in
   (try
      Array.iteri
        (fun ri (terms, sense, b) ->
-         if ri < base_rows && sense = Model.Le && List.length !cuts < max_cuts
+         if
+           ri < base_rows
+           && (match sense with Model.Le -> true | Model.Ge | Model.Eq -> false)
+           && !ncuts < max_cuts
          then begin
            (* Relax non-binary terms to their interval minimum and
               complement negative binary coefficients, leaving a pure
@@ -263,7 +269,9 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
              let sorted =
                List.sort
                  (fun (i, _, _, za) (j, _, _, zb) ->
-                   match compare zb za with 0 -> compare i j | c -> c)
+                   match Float.compare zb za with
+                   | 0 -> Int.compare i j
+                   | c -> c)
                  !items
              in
              let cover = ref [] and wt = ref 0.0 in
@@ -284,7 +292,7 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
                    if !wt -. w > !cap +. 1e-9 then wt := !wt -. w
                    else keep := (j, w, compl, z) :: !keep)
                  (List.sort
-                    (fun (_, _, _, za) (_, _, _, zb) -> compare za zb)
+                    (fun (_, _, _, za) (_, _, _, zb) -> Float.compare za zb)
                     !cover);
                let c = !keep in
                let sz = List.length c in
@@ -301,8 +309,11 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
                          (j, -1.0)
                        end
                        else (j, 1.0))
-                     (List.sort (fun (i, _, _, _) (j, _, _, _) -> compare i j) c)
+                     (List.sort
+                        (fun (i, _, _, _) (j, _, _, _) -> Int.compare i j)
+                        c)
                  in
+                 incr ncuts;
                  cuts := (Array.of_list cterms, Model.Le, !rhs) :: !cuts
                end
              end

@@ -425,69 +425,188 @@ let recompute_xb st =
   ftran st w;
   Array.blit w 0 st.sxb 0 st.ss_m
 
+(* [sort_by_key key a] sorts [a] by increasing [key.(a.(i))]: Stdlib's
+   ternary heapsort ([Array.sort]) with its comparison inlined.  It makes
+   the same comparisons in the same order, so ties end up in exactly the
+   places [Array.sort (fun x y -> Int.compare key.(x) key.(y)) a] puts
+   them. *)
+exception Bottom of int
+
+let sort_by_key (key : int array) (a : int array) =
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1 else i31 in
+      if key.(a.(x)) < key.(a.(i31 + 2)) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1
+    else if i31 < l then i31
+    else raise_notrace (Bottom i)
+  in
+  let rec trickledown l i e =
+    let j = maxson l i in
+    if key.(a.(j)) > key.(e) then begin
+      a.(i) <- a.(j);
+      trickledown l j e
+    end
+    else a.(i) <- e
+  in
+  let trickle l i e = try trickledown l i e with Bottom i -> a.(i) <- e in
+  let rec bubbledown l i =
+    let j = maxson l i in
+    a.(i) <- a.(j);
+    bubbledown l j
+  in
+  let bubble l i = try bubbledown l i with Bottom i -> i in
+  let rec trickleup i e =
+    let father = (i - 1) / 3 in
+    if key.(a.(father)) < key.(e) then begin
+      a.(i) <- a.(father);
+      if father > 0 then trickleup father e else a.(0) <- e
+    end
+    else a.(i) <- e
+  in
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 (* Rebuild the eta file from scratch for the current basis: columns are
    factored sparsest-first, each claiming the unclaimed row where its
    transformed value is largest (the basis-to-row assignment is permuted
-   accordingly).  Returns false when the basis is singular. *)
+   accordingly).  Returns false when the basis is singular.
+
+   Each column is transformed as [ftran_col] would, with the same
+   arithmetic, but only the rows it touches are visited: its pattern
+   grows as the column is scattered and as etas reach new rows, and only
+   the pattern is scanned and zeroed again afterwards. *)
 let refactorize st =
   let m = st.ss_m in
   st.neta <- 0;
   if m = 0 then true
   else begin
+    let mat = st.mat in
+    let cstart = mat.cstart and crow = mat.crow and cval = mat.cval in
     let cols = Array.sub st.sbasis 0 m in
     let order = Array.init m (fun i -> i) in
-    let colnnz =
-      Array.map (fun j -> st.mat.cstart.(j + 1) - st.mat.cstart.(j)) cols
-    in
-    Array.sort (fun a b -> Int.compare colnnz.(a) colnnz.(b)) order;
+    sort_by_key (Array.map (fun j -> cstart.(j + 1) - cstart.(j)) cols) order;
     let claimed = Array.make m false in
     let newbasis = Array.make m (-1) in
-    let ok = ref true in
     let d = st.sd in
+    Array.fill d 0 m 0.0;
+    (* [pat.(0 .. np-1)]: the rows the column at position [t] of [order]
+       has touched, exactly those with [mark.(i) = t]. *)
+    let pat = Array.make m 0 and mark = Array.make m (-1) in
     (* Rows of the transformed column above the eta threshold, in
        increasing order, recorded during the pivot scan so the eta is
        built from them without another pass over [d]. *)
     let nzrow = Array.make m 0 in
-    (try
-       Array.iter
-         (fun i0 ->
-           let j = cols.(i0) in
-           ftran_col st j;
-           let p = ref (-1) and best = ref 1e-10 and nz = ref 0 in
-           for i = 0 to m - 1 do
-             let a = Float.abs (Array.unsafe_get d i) in
-             if a > 1e-13 then begin
-               Array.unsafe_set nzrow !nz i;
-               incr nz;
-               if a > !best && not claimed.(i) then begin
-                 best := a;
-                 p := i
-               end
-             end
-           done;
-           if !p < 0 then raise Exit;
-           let p = !p in
-           claimed.(p) <- true;
-           newbasis.(p) <- j;
-           (* a still-unit column pivoting its own row needs no eta; [p]
-              is always among the [nz] recorded rows *)
-           let nz = !nz in
-           if not (nz = 1 && d.(p) = 1.0) then begin
-             let erow = Array.make (nz - 1) 0
-             and evals = Array.make (nz - 1) 0.0 in
-             let k = ref 0 in
-             for t = 0 to nz - 1 do
-               let i = Array.unsafe_get nzrow t in
-               if i <> p then begin
-                 erow.(!k) <- i;
-                 evals.(!k) <- Array.unsafe_get d i;
-                 incr k
-               end
-             done;
-             add_eta st { ep = p; erow; evals; epiv = d.(p) }
-           end)
-         order
-     with Exit -> ok := false);
+    let ok = ref true and t = ref 0 in
+    while !ok && !t < m do
+      let t0 = !t in
+      let j = cols.(order.(t0)) in
+      let np = ref 0 in
+      for k = cstart.(j) to cstart.(j + 1) - 1 do
+        let i = crow.(k) in
+        if mark.(i) <> t0 then begin
+          mark.(i) <- t0;
+          pat.(!np) <- i;
+          incr np
+        end;
+        d.(i) <- d.(i) +. cval.(k)
+      done;
+      for k = 0 to st.neta - 1 do
+        let e = st.etas.(k) in
+        let xp = d.(e.ep) in
+        if xp <> 0.0 then begin
+          let s = xp /. e.epiv in
+          d.(e.ep) <- s;
+          let erow = e.erow and evals = e.evals in
+          for q = 0 to Array.length erow - 1 do
+            let i = Array.unsafe_get erow q in
+            if Array.unsafe_get mark i <> t0 then begin
+              Array.unsafe_set mark i t0;
+              Array.unsafe_set pat !np i;
+              incr np
+            end;
+            Array.unsafe_set d i
+              (Array.unsafe_get d i -. (Array.unsafe_get evals q *. s))
+          done
+        end
+      done;
+      let np = !np in
+      (* The pattern in increasing row order, as a dense scan meets it:
+         a small one sorted by insertion, a large one read off the
+         marks. *)
+      if np * np <= 4 * m then
+        for q = 1 to np - 1 do
+          let i = pat.(q) and r = ref (q - 1) in
+          while !r >= 0 && pat.(!r) > i do
+            pat.(!r + 1) <- pat.(!r);
+            decr r
+          done;
+          pat.(!r + 1) <- i
+        done
+      else begin
+        let q = ref 0 in
+        for i = 0 to m - 1 do
+          if Array.unsafe_get mark i = t0 then begin
+            pat.(!q) <- i;
+            incr q
+          end
+        done
+      end;
+      let p = ref (-1) and best = ref 1e-10 and nz = ref 0 in
+      for q = 0 to np - 1 do
+        let i = Array.unsafe_get pat q in
+        let a = Float.abs (Array.unsafe_get d i) in
+        if a > 1e-13 then begin
+          Array.unsafe_set nzrow !nz i;
+          incr nz;
+          if a > !best && not claimed.(i) then begin
+            best := a;
+            p := i
+          end
+        end
+      done;
+      if !p < 0 then ok := false
+      else begin
+        let p = !p in
+        claimed.(p) <- true;
+        newbasis.(p) <- j;
+        (* a still-unit column pivoting its own row needs no eta; [p]
+           is always among the [nz] recorded rows *)
+        let nz = !nz in
+        if not (nz = 1 && d.(p) = 1.0) then begin
+          let erow = Array.make (nz - 1) 0
+          and evals = Array.make (nz - 1) 0.0 in
+          let k = ref 0 in
+          for q = 0 to nz - 1 do
+            let i = Array.unsafe_get nzrow q in
+            if i <> p then begin
+              erow.(!k) <- i;
+              evals.(!k) <- Array.unsafe_get d i;
+              incr k
+            end
+          done;
+          add_eta st { ep = p; erow; evals; epiv = d.(p) }
+        end
+      end;
+      for q = 0 to np - 1 do
+        Array.unsafe_set d (Array.unsafe_get pat q) 0.0
+      done;
+      incr t
+    done;
     if !ok then begin
       Array.blit newbasis 0 st.sbasis 0 m;
       recompute_xb st

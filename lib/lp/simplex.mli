@@ -84,6 +84,12 @@ val solve :
     function raises [Invalid_argument] on a nonbasic column. *)
 val basis_rows : input -> basis -> (int -> float array) option
 
+(** [sort_by_key key a] sorts [a] by increasing [key.(a.(i))] into the
+    permutation [Array.sort (fun x y -> Int.compare key.(x) key.(y)) a]
+    produces, ties included: the refactorization orders basis columns
+    with it. *)
+val sort_by_key : int array -> int array -> unit
+
 (** [check_certificate input result] re-verifies, from scratch, that
     [result] is a valid optimum of [input]: primal feasibility, the sign
     conditions on reduced costs, and the strong-duality identity.  Returns

@@ -607,6 +607,99 @@ let test_pinned_literal () =
   Alcotest.(check string) "pinned digest" "2a3a244cfe46bc0638284e46179fb305"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* A generalized assignment relaxation: [g] groups, each placed once on
+   one of [t] targets, under capacities tight enough that the LP optimum
+   is fractional.  Returns the input and its integrality marks. *)
+let assignment_lp rng g t =
+  let m = Model.create () in
+  let x =
+    Array.init g (fun i ->
+        Array.init t (fun j ->
+            Model.add_var m ~binary:true (Printf.sprintf "x%d_%d" i j)))
+  in
+  let w = Array.init g (fun _ -> Datasets.Prng.range rng 1.0 9.0) in
+  Array.iteri
+    (fun i xi ->
+      Model.add_eq m (Printf.sprintf "a%d" i)
+        (Model.Linexpr.sum (Array.to_list (Array.map Model.Linexpr.var xi)))
+        1.0)
+    x;
+  let cap = 1.1 *. Array.fold_left ( +. ) 0.0 w /. float_of_int t in
+  for j = 0 to t - 1 do
+    Model.add_le m (Printf.sprintf "c%d" j)
+      (Model.Linexpr.sum (List.init g (fun i -> Model.Linexpr.term w.(i) x.(i).(j))))
+      cap
+  done;
+  Model.set_objective m
+    (Model.Linexpr.sum
+       (List.concat
+          (List.init g (fun i ->
+               List.init t (fun j ->
+                   Model.Linexpr.term (Datasets.Prng.range rng 1.0 20.0) x.(i).(j))))));
+  ( Simplex.of_model m,
+    Array.map (fun (v : Model.var) -> v.Model.integer) (Model.vars m) )
+
+(* Seeded assignment LPs strengthened by [Cuts.strengthen]: its dense
+   Gomory rows make the final optimal bases refactorize with fill.  Each
+   case hashes the final solve's iterations and objective bits and the
+   bits of every row of B^-1 that [basis_rows] returns at its basis, so
+   any change to the factorization's pivot choice, eta order or
+   arithmetic moves the digest. *)
+let test_pinned_basis_rows () =
+  let buf = Buffer.create 65536 in
+  let cut_rows = ref 0 in
+  let solve ?warm inp = Simplex.solve ?warm ~want_basis:true inp in
+  List.iter
+    (fun (seed, g, t) ->
+      let rng = Datasets.Prng.create seed in
+      let input, integer = assignment_lp rng g t in
+      match
+        Cuts.strengthen ~solve ~integer ~int_tol:1e-6
+          ~stop:(fun () -> false) input
+      with
+      | None -> Alcotest.failf "seed %d: no cut was added" seed
+      | Some (inp, r, _) -> (
+          cut_rows :=
+            !cut_rows + Array.length inp.Simplex.rows
+            - Array.length input.Simplex.rows;
+          Buffer.add_string buf
+            (Printf.sprintf "%d %d %Lx\n" seed r.Simplex.iterations
+               (Int64.bits_of_float r.Simplex.obj_value));
+          match r.Simplex.basis with
+          | None -> Alcotest.failf "seed %d: no basis" seed
+          | Some b -> (
+              match Simplex.basis_rows inp b with
+              | None -> Alcotest.failf "seed %d: basis did not factorize" seed
+              | Some row ->
+                  Array.iter
+                    (fun c ->
+                      Buffer.add_string buf (string_of_int c);
+                      Array.iter
+                        (fun v ->
+                          Buffer.add_string buf
+                            (Printf.sprintf " %Lx" (Int64.bits_of_float v)))
+                        (row c);
+                      Buffer.add_char buf '\n')
+                    b.Simplex.vbasis)))
+    [ (1, 6, 3); (2, 10, 4); (3, 16, 5); (4, 24, 6); (5, 40, 8); (6, 60, 10) ];
+  Alcotest.(check bool) "cut rows appended" true (!cut_rows > 30);
+  Alcotest.(check string) "pinned digest" "5e696fc3b2474b7b1e9485f1fbbfffa1"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_sort_by_key () =
+  (* Heapsort is not stable: the key sort must reproduce Array.sort's
+     placement of ties, not merely some sorted order. *)
+  let rng = Datasets.Prng.create 11 in
+  for len = 0 to 300 do
+    let spread = 1 + Datasets.Prng.int rng (1 + (len / 4)) in
+    let key = Array.init len (fun _ -> Datasets.Prng.int rng spread) in
+    let want = Array.init len (fun i -> i) in
+    Array.sort (fun x y -> Int.compare key.(x) key.(y)) want;
+    let got = Array.init len (fun i -> i) in
+    Simplex.sort_by_key key got;
+    if got <> want then Alcotest.failf "length %d: permutations differ" len
+  done
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -640,4 +733,8 @@ let suite =
     Alcotest.test_case "pinned literal: cold and warm solves" `Quick
       test_pinned_literal;
     q prop_random_feasible;
+    Alcotest.test_case "pinned literal: B^-1 rows after cut rounds" `Quick
+      test_pinned_basis_rows;
+    Alcotest.test_case "key sort is Array.sort's permutation" `Quick
+      test_sort_by_key;
   ]
