@@ -160,7 +160,7 @@ let consolidate ?(builder = Lp_builder.default_options)
   (* When no side constraints restrict the plan, keep the better of the
      engine's plan and the polished greedy plan — a cheap insurance against
      budget-starved MILP runs. *)
-  let placement =
+  let placement, moves =
     if
       builder.Lp_builder.pins = []
       && builder.Lp_builder.forbids = []
@@ -168,15 +168,16 @@ let consolidate ?(builder = Lp_builder.default_options)
     then
       match Greedy.plan asis with
       | g ->
-          let g, _ =
+          let g, gmoves =
             if local_search then
               Local_search.improve ~swaps:false ~max_rounds:2 asis g
             else (g, 0)
           in
-          if Placement.validate asis g = [] && cost g < cost placement then g
-          else placement
-      | exception Failure _ -> placement
-    else placement
+          if Placement.validate asis g = [] && cost g < cost placement then
+            (g, gmoves)
+          else (placement, moves)
+      | exception Failure _ -> (placement, moves)
+    else (placement, moves)
   in
   {
     placement;

@@ -193,6 +193,18 @@ let test_gap_reported () =
   Alcotest.(check bool) "gap in [0,1]" true
     (o.Solver.milp_gap >= 0.0 && o.Solver.milp_gap <= 1.0)
 
+(* On this estate the polished greedy plan is cheaper than the engine's
+   (whose own polish makes 16 moves), so [consolidate] serves it, and
+   the local moves it reports are the ones that polished it. *)
+let test_greedy_insurance_moves () =
+  let asis = Fixtures.synthetic ~seed:3 ~groups:30 ~targets:6 () in
+  let o = Solver.consolidate asis in
+  let g, moves =
+    Local_search.improve ~swaps:false ~max_rounds:2 asis (Greedy.plan asis)
+  in
+  Alcotest.(check bool) "greedy plan served" true (o.Solver.placement = g);
+  Alcotest.(check int) "its local moves" moves o.Solver.local_moves
+
 let prop_solver_never_worse_than_greedy =
   QCheck2.Test.make ~name:"engine never loses to greedy" ~count:12
     QCheck2.Gen.(int_range 0 3000)
@@ -219,5 +231,7 @@ let suite =
     Alcotest.test_case "local search zero delta" `Quick test_local_search_zero_delta;
     Alcotest.test_case "optimal on fixture" `Quick test_solver_optimal_small;
     Alcotest.test_case "gap reported" `Quick test_gap_reported;
+    Alcotest.test_case "greedy insurance reports its moves" `Quick
+      test_greedy_insurance_moves;
     QCheck_alcotest.to_alcotest prop_solver_never_worse_than_greedy;
   ]
