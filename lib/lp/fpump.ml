@@ -21,8 +21,10 @@ type outcome = Integral of float array | Near of float array | Failed
    warm solve that performs no pivot proves the optimum is unchanged. *)
 let stall_limit = 8
 
-let run ~solve ~(input : Simplex.input) ~int_ids ~int_tol ~start ~stop
-    ?(max_rounds = 40) () =
+(* Distance solves before the pump gives up and reports its best iterate. *)
+let max_rounds = 100
+
+let run ~solve ~(input : Simplex.input) ~int_ids ~int_tol ~start ~stop =
   let ints = Array.of_list int_ids in
   let nint = Array.length ints in
   if nint = 0 then Failed

@@ -37,12 +37,13 @@ type outcome =
           point for a fixing pass. *)
   | Failed  (** No LP iterate survived (solver failure or empty box). *)
 
-(** [run ~solve ~input ~int_ids ~int_tol ~start ~stop ()] pumps from the
+(** [run ~solve ~input ~int_ids ~int_tol ~start ~stop] pumps from the
     relaxation optimum [start]; [Integral] carries a feasible integral
-    point, [Near] the best near-integral iterate when the round budget,
-    [stop], or a hard stall (repeated zero-pivot rounds) ends the hunt
-    first.  [solve] must solve an arbitrary {!Simplex.input}; the pump
-    only varies the objective, never bounds or rows. *)
+    point, [Near] the best near-integral iterate when the round budget
+    (100 distance solves), [stop], or a hard stall (repeated zero-pivot
+    rounds) ends the hunt first.  [solve] must solve an arbitrary
+    {!Simplex.input}; the pump only varies the objective, never bounds or
+    rows. *)
 val run :
   solve:(Simplex.input -> Simplex.result) ->
   input:Simplex.input ->
@@ -50,6 +51,4 @@ val run :
   int_tol:float ->
   start:float array ->
   stop:(unit -> bool) ->
-  ?max_rounds:int ->
-  unit ->
   outcome
