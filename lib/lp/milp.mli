@@ -1,15 +1,17 @@
 (** Mixed-integer linear programming by LP-based branch-and-bound.
 
     The solver runs best-bound branch-and-bound over the bounded-variable
-    simplex of {!Simplex}, and every solve runs one pipeline.  Before the
-    tree opens the root is worked hard: {!Cuts} appends Gomory
-    mixed-integer and knapsack-cover cutting planes, the {!Fpump}
-    feasibility pump hunts for an early incumbent, and a dive-and-fix
-    heuristic runs only when the pump left none.  The tree then branches
-    by {!Branching}'s reliability rule, probing at most as many
-    candidates as [node_limit] has nodes left (at most 8).  A feasible
-    plan is almost always returned together with the LP lower bound and
-    the resulting optimality gap.
+    simplex of {!Simplex}, and every solve runs one pipeline of four
+    phases: [root] solves the root LP; [strengthen] appends {!Cuts}'
+    Gomory mixed-integer and knapsack-cover cutting planes; [heuristics]
+    runs the {!Fpump} feasibility pump, pump-and-fix when the pump stalls
+    near-integral, and a dive-and-fix only when neither left an
+    incumbent; [tree] branches by {!Branching}'s reliability rule,
+    probing at most as many candidates as [node_limit] has nodes left
+    (at most 8).  The first two end the solve early when their LP is
+    integral (or the root LP has no optimum).  A feasible plan is almost
+    always returned together with the LP lower bound and the resulting
+    optimality gap.
 
     Every branch-and-bound node carries its parent's optimal basis, and
     the node LP is reoptimized by the dual simplex instead of solved from
@@ -17,8 +19,8 @@
     warm path struggles.
 
     Every LP, root or node, is solved by {!Simplex.solve} on the model
-    as built.  Integer values are judged with a fixed tolerance of
-    [1e-6].
+    as built, with the root cuts appended after [strengthen].  Integer
+    values are judged with a fixed tolerance of [1e-6].
 
     The search runs on the calling domain, one node at a time, so a
     solve that [time_limit] does not cut short is deterministic: the
