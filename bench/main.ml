@@ -533,7 +533,7 @@ let run_smoke () =
    48 [cold_plans] jobs for seed 3.  Per job it prints the class, the
    plan's [Evaluate] total, the MILP's gap, nodes and simplex iterations;
    per class the median and max cost; then the deck total.  Every job's
-   node budget binds long before its CPU budget, so the output depends on
+   node budget binds long before its time budget, so the output depends on
    the code alone and prints no time: a change that moves a plan moves
    this ledger. *)
 let quality_deck =
@@ -636,9 +636,9 @@ let run_concurrency ~conns ~samples () =
   let lat = Array.make samples 0.0 in
   for i = 0 to samples - 1 do
     let fd = fds.(i mod conns) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Lp.Clock.now () in
     roundtrip fd;
-    lat.(i) <- (Unix.gettimeofday () -. t0) *. 1e9
+    lat.(i) <- (Lp.Clock.now () -. t0) *. 1e9
   done;
   Array.sort compare lat;
   let pct p = lat.(min (samples - 1) (int_of_float (float_of_int samples *. p))) in

@@ -86,7 +86,9 @@ let nodes_arg =
   Arg.(value & opt int 5000 & info [ "nodes" ] ~doc:"Branch-and-bound node budget.")
 
 let time_arg =
-  Arg.(value & opt float infinity & info [ "time" ] ~doc:"CPU-seconds budget.")
+  Arg.(
+    value & opt float infinity
+    & info [ "time" ] ~doc:"Wall-clock budget in seconds.")
 
 let mps_arg =
   Arg.(value & opt (some string) None & info [ "mps" ] ~docv:"FILE.mps"

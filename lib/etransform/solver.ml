@@ -31,20 +31,12 @@ let default_milp_options =
    the LP relaxation.  Groups (largest first) go to their highest-valued
    candidate with room, breaking ties toward cheaper assignments — the
    classic generalized-assignment rounding, which keeps the LP's global
-   view of latency and capacity trade-offs. *)
-let lp_round ?(relax_x = [||]) asis (built : Lp_builder.built) =
-  let relax_x =
-    (* The MILP already solved the root relaxation; only re-solve when the
-       caller has no point to hand over (e.g. the root LP never finished). *)
-    if Array.length relax_x > 0 then Some relax_x
-    else
-      let relax = Lp.Milp.relax built.Lp_builder.model in
-      if relax.Lp.Simplex.status <> Lp.Status.Optimal then None
-      else Some relax.Lp.Simplex.x
-  in
-  match relax_x with
-  | None -> None
-  | Some relax_x ->
+   view of latency and capacity trade-offs.  [relax_x] is the MILP's root
+   LP optimum; it is empty when that LP did not solve, and re-solving it
+   here would only repeat the failure, so there is nothing to round. *)
+let lp_round ~relax_x asis (built : Lp_builder.built) =
+  if Array.length relax_x = 0 then None
+  else begin
     let m = Asis.num_groups asis and n = Asis.num_targets asis in
     let order = Array.init m Fun.id in
     Array.sort
@@ -85,6 +77,7 @@ let lp_round ?(relax_x = [||]) asis (built : Lp_builder.built) =
         | None -> ok := false)
       order;
     if !ok then Some (Placement.non_dr primary) else None
+  end
 
 let consolidate ?(builder = Lp_builder.default_options)
     ?(milp = default_milp_options) ?(local_search = true) asis =

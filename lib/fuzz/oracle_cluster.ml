@@ -62,7 +62,7 @@ let temp_dir () =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "etransform_fuzz_store_%d_%x" (Unix.getpid ())
-         (Hashtbl.hash (Unix.gettimeofday ())))
+         (Hashtbl.hash (Lp.Clock.now ())))
   in
   Unix.mkdir dir 0o755;
   dir

@@ -508,9 +508,9 @@ let e7_scenario_frontier () =
   let asis = Datasets.Florida.asis ~scale:0.5 () in
   let milp = case_milp_for asis in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Lp.Clock.now () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Lp.Clock.now () -. t0)
   in
   let previous, _ = time (fun () -> Solver.consolidate ~milp asis) in
   let g0 = asis.Asis.groups.(0) and g1 = asis.Asis.groups.(1) in

@@ -61,20 +61,24 @@ let int_tol = 1e-6
    is abandoned (the probe then reports "no information"). *)
 let probe_iters = 200
 
-(* The time budget of one solve, in process CPU seconds since the solve
-   began.  [now] is the only clock the solver reads.  [root_s] is
-   what the root LP cost: the root phases (cuts, pump, dive) are staged
-   under fractions of the budget *remaining after the root LP*, so that on
+(* The time budget of one solve, in wall seconds on {!Clock} since the
+   solve began.  [deadline] is when it runs out: every LP gets it, so no
+   simplex call outlives it by more than a pivot.  [root_s] is what the
+   root LP cost: the root phases (cuts, pump, dive) are staged under
+   fractions of the budget *remaining after the root LP*, so that on
    models where every LP solve is expensive no single stage can starve the
    tree search of its share.  On wide models the root solve alone can
    cost a large fraction of the whole budget, and slicing the raw limit
    would silently zero out the early stages.  With the default infinite
    budget the slices are infinite too. *)
-type budget = { limit : float; start : float; mutable root_s : float }
+type budget = {
+  limit : float;
+  start : float;
+  deadline : float;
+  mutable root_s : float;
+}
 
-let now () = Sys.time ()
-
-let elapsed b = now () -. b.start
+let elapsed b = Clock.now () -. b.start
 
 let out_of_time b = elapsed b > b.limit
 
@@ -82,25 +86,6 @@ let out_of_time b = elapsed b > b.limit
 let slice_over b frac () =
   out_of_time b
   || elapsed b > b.root_s +. (frac *. Float.max 0.0 (b.limit -. b.root_s))
-
-(* Deadline-aware per-node budget: once the solve has burned enough clock
-   to estimate its pivot rate from [iters], each node LP is capped at the
-   iterations the *remaining* budget can afford.  A node whose LP alone
-   would outlive the deadline is pushed back open and the search stops,
-   instead of blowing through the limit inside one uninterruptible
-   simplex call. *)
-let node_cap b ~iters =
-  if not (Float.is_finite b.limit) then None
-  else begin
-    let elapsed = elapsed b in
-    if elapsed <= 1e-3 || iters <= 0 then None
-    else begin
-      let remaining = Float.max 0.0 (b.limit -. elapsed) in
-      let rate = float_of_int iters /. elapsed in
-      let cap = rate *. remaining in
-      Some (max 500 (int_of_float (Float.min 1e8 cap)))
-    end
-  end
 
 (* What the phases of one solve share. *)
 type state = {
@@ -129,13 +114,17 @@ type exit =
   | Searched of { reason : Status.t option; open_key : float; root_key : float }
 
 let init options m =
+  let start = Clock.now () in
   let input0 = Simplex.of_model m in
   let int_ids =
     List.map (fun (v : Model.var) -> v.Model.id) (Model.integer_vars m)
   in
   let integer = Array.make input0.Simplex.nvars false in
   List.iter (fun j -> integer.(j) <- true) int_ids;
-  let budget = { limit = options.time_limit; start = now (); root_s = 0.0 } in
+  let budget =
+    { limit = options.time_limit; start;
+      deadline = start +. options.time_limit; root_s = 0.0 }
+  in
   { options; input0; input = input0; int_ids; integer; budget; lp_iters = 0;
     warm = None; incumbent = None; relax_x = [||]; cuts = 0; nodes = 0 }
 
@@ -144,9 +133,10 @@ let init options m =
 let key st o = if st.input0.Simplex.minimize then o else -.o
 
 (* The one LP entry: solve [input] (by default the input with the root
-   cuts) with the bound changes [diffs] tightened onto it, and count the
-   iterations.  With [~chain:true] the solve warm-starts from [st.warm],
-   exports its basis and, when it has one, leaves it in [st.warm]. *)
+   cuts) with the bound changes [diffs] tightened onto it, under the
+   solve's deadline, and count the iterations.  With [~chain:true] the
+   solve warm-starts from [st.warm], exports its basis and, when it has
+   one, leaves it in [st.warm]. *)
 let lp st ?(input = st.input) ?warm ?max_iters ?(want_basis = false)
     ?(chain = false) diffs =
   let input =
@@ -164,7 +154,8 @@ let lp st ?(input = st.input) ?warm ?max_iters ?(want_basis = false)
   in
   let warm = if chain then st.warm else warm in
   let r =
-    Simplex.solve ?warm ?max_iters ~want_basis:(want_basis || chain) input
+    Simplex.solve ?warm ?max_iters ~deadline:st.budget.deadline
+      ~want_basis:(want_basis || chain) input
   in
   st.lp_iters <- st.lp_iters + r.Simplex.iterations;
   if chain && Option.is_some r.Simplex.basis then st.warm <- r.Simplex.basis;
@@ -205,13 +196,10 @@ let root st =
   let r = lp st ~input:st.input0 ~want_basis:(st.int_ids <> []) [] in
   st.budget.root_s <- elapsed st.budget;
   match r.Simplex.status with
-  | (Status.Infeasible | Status.Unbounded) as s -> Error (Root_failed s)
-  | Status.Iteration_limit | Status.Time_limit | Status.Node_limit
-  | Status.Feasible ->
-      Error (Root_failed Status.Iteration_limit)
   | Status.Optimal ->
       st.relax_x <- r.Simplex.x;
       integral_or_next st r
+  | s -> Error (Root_failed s)
 
 (* Gomory mixed-integer and cover cuts appended before the tree opens, so
    every node LP — and every warm-started child basis — shares one row
@@ -497,9 +485,9 @@ let expand st bstate frontier nd (r : Simplex.result) =
            node's basis.  A child whose probe finished on the warm dual
            path, optimal or infeasible, within [probe_iters] is the very
            solve the child's own node LP would run (same bounds, same
-           basis, and a node's iteration cap is never below 500), so the
-           chosen candidate's probes are handed to its children and the
-           rest dropped.  The tree can solve at most
+           basis, and a node LP's default iteration cap is never below
+           2000), so the chosen candidate's probes are handed to its
+           children and the rest dropped.  The tree can solve at most
            [node_limit - st.nodes] more LPs, so [select] probes no more
            candidates. *)
         let probed = ref [] in
@@ -562,8 +550,9 @@ let expand st bstate frontier nd (r : Simplex.result) =
 (* Best-first branch and bound over the open-node frontier, branching by
    [Branching]'s reliability rule.  The tree's root node is the root LP:
    it carries the root basis, so the first pop is a no-op repair, not a
-   second cold solve of the same relaxation.  A node stopped by a budget
-   goes back on the frontier, so its key still feeds the reported bound. *)
+   second cold solve of the same relaxation.  A node stopped by a budget,
+   before or during its LP, goes back on the frontier, so its key still
+   feeds the reported bound. *)
 let tree st (root : Simplex.result) =
   let bstate = Branching.create ~nvars:st.input0.Simplex.nvars in
   let root_key = key st root.Simplex.obj_value in
@@ -591,16 +580,13 @@ let tree st (root : Simplex.result) =
         end
         else begin
           st.nodes <- st.nodes + 1;
-          let cap = node_cap st.budget ~iters:st.lp_iters in
           let r =
             match nd.solved with
             | Some r -> r
-            | None ->
-                lp st ?warm:nd.warm ?max_iters:cap ~want_basis:true nd.diffs
+            | None -> lp st ?warm:nd.warm ~want_basis:true nd.diffs
           in
           match r.Simplex.status with
-          | Status.Iteration_limit when cap <> None ->
-              (* Our own deadline cap fired: the search winds down. *)
+          | Status.Time_limit ->
               Frontier.push frontier ~key:k nd;
               Some Status.Time_limit
           | _ ->

@@ -22,11 +22,18 @@
     as built, with the root cuts appended after [strengthen].  Integer
     values are judged with a fixed tolerance of [1e-6].
 
+    Every LP of a solve, from the root LP to the last node, runs under
+    the one deadline [time_limit] sets: the simplex checks it at each
+    pivot, and the phases check it between LPs.  A solve overshoots its
+    budget by the longest stretch of work between two checks, such as
+    one LP's set-up or one round of cut separation.
+
     The search runs on the calling domain, one node at a time, so a
     solve that [time_limit] does not cut short is deterministic: the
     same model and options give the same [x], [nodes] and
-    [lp_iterations].  Parallelism lives one level up, where a pool runs
-    whole solves on separate domains. *)
+    [lp_iterations], whatever else the process is running.  Parallelism
+    lives one level up, where a pool runs whole solves on separate
+    domains. *)
 
 (** Compatibility shim with one constructor: the solver has a single
     simplex engine and ignores this value.  It exists only because
@@ -37,10 +44,10 @@ type core = Sparse
 type options = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 5000) *)
   time_limit : float;
-      (** CPU-seconds budget ([Sys.time]), [infinity] = none.  Note that
-          [Sys.time] is the CPU time of the whole process, so solves
-          running at the same time on other pool domains spend the same
-          budget. *)
+      (** wall-clock budget in seconds on {!Clock} since the solve began,
+          [infinity] = none.  A solve stopped by it before any incumbent
+          reports {!Status.Time_limit}; one stopped during the root LP
+          also has an empty [relax_x]. *)
   gap_tol : float;
       (** relative-gap tolerance for reporting (default [1e-6]).  It does
           not stop the search early: a solve that ends on [node_limit] or

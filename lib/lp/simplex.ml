@@ -108,63 +108,6 @@ let empty_result status =
   { status; x = [||]; obj_value = nan; duals = [||]; reduced_costs = [||];
     iterations = 0; basis = None; warm_started = false }
 
-(* Columns pinned by branching or diving ([lo = hi]) are substituted into
-   the right-hand sides before the matrix is built; after a dive's first
-   batch fix this shrinks the working problem by an order of magnitude. *)
-let eliminate_fixed input =
-  let n = input.nvars in
-  let active = ref 0 in
-  let fixed = Array.make n false in
-  for j = 0 to n - 1 do
-    if input.hi.(j) -. input.lo.(j) <= 1e-12 then fixed.(j) <- true
-    else incr active
-  done;
-  if !active = n then None
-  else begin
-    let remap = Array.make n (-1) in
-    let back = Array.make !active 0 in
-    let k = ref 0 in
-    for j = 0 to n - 1 do
-      if not fixed.(j) then begin
-        remap.(j) <- !k;
-        back.(!k) <- j;
-        incr k
-      end
-    done;
-    let obj_const = ref input.obj_const in
-    for j = 0 to n - 1 do
-      if fixed.(j) then obj_const := !obj_const +. (input.obj.(j) *. input.lo.(j))
-    done;
-    let rows =
-      Array.map
-        (fun (terms, sense, rhs) ->
-          let rhs = ref rhs in
-          let kept =
-            Array.to_list terms
-            |> List.filter_map (fun (j, c) ->
-                   if fixed.(j) then begin
-                     rhs := !rhs -. (c *. input.lo.(j));
-                     None
-                   end
-                   else Some (remap.(j), c))
-          in
-          (Array.of_list kept, sense, !rhs))
-        input.rows
-    in
-    let reduced =
-      {
-        nvars = !active;
-        lo = Array.map (fun j -> input.lo.(j)) back;
-        hi = Array.map (fun j -> input.hi.(j)) back;
-        obj = Array.map (fun j -> input.obj.(j)) back;
-        obj_const = !obj_const;
-        minimize = input.minimize;
-        rows;
-      }
-    in
-    Some (reduced, back)
-  end
-
 let default_iters max_iters m n =
   match max_iters with Some k -> k | None -> max 2000 (60 * (m + n))
 
@@ -731,9 +674,14 @@ let step st q dsign =
     end
   end
 
-let run_phase st max_iters (c : float array) =
+(* The deadline is an absolute {!Clock} time; an infinite one is never
+   read, so a solve without a deadline reads no clock. *)
+let past deadline = deadline < infinity && Clock.now () > deadline
+
+let run_phase st ~deadline max_iters (c : float array) =
   let rec loop () =
     if st.siters >= max_iters then `Iters
+    else if past deadline then `Time
     else begin
       reset_reduced_costs st c;
       match
@@ -850,7 +798,7 @@ let refactorize_memo e w st =
 
 (* Cold start: slack crash, BTRAN-guided structural crash, two-phase
    primal. *)
-let cold_solve ?max_iters ~emit_basis input =
+let cold_solve ?max_iters ~deadline ~emit_basis input =
   let mat = (memo_for input).mmat in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
@@ -1069,10 +1017,11 @@ let cold_solve ?max_iters ~emit_basis input =
   let cost = phase2_cost input ntot in
   let fin = finish ~emit_basis ~warm_started:false input st in
   let phase1_outcome =
-    if !need_p1 then run_phase st max_iters phase1_cost else `Done
+    if !need_p1 then run_phase st ~deadline max_iters phase1_cost else `Done
   in
   match phase1_outcome with
   | `Iters -> fin Status.Iteration_limit
+  | `Time -> fin Status.Time_limit
   | `Unbounded ->
       (* Phase-1 cost is bounded below by zero; reaching here means a
          numerical breakdown, surfaced as an iteration failure. *)
@@ -1094,10 +1043,11 @@ let cold_solve ?max_iters ~emit_basis input =
           qhi.(j) <- 0.0
         done;
         st.sdegen <- 0;
-        match run_phase st max_iters cost with
+        match run_phase st ~deadline max_iters cost with
         | `Done -> fin Status.Optimal
         | `Unbounded -> fin Status.Unbounded
         | `Iters -> fin Status.Iteration_limit
+        | `Time -> fin Status.Time_limit
       end
 
 (* Rebuild a sparse factorization around the saved basis [w]; [None]
@@ -1174,13 +1124,14 @@ let warm_state input (w : basis) =
    one pass over the row-wise nonzeros of its support.  Returns [`Feasible] when all basic
    values are within bounds, [`Infeasible] when some violated row admits
    no entering column (a primal-infeasibility certificate independent of
-   the reduced costs), or [`Iters] when the budget runs out or a pivot
-   collapses. *)
-let dual_simplex st max_iters (c : float array) =
+   the reduced costs), [`Iters] when the iteration budget runs out or a
+   pivot collapses, or [`Time] when the deadline passes. *)
+let dual_simplex st ~deadline max_iters (c : float array) =
   let m = st.ss_m and ntot = st.ss_ntot in
   let rho = Array.make (max 1 m) 0.0 and alpha = Array.make ntot 0.0 in
   let rec loop () =
     if st.siters >= max_iters then `Iters
+    else if past deadline then `Time
     else begin
       (* Most violated basic variable. *)
       let row = ref (-1) and viol = ref tol_feas and below = ref false in
@@ -1290,26 +1241,30 @@ let dual_simplex st max_iters (c : float array) =
   in
   loop ()
 
-let warm_solve ?max_iters input w =
+(* A warm solve stopped by the deadline reports it: a cold solve would
+   only start over on a clock that has already run out. *)
+let warm_solve ?max_iters ~deadline input w =
   match warm_state input w with
   | None -> None
   | Some st ->
       let max_iters = default_iters max_iters st.ss_m input.nvars in
       let cost = phase2_cost input st.ss_ntot in
       let fin = finish ~emit_basis:true ~warm_started:true input st in
-      (match dual_simplex st max_iters cost with
+      (match dual_simplex st ~deadline max_iters cost with
       | `Iters -> None (* numerical trouble: let the cold path decide *)
+      | `Time -> Some (fin Status.Time_limit)
       | `Infeasible -> Some (fin Status.Infeasible)
       | `Feasible -> (
           st.sdegen <- 0;
-          match run_phase st max_iters cost with
+          match run_phase st ~deadline max_iters cost with
           | `Done ->
               (* [sy]/[sz] are current from the final pricing round. *)
               Some (fin Status.Optimal)
           | `Unbounded -> Some (fin Status.Unbounded)
+          | `Time -> Some (fin Status.Time_limit)
           | `Iters -> None))
 
-let rec solve ?max_iters ?warm ?(want_basis = false) input =
+let solve ?max_iters ?(deadline = infinity) ?warm ?(want_basis = false) input =
   let n = input.nvars in
   (* Branching can cross bounds; such boxes are empty, not "solved". *)
   let crossed = ref false in
@@ -1320,48 +1275,10 @@ let rec solve ?max_iters ?warm ?(want_basis = false) input =
   else
     match warm with
     | Some w -> (
-        match warm_solve ?max_iters input w with
+        match warm_solve ?max_iters ~deadline input w with
         | Some r -> r
-        | None -> solve ?max_iters ~want_basis:true input)
-    | None ->
-        if want_basis then cold_solve ?max_iters ~emit_basis:true input
-        else (
-          match eliminate_fixed input with
-          | Some (reduced, back) ->
-              let r = solve ?max_iters reduced in
-              let x = Array.copy input.lo in
-              let reduced_costs = Array.make n 0.0 in
-              if Array.length r.x > 0 then
-                Array.iteri (fun k j -> x.(j) <- r.x.(k)) back;
-              if r.status = Status.Optimal then begin
-                (* Reduced costs of fixed columns from the duals:
-                   c_j - y' A_j. *)
-                let cmin j =
-                  if input.minimize then input.obj.(j) else -.input.obj.(j)
-                in
-                for j = 0 to n - 1 do
-                  reduced_costs.(j) <- cmin j
-                done;
-                Array.iteri
-                  (fun i (terms, _, _) ->
-                    let y = r.duals.(i) in
-                    if y <> 0.0 then
-                      Array.iter
-                        (fun (j, c) ->
-                          reduced_costs.(j) <- reduced_costs.(j) -. (y *. c))
-                        terms)
-                  input.rows;
-                Array.iteri
-                  (fun k j -> reduced_costs.(j) <- r.reduced_costs.(k))
-                  back
-              end;
-              {
-                r with
-                x = (if r.status = Status.Optimal then x else [||]);
-                reduced_costs;
-                basis = None;
-              }
-          | None -> cold_solve ?max_iters ~emit_basis:false input)
+        | None -> cold_solve ?max_iters ~deadline ~emit_basis:true input)
+    | None -> cold_solve ?max_iters ~deadline ~emit_basis:want_basis input
 
 (* Rows of B^-1 by BTRAN of unit vectors on a fresh factorization of [b].
    Refactorization may permute which row a basic column occupies, but the

@@ -67,12 +67,23 @@ val of_model : Model.t -> input
 
 (** [solve input] runs the two-phase primal simplex.  With [~warm] the
     solver instead refactorizes the given basis and reoptimizes with the
-    dual simplex (falling back to a cold solve on failure); warm solves
-    always export their basis.  With [~want_basis:true] a cold solve skips
-    fixed-column elimination and exports its final basis so children can
-    warm start. *)
+    dual simplex (falling back to a cold solve on numerical failure); warm
+    solves always export their basis.  With [~want_basis:true] a cold
+    solve exports its final basis so children can warm start.
+
+    [deadline] is an absolute {!Clock.now} time (default [infinity]:
+    none).  When it is finite, every pivot of either simplex first checks
+    it, and a solve that finds it passed stops with {!Status.Time_limit},
+    warm solves included: they do not fall back to a cold solve.  The
+    overshoot is one pivot plus the set-up before the first (matrix
+    build, crash basis, refactorization). *)
 val solve :
-  ?max_iters:int -> ?warm:basis -> ?want_basis:bool -> input -> result
+  ?max_iters:int ->
+  ?deadline:float ->
+  ?warm:basis ->
+  ?want_basis:bool ->
+  input ->
+  result
 
 (** [basis_rows input b] factorizes the basis [b] of [input] and returns
     a function from a basic column [c] to its row of [B⁻¹], taken by one

@@ -6,8 +6,7 @@ type t =
   | Unbounded        (** objective unbounded in the optimization direction *)
   | Iteration_limit  (** simplex iteration budget exhausted *)
   | Node_limit       (** branch-and-bound node budget exhausted *)
-  | Time_limit       (** time budget exhausted; {!Milp} counts it in
-                         process CPU seconds ([Sys.time]) *)
+  | Time_limit       (** wall-clock deadline passed ({!Clock}) *)
   | Feasible         (** a feasible (integer) point found, optimality not proven *)
 
 let to_string = function

@@ -12,8 +12,6 @@ type t = {
   stop : bool Atomic.t;
 }
 
-let now () = Unix.gettimeofday ()
-
 (* ------------------------------------------------------------- metrics *)
 
 let requests_total = "etransform_http_requests_total"
@@ -299,7 +297,7 @@ let handle_request t rc out conn req ~started =
        with _ -> ());
     (status, false)
   in
-  let t0 = now () in
+  let t0 = Lp.Clock.now () in
   let status, keep =
     try
       started := true;
@@ -316,7 +314,7 @@ let handle_request t rc out conn req ~started =
   count_request t ~route ~status;
   Metrics.observe t.metrics request_seconds
     ~help:"HTTP request wall time by route" ~labels:[ ("route", route) ]
-    (now () -. t0);
+    (Lp.Clock.now () -. t0);
   keep
 
 (* --------------------------------------------------------- connections *)

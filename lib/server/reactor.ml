@@ -22,8 +22,6 @@ type wake = Ready | Stopped | Timeout
 exception Aborted
 exception Idle_timeout
 
-let now () = Unix.gettimeofday ()
-
 (* ------------------------------------------------------------ readiness *)
 
 (* Bitmasks per fd: 1 = readable, 2 = writable (see poll_stubs.c). *)
@@ -216,7 +214,7 @@ let notify conn =
 
 let request_stop t =
   if not (Atomic.get t.stop) then begin
-    Atomic.set t.stop_at (now ());
+    Atomic.set t.stop_at (Lp.Clock.now ());
     Atomic.set t.stop true;
     wake t
   end
@@ -246,7 +244,7 @@ let take_fired conn =
 
 let read_deadline conn =
   if conn.re.idle_timeout = 0.0 then infinity
-  else now () +. conn.re.idle_timeout
+  else Lp.Clock.now () +. conn.re.idle_timeout
 
 let rec read conn buf off len =
   match Unix.read conn.fd buf off len with
@@ -302,7 +300,7 @@ let sleep conn d =
     match
       Effect.perform
         (Wait { s_read = false; s_write = false; s_signal = true;
-                s_deadline = now () +. max 0.0 d })
+                s_deadline = Lp.Clock.now () +. max 0.0 d })
     with
     | Stopped -> raise Aborted
     | Ready | Timeout -> ()
@@ -488,7 +486,7 @@ let run re ~listener ?(reject = default_reject) handler =
         try Unix.close listener with _ -> ()
       end;
       let forced =
-        now () >= Atomic.get re.stop_at +. re.drain_timeout
+        Lp.Clock.now () >= Atomic.get re.stop_at +. re.drain_timeout
       in
       (* Idle keep-alive conns die at stop; in-flight requests get until
          the drain deadline, then everything is force-resumed [Stopped]
@@ -513,7 +511,7 @@ let run re ~listener ?(reject = default_reject) handler =
       let timeout_of next =
         if next = infinity then 500
         else
-          let ms = int_of_float (ceil ((next -. now ()) *. 1000.)) in
+          let ms = int_of_float (ceil ((next -. Lp.Clock.now ()) *. 1000.)) in
           max 0 (min 500 ms)
       in
       (match re.ep with
@@ -546,7 +544,7 @@ let run re ~listener ?(reject = default_reject) handler =
               | _ -> ()
           done;
           (* Deadlines: scan only when the cached lower bound passed. *)
-          let tnow = now () in
+          let tnow = Lp.Clock.now () in
           if tnow >= re.next_dl then begin
             let expired =
               Hashtbl.fold
@@ -615,7 +613,7 @@ let run re ~listener ?(reject = default_reject) handler =
             revs;
           (* 7. Expire deadlines (fresh scan: resumed fibers re-park
              with new deadlines, which must not fire). *)
-          let tnow = now () in
+          let tnow = Lp.Clock.now () in
           let expired =
             Hashtbl.fold
               (fun _ c acc ->

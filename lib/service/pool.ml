@@ -53,8 +53,6 @@ type t = {
   trace : Trace.t;
 }
 
-let now () = Unix.gettimeofday ()
-
 (* ------------------------------------------------------- job execution *)
 
 let solve job asis ~milp =
@@ -174,7 +172,7 @@ let hit trace task ~queue_s (outcome, tier) =
 
 let run_task ~tiered ~trace task =
   let job = task.tjob in
-  let queue_s = now () -. task.submitted in
+  let queue_s = Lp.Clock.now () -. task.submitted in
   let finish = finish trace task ~queue_s in
   let failed reason =
     finish ~reason ~code:Failed ~cache_hit:false ~build_s:0.0 ~solve_s:0.0 ()
@@ -183,9 +181,9 @@ let run_task ~tiered ~trace task =
     if not job.Job.degrade then failed reason
     else
       match
-        let tb = now () in
+        let tb = Lp.Clock.now () in
         let asis = Job.build_estate job in
-        let build_s = now () -. tb in
+        let build_s = Lp.Clock.now () -. tb in
         (greedy_outcome job asis, build_s)
       with
       | outcome, build_s ->
@@ -200,15 +198,17 @@ let run_task ~tiered ~trace task =
   | Some h -> hit trace task ~queue_s h
   | None -> (
       let time_remaining =
-        Option.map (fun d -> d -. (now () -. task.submitted)) job.Job.deadline_s
+        Option.map
+          (fun d -> d -. (Lp.Clock.now () -. task.submitted))
+          job.Job.deadline_s
       in
       match time_remaining with
       | Some r when r <= 0.0 -> degrade_or_fail "deadline expired before solve"
       | _ -> (
           let milp = Job.milp_options job in
-          (* The MILP budget is CPU seconds; capping it at the wall-clock
-             time remaining keeps a queued-late job from blowing its
-             deadline by the full configured budget. *)
+          (* Capping the MILP budget at the time remaining keeps a
+             queued-late job from blowing its deadline by the full
+             configured budget. *)
           let budget_capped, milp =
             match time_remaining with
             | Some r when r < milp.Lp.Milp.time_limit ->
@@ -216,12 +216,12 @@ let run_task ~tiered ~trace task =
             | _ -> (false, milp)
           in
           match
-            let tb = now () in
+            let tb = Lp.Clock.now () in
             let asis = Job.build_estate job in
-            let build_s = now () -. tb in
-            let ts = now () in
+            let build_s = Lp.Clock.now () -. tb in
+            let ts = Lp.Clock.now () in
             let outcome = solve job asis ~milp in
-            let solve_s = now () -. ts in
+            let solve_s = Lp.Clock.now () -. ts in
             (outcome, build_s, solve_s)
           with
           | outcome, build_s, solve_s ->
@@ -371,7 +371,8 @@ let fresh_task job =
   let ticket =
     { tm = Mutex.create (); tc = Condition.create (); res = None; hooks = [] }
   in
-  { tjob = job; fingerprint = Job.fingerprint job; submitted = now (); ticket }
+  { tjob = job; fingerprint = Job.fingerprint job;
+    submitted = Lp.Clock.now (); ticket }
 
 (* [true] iff the task is in: run inline, answered from a local tier on
    the submitting thread (only local misses are worth a worker), or
@@ -516,7 +517,7 @@ let stream ?driver t ~read ~emit =
   Option.iter raise !failure
 
 let run_batch t jobs =
-  let t0 = now () in
+  let t0 = Lp.Clock.now () in
   let acc = ref [] in
   stream t
     ~read:(Seq.to_dispenser (Seq.map (fun j -> ((), Ok j)) (List.to_seq jobs)))
@@ -531,7 +532,7 @@ let run_batch t jobs =
       ("degraded", count (fun r -> r.code = Degraded));
       ("failed", count (fun r -> r.code = Failed));
       ("cache_hits", count (fun r -> r.cache_hit));
-      ("wall_s", Json.Num (now () -. t0));
+      ("wall_s", Json.Num (Lp.Clock.now () -. t0));
     ];
   results
 

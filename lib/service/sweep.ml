@@ -271,7 +271,7 @@ let emit_trace pool s =
 (* ----------------------------------------------------------------- run *)
 
 let run ?driver pool base grid ~f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lp.Clock.now () in
   let c = ctx base grid in
   let acc = ref [] in
   Pool.stream ?driver pool
@@ -284,6 +284,6 @@ let run ?driver pool base grid ~f =
           let p = point c ~tag r in
           acc := p :: !acc;
           f p));
-  let s = summarize ~wall_s:(Unix.gettimeofday () -. t0) (List.rev !acc) in
+  let s = summarize ~wall_s:(Lp.Clock.now () -. t0) (List.rev !acc) in
   emit_trace pool s;
   s

@@ -403,7 +403,33 @@ let test_deadline_terminates () =
             Alcotest.failf "case %d deadline %g: unexpected status %s" case
               deadline (Status.to_string s))
       [ 0.0; 1e-9; 1e-4 ]
-  done
+  done;
+  (* Florida x1 under the paper's cost model: its root LP alone takes
+     about four times the budget, so only a deadline the simplex checks
+     as it pivots ends the solve on time.  The overshoot allowed is
+     max(50 ms, 5%) of the 50 ms budget. *)
+  let m =
+    let options =
+      { Etransform.Lp_builder.default_options with
+        Etransform.Lp_builder.economies_of_scale = true; fixed_charges = true }
+    in
+    (Etransform.Lp_builder.build ~options (Datasets.Florida.asis ()))
+      .Etransform.Lp_builder.model
+  in
+  let t0 = Clock.now () in
+  let r =
+    Milp.solve
+      ~options:
+        { Milp.default_options with Milp.time_limit = 0.05; node_limit = 24 }
+      m
+  in
+  let wall = Clock.now () -. t0 in
+  (match r.Milp.status with
+  | Status.Optimal | Status.Feasible | Status.Time_limit -> ()
+  | s ->
+      Alcotest.failf "florida x1: unexpected status %s" (Status.to_string s));
+  if wall > 0.10 then
+    Alcotest.failf "florida x1: a 0.05 s budget returned after %.3f s" wall
 
 let test_pump_cycle_terminates () =
   (* Crafted cycling instance: 2x + 2y = 1 over binaries has a fractional
