@@ -1,5 +1,5 @@
 (* Root cutting planes.  See cuts.mli for the overview; the geometry
-   below leans on the simplex frame layout:
+   below leans on the simplex frame layout ({!Simplex.layout}):
    structural columns 0..n-1, then one slack column per inequality row
    assigned in row order (coefficient +1 for Le, -1 for Ge), then one
    pinned artificial per row. *)
@@ -12,41 +12,152 @@ let total s = s.gomory + s.cover
 
 let near_integral v = Float.abs (v -. Float.round v) <= 1e-9
 
+(* The coefficient of row [k]'s slack: +1 on Le, -1 on Ge. *)
+let sigma rows k = match rows.(k) with _, Model.Le, _ -> 1.0 | _ -> -1.0
+
+(* The tableau row w · [A | S] into [abar] (one entry per column before
+   the artificials), and its right-hand side w · b. *)
+let tableau_row rows slack abar (w : float array) =
+  Array.fill abar 0 (Array.length abar) 0.0;
+  Array.iteri
+    (fun k (terms, _, _) ->
+      let wk = w.(k) in
+      if Float.abs wk > 1e-13 then
+        Array.iter (fun (j, c) -> abar.(j) <- abar.(j) +. (wk *. c)) terms)
+    rows;
+  Array.iteri
+    (fun k s -> if s >= 0 then abar.(s) <- w.(k) *. sigma rows k)
+    slack;
+  let beta = ref 0.0 in
+  Array.iteri (fun k (_, _, rk) -> beta := !beta +. (w.(k) *. rk)) rows;
+  !beta
+
+(* The row's basic value with every nonbasic column shifted onto its
+   active bound, a numeric check against the LP point; nan when some
+   nonbasic column has no finite bound to shift onto. *)
+let shifted_value (input : Simplex.input) vstat abar beta =
+  let n = input.Simplex.nvars in
+  let ok = ref true and shifted = ref beta in
+  for j = 0 to Array.length abar - 1 do
+    match vstat.(j) with
+    | Simplex.Basic -> ()
+    | Simplex.At_lower ->
+        let l = if j < n then input.Simplex.lo.(j) else 0.0 in
+        shifted := !shifted -. (abar.(j) *. l)
+    | Simplex.At_upper ->
+        let u = if j < n then input.Simplex.hi.(j) else infinity in
+        if u = infinity then ok := false
+        else shifted := !shifted -. (abar.(j) *. u)
+    | Simplex.Free_nb -> if Float.abs abar.(j) > 1e-7 then ok := false
+  done;
+  if !ok then !shifted else nan
+
+(* The GMI cut of the tableau row [abar], whose shifted basic value has
+   fractional part [f0], over the shifted nonbasics t_j >= 0, with the
+   slacks substituted out: its coefficients over the structurals into
+   [coef], and its right-hand side (the cut is coef · x >= rhs). *)
+let gmi ~integer (input : Simplex.input) vstat row_of_slack abar f0 coef =
+  let n = input.Simplex.nvars and rows = input.Simplex.rows in
+  let lo = input.Simplex.lo and hi = input.Simplex.hi in
+  Array.fill coef 0 n 0.0;
+  let cut_rhs = ref 1.0 in
+  for j = 0 to Array.length abar - 1 do
+    match vstat.(j) with
+    | Simplex.Basic | Simplex.Free_nb -> ()
+    | (Simplex.At_lower | Simplex.At_upper) as s ->
+        let up = s = Simplex.At_upper in
+        let c = if up then -.abar.(j) else abar.(j) in
+        let int_shift =
+          j < n && integer.(j) && near_integral (if up then hi.(j) else lo.(j))
+        in
+        let gamma =
+          if int_shift then begin
+            let fj = c -. Float.floor c in
+            if fj <= f0 then fj /. f0 else (1.0 -. fj) /. (1.0 -. f0)
+          end
+          else if c >= 0.0 then c /. f0
+          else -.c /. (1.0 -. f0)
+        in
+        if Float.abs gamma > 1e-12 then
+          if up then begin
+            (* slacks have no finite upper bound, so only structurals
+               land here *)
+            coef.(j) <- coef.(j) -. gamma;
+            cut_rhs := !cut_rhs -. (gamma *. hi.(j))
+          end
+          else if j < n then begin
+            coef.(j) <- coef.(j) +. gamma;
+            cut_rhs := !cut_rhs +. (gamma *. lo.(j))
+          end
+          else begin
+            (* slack at lower (0): substitute
+               s = sigma * (rhs_k - row_k . x). *)
+            let k = row_of_slack.(j - n) in
+            let sg = sigma rows k and terms, _, rk = rows.(k) in
+            Array.iter
+              (fun (jj, c) -> coef.(jj) <- coef.(jj) -. (gamma *. sg *. c))
+              terms;
+            cut_rhs := !cut_rhs -. (gamma *. sg *. rk)
+          end
+  done;
+  !cut_rhs
+
+(* Hygiene: the cut coef · x >= cut_rhs without its coefficients of at
+   most 1e-9, kept when its dynamism is bounded and the LP point [x]
+   violates it by more than 1e-4. *)
+let hygienic coef cut_rhs (x : float array) =
+  let kept = ref 0 and cmax = ref 0.0 and cmin = ref infinity in
+  let lhs_now = ref 0.0 in
+  for j = Array.length coef - 1 downto 0 do
+    let c = coef.(j) in
+    if Float.abs c > 1e-9 then begin
+      incr kept;
+      cmax := Float.max !cmax (Float.abs c);
+      cmin := Float.min !cmin (Float.abs c);
+      lhs_now := !lhs_now +. (c *. x.(j))
+    end
+  done;
+  let viol = cut_rhs -. !lhs_now in
+  if
+    !kept > 0
+    && !cmax <= 1e8
+    && !cmax /. !cmin <= 1e8
+    && Float.abs cut_rhs <= 1e10
+    && viol > 1e-4
+  then begin
+    let terms = Array.make !kept (0, 0.0) and k = ref 0 in
+    Array.iteri
+      (fun j c ->
+        if Float.abs c > 1e-9 then begin
+          terms.(!k) <- (j, c);
+          incr k
+        end)
+      coef;
+    Some (terms, Model.Ge, cut_rhs)
+  end
+  else None
+
 let gomory_cuts ~integer ~int_tol (input : Simplex.input)
     (r : Simplex.result) ~max_cuts =
   match r.Simplex.basis with
   | None -> []
-  | Some b ->
+  | Some b -> (
       let rows = input.Simplex.rows in
       let m = Array.length rows and n = input.Simplex.nvars in
-      (* Mirror the frame's slack layout: slack column [n + s] belongs to
-         row [row_of_slack.(s)]. *)
-      let slack_col = Array.make m (-1) in
+      let { Simplex.slack; art0 } = Simplex.layout input in
+      (* Slack column [n + s] belongs to row [row_of_slack.(s)]. *)
       let row_of_slack = Array.make m (-1) in
-      let next = ref n in
-      Array.iteri
-        (fun i (_, s, _) ->
-          match s with
-          | Model.Eq -> ()
-          | Model.Le | Model.Ge ->
-              slack_col.(i) <- !next;
-              row_of_slack.(!next - n) <- i;
-              incr next)
-        rows;
-      let art0 = !next in
-      let sigma i =
-        match rows.(i) with _, Model.Le, _ -> 1.0 | _ -> -1.0
-      in
+      Array.iteri (fun i s -> if s >= 0 then row_of_slack.(s - n) <- i) slack;
+      let vbasis = b.Simplex.vbasis and vstat = b.Simplex.vstat in
       if
         m = 0
-        || Array.length b.Simplex.vbasis <> m
-        || Array.exists (fun c -> c < 0 || c >= art0) b.Simplex.vbasis
+        || Array.length vbasis <> m
+        || Array.exists (fun c -> c < 0 || c >= art0) vbasis
       then []
-      else begin
+      else
         match Simplex.basis_rows input b with
         | None -> []
         | Some basis_row ->
-            let rhs = Array.map (fun (_, _, v) -> v) rows in
             (* Candidate tableau rows: basic structural integer variable
                with a decently interior fractional part. *)
             let cands = ref [] in
@@ -59,7 +170,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                   if dist > Float.max 0.005 int_tol then
                     cands := (c, dist) :: !cands
                 end)
-              b.Simplex.vbasis;
+              vbasis;
             let cands =
               List.sort
                 (fun (a, da) (b, db) ->
@@ -74,155 +185,24 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
             List.iter
               (fun (jb, _) ->
                 if !ncuts < max_cuts then begin
-                  let w = basis_row jb in
-                  (* The tableau row over all columns: abar_j = w · A_j. *)
-                  Array.fill abar 0 art0 0.0;
-                  Array.iteri
-                    (fun k (terms, _, _) ->
-                      let wk = w.(k) in
-                      if Float.abs wk > 1e-13 then
-                        Array.iter
-                          (fun (j, c) -> abar.(j) <- abar.(j) +. (wk *. c))
-                          terms)
-                    rows;
-                  for k = 0 to m - 1 do
-                    if slack_col.(k) >= 0 then
-                      abar.(slack_col.(k)) <- w.(k) *. sigma k
-                  done;
-                  let beta = ref 0.0 in
-                  for k = 0 to m - 1 do
-                    beta := !beta +. (w.(k) *. rhs.(k))
-                  done;
-                  (* Shift nonbasics to their active bound; track the
-                     resulting basic-variable value as a numeric check. *)
-                  let ok = ref true in
-                  let shifted = ref !beta in
-                  for j = 0 to art0 - 1 do
-                    match b.Simplex.vstat.(j) with
-                    | Simplex.Basic -> ()
-                    | Simplex.At_lower ->
-                        let l =
-                          if j < n then input.Simplex.lo.(j) else 0.0
-                        in
-                        shifted := !shifted -. (abar.(j) *. l)
-                    | Simplex.At_upper ->
-                        let u =
-                          if j < n then input.Simplex.hi.(j) else infinity
-                        in
-                        if u = infinity then ok := false
-                        else shifted := !shifted -. (abar.(j) *. u)
-                    | Simplex.Free_nb ->
-                        if Float.abs abar.(j) > 1e-7 then ok := false
-                  done;
-                  let xb = r.Simplex.x.(jb) in
+                  let beta = tableau_row rows slack abar (basis_row jb) in
+                  let sh = shifted_value input vstat abar beta in
+                  let xb = r.Simplex.x.(jb) and f0 = sh -. Float.floor sh in
                   if
-                    !ok
-                    && Float.abs (!shifted -. xb)
-                       <= 1e-6 *. (1.0 +. Float.abs xb)
-                  then begin
-                    let f0 = !shifted -. Float.floor !shifted in
-                    if f0 > 0.005 && f0 < 0.995 then begin
-                      (* GMI over the shifted nonbasics t_j >= 0. *)
-                      Array.fill coef 0 n 0.0;
-                      let cut_rhs = ref 1.0 in
-                      let add_term j gamma =
-                        if Float.abs gamma > 1e-12 then begin
-                          match b.Simplex.vstat.(j) with
-                          | Simplex.At_lower ->
-                              if j < n then begin
-                                coef.(j) <- coef.(j) +. gamma;
-                                cut_rhs :=
-                                  !cut_rhs +. (gamma *. input.Simplex.lo.(j))
-                              end
-                              else begin
-                                (* slack at lower (0): substitute
-                                   s = sigma * (rhs_k - row_k . x). *)
-                                let k = row_of_slack.(j - n) in
-                                let sg = sigma k in
-                                let terms, _, rk = rows.(k) in
-                                Array.iter
-                                  (fun (jj, c) ->
-                                    coef.(jj) <-
-                                      coef.(jj) -. (gamma *. sg *. c))
-                                  terms;
-                                cut_rhs := !cut_rhs -. (gamma *. sg *. rk)
-                              end
-                          | Simplex.At_upper ->
-                              (* slacks have no finite upper bound, so
-                                 only structurals land here *)
-                              coef.(j) <- coef.(j) -. gamma;
-                              cut_rhs :=
-                                !cut_rhs -. (gamma *. input.Simplex.hi.(j))
-                          | Simplex.Basic | Simplex.Free_nb -> ()
-                        end
-                      in
-                      for j = 0 to art0 - 1 do
-                        match b.Simplex.vstat.(j) with
-                        | Simplex.Basic | Simplex.Free_nb -> ()
-                        | Simplex.At_lower | Simplex.At_upper ->
-                            let c =
-                              match b.Simplex.vstat.(j) with
-                              | Simplex.At_upper -> -.abar.(j)
-                              | _ -> abar.(j)
-                            in
-                            let int_shift =
-                              j < n && integer.(j)
-                              &&
-                              match b.Simplex.vstat.(j) with
-                              | Simplex.At_lower ->
-                                  near_integral input.Simplex.lo.(j)
-                              | _ -> near_integral input.Simplex.hi.(j)
-                            in
-                            let gamma =
-                              if int_shift then begin
-                                let fj = c -. Float.floor c in
-                                if fj <= f0 then fj /. f0
-                                else (1.0 -. fj) /. (1.0 -. f0)
-                              end
-                              else if c >= 0.0 then c /. f0
-                              else -.c /. (1.0 -. f0)
-                            in
-                            add_term j gamma
-                      done;
-                      (* Hygiene: sparsify, bound dynamism, demand real
-                         violation at the current LP point. *)
-                      let kept = ref 0 in
-                      let cmax = ref 0.0 and cmin = ref infinity in
-                      let lhs_now = ref 0.0 in
-                      for j = n - 1 downto 0 do
-                        let c = coef.(j) in
-                        if Float.abs c > 1e-9 then begin
-                          incr kept;
-                          cmax := Float.max !cmax (Float.abs c);
-                          cmin := Float.min !cmin (Float.abs c);
-                          lhs_now := !lhs_now +. (c *. r.Simplex.x.(j))
-                        end
-                      done;
-                      let viol = !cut_rhs -. !lhs_now in
-                      if
-                        !kept > 0
-                        && !cmax <= 1e8
-                        && !cmax /. !cmin <= 1e8
-                        && Float.abs !cut_rhs <= 1e10
-                        && viol > 1e-4
-                      then begin
+                    Float.abs (sh -. xb) <= 1e-6 *. (1.0 +. Float.abs xb)
+                    && f0 > 0.005 && f0 < 0.995
+                  then
+                    let cut_rhs =
+                      gmi ~integer input vstat row_of_slack abar f0 coef
+                    in
+                    match hygienic coef cut_rhs r.Simplex.x with
+                    | Some cut ->
                         incr ncuts;
-                        let terms = Array.make !kept (0, 0.0) and k = ref 0 in
-                        Array.iteri
-                          (fun j c ->
-                            if Float.abs c > 1e-9 then begin
-                              terms.(!k) <- (j, c);
-                              incr k
-                            end)
-                          coef;
-                        cuts := (terms, Model.Ge, !cut_rhs) :: !cuts
-                      end
-                    end
-                  end
+                        cuts := cut :: !cuts
+                    | None -> ()
                 end)
               cands;
-            List.rev !cuts
-      end
+            List.rev !cuts)
 
 (* ---------- knapsack cover cuts ---------- *)
 
@@ -332,22 +312,15 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
    few pivots).  Old slack columns keep their indices — new slacks and
    the shifted artificials land after them. *)
 let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
-  let n = input_old.Simplex.nvars in
   let m_old = Array.length input_old.Simplex.rows in
-  let ns_old =
-    Array.fold_left
-      (fun a (_, s, _) -> match s with Model.Eq -> a | _ -> a + 1)
-      0 input_old.Simplex.rows
-  in
-  let art0_old = n + ns_old in
+  let art0_old = (Simplex.layout input_old).Simplex.art0 in
   if
     Array.length b.Simplex.vbasis <> m_old
     || Array.length b.Simplex.vstat <> art0_old + m_old
     || Array.exists (fun c -> c < 0 || c >= art0_old) b.Simplex.vbasis
   then None
   else begin
-    let m_new = m_old + ncuts and ns_new = ns_old + ncuts in
-    let art0_new = n + ns_new in
+    let m_new = m_old + ncuts and art0_new = art0_old + ncuts in
     let vstat = Array.make (art0_new + m_new) Simplex.At_lower in
     Array.blit b.Simplex.vstat 0 vstat 0 art0_old;
     for k = 0 to ncuts - 1 do

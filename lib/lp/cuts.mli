@@ -46,6 +46,13 @@ val keep_fresh :
   ((int * float) array * Model.sense * float) list ->
   ((int * float) array * Model.sense * float) list
 
+(** [extend_basis input b k] extends the basis [b] of [input] to [input]
+    with [k] inequality rows appended, each new row's slack basic in its
+    row ({!Simplex.layout} places the new slacks after the old ones).
+    [None] when [b] does not fit [input] or has an artificial basic. *)
+val extend_basis :
+  Simplex.input -> Simplex.basis -> int -> Simplex.basis option
+
 (** [strengthen ~solve ~integer ~int_tol ~stop input] runs separation
     rounds at the root: solve (with a basis), separate, append, repeat.
     [solve] must export a basis ([want_basis]) for Gomory separation to

@@ -5,18 +5,13 @@
     file; these writers — together with {!Lp_parse} — reproduce that
     interface. *)
 
-(** [write_model ppf m] prints [m] in CPLEX LP format:
+(** [model_to_string m] prints [m] in CPLEX LP format:
     objective, [Subject To], [Bounds], [Generals]/[Binaries], [End]. *)
-val write_model : Format.formatter -> Model.t -> unit
-
 val model_to_string : Model.t -> string
 val write_model_file : string -> Model.t -> unit
 
-(** [write_solution ppf m ~status ~obj x] prints a simple
+(** [solution_to_string m ~status ~obj x] prints a simple
     [name = value] solution file for non-zero variables. *)
-val write_solution :
-  Format.formatter -> Model.t -> status:Status.t -> obj:float -> float array -> unit
-
 val solution_to_string :
   Model.t -> status:Status.t -> obj:float -> float array -> string
 

@@ -215,7 +215,6 @@ let set_objective t ?(minimize = true) e =
   t.min <- minimize;
   t.obj_cache <- None
 
-let objective t = t.obj
 let minimize t = t.min
 
 let objective_terms t =
@@ -236,14 +235,6 @@ let num_vars t = t.nvars
 let num_constrs t = t.nrows
 let vars t = Array.sub t.var_store 0 t.nvars
 let constrs t = Array.of_list (List.rev t.rows_rev)
-
-let find_var t vname =
-  let rec go i =
-    if i >= t.nvars then None
-    else if t.var_store.(i).name = vname then Some t.var_store.(i)
-    else go (i + 1)
-  in
-  go 0
 
 let integer_vars t =
   let acc = ref [] in

@@ -3,7 +3,7 @@
     A model owns a growing set of decision variables, linear constraints and
     one linear objective.  Models are consumed by {!Milp.solve} (or compiled
     to solver input by {!Milp.relax}) and can be serialized to the CPLEX LP
-    file format with {!Lp_format.write_model}. *)
+    file format with {!Lp_format.model_to_string}. *)
 
 type var = private {
   id : int;           (** dense index, assigned in creation order *)
@@ -76,7 +76,6 @@ val add_eq : t -> string -> Linexpr.t -> float -> unit
     objective values. *)
 val set_objective : t -> ?minimize:bool -> Linexpr.t -> unit
 
-val objective : t -> Linexpr.t
 val minimize : t -> bool
 
 (** [row_terms c] is [Linexpr.terms c.expr], memoized — rows are immutable
@@ -95,7 +94,6 @@ val num_vars : t -> int
 val num_constrs : t -> int
 val vars : t -> var array
 val constrs : t -> constr array
-val find_var : t -> string -> var option
 
 (** Integer variables in id order. *)
 val integer_vars : t -> var list

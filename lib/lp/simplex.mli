@@ -1,31 +1,29 @@
 (** Two-phase primal simplex with dual-simplex warm starts, for linear
     programs with bounded variables.
 
-    A revised simplex: the matrix lives in compressed column form, the
-    basis inverse is a product of eta factors with periodic
-    refactorization, and pricing touches nonzeros only.  It supports
-    variables resting at either bound (so binary upper bounds cost no
-    extra rows), equality / inequality rows (slacks are added
-    internally), a slack-plus-structural crash basis that usually skips
-    phase 1 outright, Dantzig pricing with a Bland anti-cycling fallback,
-    and produces a dual certificate that {!check_certificate} can verify
-    independently.
+    A revised simplex over the frame {!layout} in compressed columns.
+    This module keeps the bounds, pricing, the ratio tests and the
+    phases; {!Factor} alone owns the basis factorization (built from the
+    basis, updated once per pivot, rebuilt when {!Factor.due} says so).
+    Variables rest at either bound (binary upper bounds cost no rows),
+    slacks are added internally, a slack-plus-structural crash basis
+    usually skips phase 1, pricing is Dantzig over nonzeros with a Bland
+    anti-cycling fallback, and the dual certificate can be verified
+    independently ({!check_certificate}).
 
-    A solve can export its optimal {!basis} and a later solve over the
-    {e same rows} but different bounds can restart from it: the basis is
-    refactorized and a bounded-variable dual simplex repairs the bound
-    violations, which after a single branch-and-bound bound change is
-    typically a handful of pivots instead of a full cold solve.  Warm
-    solves fall back to the cold path automatically when the saved basis is
-    singular or the reoptimization struggles numerically.
+    A solve can export its optimal {!basis}, and a later solve over the
+    {e same rows} but other bounds restarts from it: a bounded-variable
+    dual simplex repairs the bound violations, a handful of pivots after
+    one branch-and-bound bound change.  A warm solve falls back to the
+    cold path when the basis is singular or the reoptimization struggles
+    numerically.
 
-    Each domain remembers the compressed-column matrix of the last
-    [(rows, nvars)] it solved, keyed on the physical identity of [rows],
-    and the fresh factorization of the last warm basis it factored over
-    that matrix.  A warm solve that finds both skips the matrix build and
-    the refactorization.  Only a factorization with no pivot etas on it is
-    kept, so results are bit-identical with or without the memo.  A [rows]
-    array must not be mutated after it has been solved. *)
+    Each domain remembers the matrix of the last [(rows, nvars)] it
+    solved, keyed on the physical identity of [rows], and the
+    {!Factor.snapshot} of the last warm basis factored over it.  A
+    snapshot carries no update by construction, so results are
+    bit-identical with or without the memo.  A [rows] array must not be
+    mutated after it has been solved. *)
 
 type input = {
   nvars : int;
@@ -62,6 +60,15 @@ type result = {
           when a warm attempt fell back to the cold solver) *)
 }
 
+(** The frame's column layout over an input's rows: structurals
+    [0 .. nvars-1], then one slack per inequality row in row order
+    ([slack.(i)], coefficient [+1] on [Le] and [-1] on [Ge] rows; [-1]
+    on an equality row), then one artificial per row ([art0 + i], a
+    [+1] in row [i]).  Basis column indices ({!basis}) refer to it. *)
+type layout = { slack : int array; art0 : int }
+
+val layout : input -> layout
+
 (** [of_model m] compiles a {!Model.t}, ignoring integrality marks. *)
 val of_model : Model.t -> input
 
@@ -88,18 +95,10 @@ val solve :
 (** [basis_rows input b] factorizes the basis [b] of [input] and returns
     a function from a basic column [c] to its row of [B⁻¹], taken by one
     BTRAN: the vector [w] with [w · A_c = 1] and [w · A_c' = 0] for every
-    other basic column [c'] (columns over the frame layout: structurals,
-    then one slack per inequality row with coefficient [+1] on [Le] and
-    [-1] on [Ge] rows, then one artificial per row).
+    other basic column [c'] (columns over the frame {!layout}).
     [None] when [b] does not fit [input]'s rows or is singular.  The
     function raises [Invalid_argument] on a nonbasic column. *)
 val basis_rows : input -> basis -> (int -> float array) option
-
-(** [sort_by_key key a] sorts [a] by increasing [key.(a.(i))] into the
-    permutation [Array.sort (fun x y -> Int.compare key.(x) key.(y)) a]
-    produces, ties included: the refactorization orders basis columns
-    with it. *)
-val sort_by_key : int array -> int array -> unit
 
 (** [check_certificate input result] re-verifies, from scratch, that
     [result] is a valid optimum of [input]: primal feasibility, the sign

@@ -696,9 +696,287 @@ let test_sort_by_key () =
     let want = Array.init len (fun i -> i) in
     Array.sort (fun x y -> Int.compare key.(x) key.(y)) want;
     let got = Array.init len (fun i -> i) in
-    Simplex.sort_by_key key got;
+    Factor.sort_by_key key got;
     if got <> want then Alcotest.failf "length %d: permutations differ" len
   done
+
+(* ---- Factor alone, against a dense solve ----------------------------- *)
+
+(* The frame [A | slacks | artificials] of [input] as dense columns and
+   in the compressed-column form [Factor.build] reads. *)
+let frame_csc (input : Simplex.input) =
+  let m = Array.length input.Simplex.rows in
+  let ntot = (Simplex.layout input).Simplex.art0 + m in
+  let dense = Array.init ntot (frame_column input) in
+  let cstart = Array.make (ntot + 1) 0 in
+  let crow = ref [] and cval = ref [] and nnz = ref 0 in
+  Array.iteri
+    (fun j col ->
+      Array.iteri
+        (fun i v ->
+          if v <> 0.0 then begin
+            crow := i :: !crow;
+            cval := v :: !cval;
+            incr nnz
+          end)
+        col;
+      cstart.(j + 1) <- !nnz)
+    dense;
+  ( dense,
+    cstart,
+    Array.of_list (List.rev !crow),
+    Array.of_list (List.rev !cval) )
+
+(* Solve [B x = b], or [B^T x = b] when [transpose], where column [p] of
+   [B] is [cols.(p)], by Gaussian elimination with partial pivoting.
+   Returns [x] and the smallest pivot met ([0.0] when [B] is singular,
+   and then [x] means nothing). *)
+let dense_solve ~transpose (cols : float array array) (b : float array) =
+  let m = Array.length b in
+  let a =
+    Array.init m (fun i ->
+        Array.init m (fun p -> if transpose then cols.(i).(p) else cols.(p).(i)))
+  in
+  let x = Array.copy b and min_piv = ref infinity in
+  for k = 0 to m - 1 do
+    let r = ref k in
+    for i = k + 1 to m - 1 do
+      if Float.abs a.(i).(k) > Float.abs a.(!r).(k) then r := i
+    done;
+    let t = a.(k) and xt = x.(k) in
+    a.(k) <- a.(!r);
+    a.(!r) <- t;
+    x.(k) <- x.(!r);
+    x.(!r) <- xt;
+    let piv = a.(k).(k) in
+    min_piv := Float.min !min_piv (Float.abs piv);
+    if piv <> 0.0 then
+      for i = k + 1 to m - 1 do
+        let f = a.(i).(k) /. piv in
+        if f <> 0.0 then begin
+          for c = k to m - 1 do
+            a.(i).(c) <- a.(i).(c) -. (f *. a.(k).(c))
+          done;
+          x.(i) <- x.(i) -. (f *. x.(k))
+        end
+      done
+  done;
+  if !min_piv > 0.0 then
+    for k = m - 1 downto 0 do
+      let acc = ref x.(k) in
+      for c = k + 1 to m - 1 do
+        acc := !acc -. (a.(k).(c) *. x.(c))
+      done;
+      x.(k) <- !acc /. a.(k).(k)
+    done;
+  (x, if m = 0 then 1.0 else !min_piv)
+
+(* [ftran] and [btran] of [f] agree with the dense solves over the basis
+   whose column [p] is [dense.(basis.(p))], on random right-hand sides. *)
+let check_factor what rng f dense (basis : int array) =
+  let cols = Array.map (fun c -> dense.(c)) basis in
+  let m = Array.length basis in
+  for _ = 1 to 2 do
+    let b = Array.init m (fun _ -> Datasets.Prng.range rng (-5.0) 5.0) in
+    List.iter
+      (fun transpose ->
+        let want, piv = dense_solve ~transpose cols b in
+        if piv < 1e-9 then Alcotest.failf "%s: dense basis singular" what;
+        let got = Array.copy b in
+        if transpose then Factor.btran f got else Factor.ftran f got;
+        let scale =
+          1.0 +. Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 want
+        in
+        Array.iteri
+          (fun i w ->
+            if Float.abs (got.(i) -. w) > 1e-8 *. scale then
+              Alcotest.failf "%s: %s row %d is %.17g, dense solve %.17g" what
+                (if transpose then "btran" else "ftran")
+                i got.(i) w)
+          want)
+      [ false; true ]
+  done
+
+(* Build [cols] and check that the permuted basis holds the same columns
+   and that the factorization solves like the dense one. *)
+let build_checked what rng (dense, cstart, crow, cval) cols =
+  match Factor.build ~cstart ~crow ~cval cols with
+  | None -> Alcotest.failf "%s: a non-singular basis reported singular" what
+  | Some (snap, b) ->
+      let sorted a = List.sort compare (Array.to_list a) in
+      if sorted b <> sorted cols then
+        Alcotest.failf "%s: the permuted basis lost a column" what;
+      let f = Factor.start snap in
+      check_factor what rng f dense b;
+      (f, b)
+
+(* A random sparse input: [m] mixed-sense rows over [n] columns, then
+   [z0 = x0 + x1] and a column [zero] in no row. *)
+let sparse_input rng m n =
+  let rows =
+    Array.init m (fun _ ->
+        let terms = ref [] in
+        for j = n - 1 downto 0 do
+          if Datasets.Prng.int rng 10 < 3 then
+            terms := (j, Datasets.Prng.range rng (-5.0) 5.0) :: !terms
+        done;
+        let c0 = try List.assoc 0 !terms with Not_found -> 0.0 in
+        let c1 = try List.assoc 1 !terms with Not_found -> 0.0 in
+        let z = if c0 +. c1 <> 0.0 then [ (n, c0 +. c1) ] else [] in
+        let terms = !terms @ z in
+        let sense =
+          match Datasets.Prng.int rng 3 with
+          | 0 -> Model.Le
+          | 1 -> Model.Ge
+          | _ -> Model.Eq
+        in
+        (Array.of_list terms, sense, 1.0))
+  in
+  let nv = n + 2 in
+  { Simplex.nvars = nv; lo = Array.make nv 0.0; hi = Array.make nv 1.0;
+    obj = Array.make nv 0.0; obj_const = 0.0; minimize = true; rows }
+
+(* A random basis of [frame] over [m] rows, well conditioned in the dense
+   solve. *)
+let random_basis rng (dense, _, _, _) m =
+  let ntot = Array.length dense in
+  let rec pick tries =
+    let all = Array.init ntot (fun j -> j) in
+    Datasets.Prng.shuffle rng all;
+    let cols = Array.sub all 0 m in
+    let _, piv =
+      dense_solve ~transpose:false (Array.map (fun c -> dense.(c)) cols)
+        (Array.make m 1.0)
+    in
+    if piv > 1e-2 || tries = 0 then cols else pick (tries - 1)
+  in
+  pick 200
+
+(* Pivot [steps] random columns into the factorization of [basis] as the
+   simplex does: FTRAN, a rank-one update, and a rebuild whenever
+   [Factor.due] says so; checks every factorization on the way.  Returns
+   the number of rebuilds. *)
+let update_checked what rng ((dense, _, _, _) as frame) f basis steps =
+  let f = ref f and basis = ref basis and rebuilds = ref 0 in
+  let ntot = Array.length dense and m = Array.length !basis in
+  let done_ = ref 0 and tries = ref 0 in
+  while !done_ < steps && !tries < 100 * steps do
+    incr tries;
+    let q = Datasets.Prng.int rng ntot in
+    if not (Array.mem q !basis) then begin
+      let d = Array.copy dense.(q) in
+      Factor.ftran !f d;
+      let p = ref 0 in
+      Array.iteri (fun i v -> if Float.abs v > Float.abs d.(!p) then p := i) d;
+      if Float.abs d.(!p) > 0.1 then begin
+        let d0 = Array.copy d in
+        Factor.update !f ~p:!p d;
+        if d <> d0 then Alcotest.failf "%s: update wrote to its column" what;
+        !basis.(!p) <- q;
+        incr done_;
+        if Factor.due !f then begin
+          let f', b' = build_checked what rng frame !basis in
+          f := f';
+          basis := b';
+          incr rebuilds
+        end
+        else check_factor (Printf.sprintf "%s, update %d" what !done_) rng !f
+               dense !basis
+      end
+    end
+  done;
+  if m > 0 && !done_ < steps then Alcotest.failf "%s: too few pivots" what;
+  !rebuilds
+
+let test_factor_dense rng =
+  let rebuilds = ref 0 and singular = ref 0 in
+  for case = 0 to 24 do
+    let m = 1 + Datasets.Prng.int rng 24 in
+    let n = 2 + m + Datasets.Prng.int rng m in
+    let input = sparse_input rng m n in
+    let ((dense, cstart, crow, cval) as frame) = frame_csc input in
+    let what = Printf.sprintf "case %d (m = %d)" case m in
+    let cols = random_basis rng frame m in
+    let f, b = build_checked what rng frame cols in
+    rebuilds := !rebuilds + update_checked what rng frame f b 90;
+    (* A crash basis of slacks and artificials, factored as a diagonal
+       of its +-1 entries. *)
+    let { Simplex.slack; art0 } = Simplex.layout input in
+    let diag =
+      Array.init m (fun i ->
+          if slack.(i) >= 0 && Datasets.Prng.int rng 2 = 0 then slack.(i)
+          else art0 + i)
+    in
+    let dg = Array.mapi (fun i c -> dense.(c).(i)) diag in
+    let f = Factor.start (Factor.diagonal dg) in
+    check_factor (what ^ ", diagonal") rng f dense diag;
+    ignore (update_checked (what ^ ", diagonal") rng frame f diag 20);
+    (* Singular bases: a column in no row, a repeated column, and
+       [z0 = x0 + x1] beside [x0] and [x1]; artificials fill the rest. *)
+    let basis front =
+      Array.init m (fun i ->
+          if i < Array.length front then front.(i) else art0 + i)
+    in
+    let bad =
+      [ basis [| n + 1 |] ]
+      @ (if m >= 2 then [ basis [| cols.(0); cols.(0) |] ] else [])
+      @
+      if m >= 3 && Array.exists (fun v -> v <> 0.0) dense.(n) then
+        [ basis [| 0; 1; n |] ]
+      else []
+    in
+    List.iter
+      (fun cols ->
+        match Factor.build ~cstart ~crow ~cval cols with
+        | None -> incr singular
+        | Some _ -> Alcotest.failf "%s: a singular basis was factored" what)
+      bad
+  done;
+  Alcotest.(check bool) "updates reached a rebuild" true (!rebuilds >= 20);
+  Alcotest.(check bool) "singular bases tried" true (!singular >= 60)
+
+let test_factor_cut_rows rng =
+  (* Optimal bases of random LPs, extended by [Cuts.extend_basis] over
+     appended inequality rows whose slacks go basic, as a cut round
+     does. *)
+  let checked = ref 0 in
+  for case = 0 to 29 do
+    let n = 3 + Datasets.Prng.int rng 8 in
+    let input = random_feasible_lp rng n (2 + Datasets.Prng.int rng 6) in
+    let r = Simplex.solve ~want_basis:true input in
+    let k = 1 + Datasets.Prng.int rng 4 in
+    let cuts =
+      Array.init k (fun _ ->
+          let terms =
+            Array.init n (fun j -> (j, Datasets.Prng.range rng (-3.0) 3.0))
+          in
+          let sense = if Datasets.Prng.int rng 2 = 0 then Model.Ge else Model.Le in
+          (terms, sense, 1.0))
+    in
+    match r.Simplex.basis with
+    | None -> ()
+    | Some b -> (
+        let input' =
+          { input with Simplex.rows = Array.append input.Simplex.rows cuts }
+        in
+        match Cuts.extend_basis input b k with
+        | None -> ()
+        | Some b' ->
+            let frame = frame_csc input' in
+            let what = Printf.sprintf "cut case %d" case in
+            let f, bas = build_checked what rng frame b'.Simplex.vbasis in
+            ignore (update_checked what rng frame f bas 10);
+            incr checked)
+  done;
+  Alcotest.(check bool) "extended bases checked" true (!checked >= 20)
+
+(* Fresh bases, bases after updates and rebuilds, singular bases, and
+   bases with cut rows appended: any factorization behind [Factor] must
+   pass this. *)
+let test_factor () =
+  let rng = Datasets.Prng.create 23 in
+  test_factor_dense rng;
+  test_factor_cut_rows rng
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -737,4 +1015,6 @@ let suite =
       test_pinned_basis_rows;
     Alcotest.test_case "key sort is Array.sort's permutation" `Quick
       test_sort_by_key;
+    Alcotest.test_case "factor: ftran and btran against a dense solve" `Quick
+      test_factor;
   ]
