@@ -202,6 +202,91 @@ let test_lp_text_pinned () =
   Alcotest.(check string) "synthetic 30x6" "ba3dff4de7c4387ca00d136361c0d24c"
     (md5 (Fixtures.synthetic ~seed:7 ~groups:30 ~targets:6 ()))
 
+(* [Simplex.of_model] of four built models, hashed: the variable count,
+   every bound, objective coefficient, row sense and rhs, and every row
+   term's id and coefficient, floats as their IEEE bits.  A change to how
+   the models are built or canonicalized must leave these literals as
+   they are. *)
+let input_digest (inp : Lp.Simplex.input) =
+  let buf = Buffer.create 65536 in
+  let int i = Buffer.add_string buf (Printf.sprintf "%d " i) in
+  let flt f = Buffer.add_string buf (Printf.sprintf "%Lx " (Int64.bits_of_float f)) in
+  int inp.Lp.Simplex.nvars;
+  Array.iter flt inp.Lp.Simplex.lo;
+  Array.iter flt inp.Lp.Simplex.hi;
+  Array.iter flt inp.Lp.Simplex.obj;
+  flt inp.Lp.Simplex.obj_const;
+  Buffer.add_string buf (if inp.Lp.Simplex.minimize then "min\n" else "max\n");
+  Array.iter
+    (fun (terms, sense, rhs) ->
+      Buffer.add_string buf
+        (match sense with Lp.Model.Le -> "<= " | Lp.Model.Ge -> ">= " | Lp.Model.Eq -> "= ");
+      flt rhs;
+      Array.iter
+        (fun (j, c) ->
+          int j;
+          flt c)
+        terms;
+      Buffer.add_char buf '\n')
+    inp.Lp.Simplex.rows;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_solver_input_pinned () =
+  let digest model = input_digest (Lp.Simplex.of_model model) in
+  let line = Fixtures.line () in
+  Alcotest.(check string) "line 12"
+    "6cb0b97c21c1be1940ae53c6712b2b9a"
+    (digest (Lp_builder.build line).Lp_builder.model);
+  let synth = Fixtures.synthetic ~seed:7 ~groups:30 ~targets:6 () in
+  let groups = Array.copy synth.Asis.groups in
+  List.iter
+    (fun (i, avoid) ->
+      groups.(i) <- { (groups.(i)) with App_group.colocate_avoid = avoid })
+    [ (0, [ 5; 9 ]); (4, [ 2 ]) ];
+  let synth = { synth with Asis.groups } in
+  let options =
+    {
+      Lp_builder.economies_of_scale = true;
+      fixed_charges = true;
+      omega = Some 0.3;
+      pins = [ (1, 2) ];
+      forbids = [ (0, 0); (3, 1) ];
+      max_latency_ms = Some 40.0;
+    }
+  in
+  let built = Lp_builder.build ~options synth in
+  Alcotest.(check string) "synthetic 30x6, every option"
+    "e3419b22cea296316f0ffb295b022337"
+    (digest built.Lp_builder.model);
+  let dr = Fixtures.line () in
+  let primary = (Greedy.plan dr).Placement.primary in
+  let model, _ = Dr_planner.secondary_model dr primary in
+  Alcotest.(check string) "stage-2 model"
+    "f56b5bae539fe819ad43d4f29f01f61b" (digest model);
+  let n = Asis.num_targets dr in
+  let scenario =
+    {
+      Dr_planner.events = Array.init (n - 1) (fun a -> if a = 0 then [ 0; 1 ] else [ a + 1 ]);
+      evac_mb = Some 2000.0;
+    }
+  in
+  let model, _ = Dr_planner.secondary_model ~scenario dr primary in
+  Alcotest.(check string) "stage-2 model, events and evacuation"
+    "22c37869f2867e8df537041c52d54ac6"
+    (digest model);
+  let joint = Fixtures.synthetic ~seed:11 ~groups:8 ~targets:4 () in
+  let options = { Dr_builder.omega = Some 0.5; dedicated_backups = false } in
+  Alcotest.(check string) "joint DR model"
+    "946f0c67df33c3f3b89b4634e31edd1c"
+    (digest (Dr_builder.build ~options joint).Dr_builder.model);
+  Alcotest.(check string) "joint DR model, dedicated backups"
+    "37c1ea9e6c642005cb4cd07fa75b6e35"
+    (digest
+       (Dr_builder.build
+          ~options:{ options with Dr_builder.dedicated_backups = true }
+          joint)
+         .Dr_builder.model)
+
 let suite =
   [
     Alcotest.test_case "model dimensions" `Quick test_model_dimensions;
@@ -215,5 +300,6 @@ let suite =
     Alcotest.test_case "pin/forbid conflict" `Quick test_pin_on_forbidden_rejected;
     Alcotest.test_case "LP file export" `Quick test_lp_file_export;
     Alcotest.test_case "LP text pinned" `Quick test_lp_text_pinned;
+    Alcotest.test_case "solver input pinned" `Quick test_solver_input_pinned;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
   ]
