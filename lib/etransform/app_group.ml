@@ -17,7 +17,12 @@ let v ?(latency = Latency_penalty.none) ?allowed_dcs ?(colocate_avoid = [])
     users;
   { name; servers; data_mb_month; users; latency; allowed_dcs; colocate_avoid }
 
-let total_users t = Array.fold_left ( +. ) 0.0 t.users
+let total_users t =
+  let s = ref 0.0 in
+  for r = 0 to Array.length t.users - 1 do
+    s := !s +. t.users.(r)
+  done;
+  !s
 
 let allowed t j =
   match t.allowed_dcs with

@@ -14,34 +14,34 @@ let build ?(options = default_options) asis =
   let open Lp in
   let m = Asis.num_groups asis and n = Asis.num_targets asis in
   let model = Model.create ~name:(asis.Asis.name ^ "_dr") () in
+  let col_suffix = Array.init n string_of_int in
   let mk prefix =
     Array.init m (fun i ->
+        let row_prefix = prefix ^ "_" ^ string_of_int i ^ "_" in
         Array.init n (fun j ->
             if App_group.allowed asis.Asis.groups.(i) j then
-              Some
-                (Model.add_var model ~binary:true
-                   (Printf.sprintf "%s_%d_%d" prefix i j))
+              Some (Model.add_var model ~binary:true (row_prefix ^ col_suffix.(j)))
             else None))
   in
   let x = mk "X" and y = mk "Y" in
-  let g =
-    Array.init n (fun b -> Model.add_var model (Printf.sprintf "G_%d" b))
-  in
-  let row_sum vars i =
-    Model.Linexpr.sum
-      (List.filter_map
-         (fun j -> Option.map Model.Linexpr.var vars.(i).(j))
-         (List.init n Fun.id))
+  let g = Array.init n (fun b -> Model.add_var model ("G_" ^ col_suffix.(b))) in
+  (* Columns of [x] and [y], and the weights {!Lp.Model.Linexpr.dot} puts
+     on rows and columns: one, or each group's servers. *)
+  let col vars j = Array.init m (fun i -> vars.(i).(j)) in
+  let ones_m = Array.make m 1.0 and ones_n = Array.make n 1.0 in
+  let servers =
+    Array.map (fun g -> float_of_int g.App_group.servers) asis.Asis.groups
   in
   for i = 0 to m - 1 do
-    Model.add_eq model (Printf.sprintf "assign_%d" i) (row_sum x i) 1.0;
-    Model.add_eq model (Printf.sprintf "backup_%d" i) (row_sum y i) 1.0;
+    let suffix = string_of_int i in
+    Model.add_eq model ("assign_" ^ suffix) (Model.Linexpr.dot ones_n x.(i)) 1.0;
+    Model.add_eq model ("backup_" ^ suffix) (Model.Linexpr.dot ones_n y.(i)) 1.0;
     for j = 0 to n - 1 do
       match (x.(i).(j), y.(i).(j)) with
       | Some xv, Some yv ->
           (* Paper: X_ij + Y_ij < 2, i.e. primary and secondary differ. *)
           Model.add_le model
-            (Printf.sprintf "distinct_%d_%d" i j)
+            ("distinct_" ^ suffix ^ "_" ^ col_suffix.(j))
             Model.Linexpr.(add (var xv) (var yv))
             1.0
       | _ -> ()
@@ -52,36 +52,28 @@ let build ?(options = default_options) asis =
      servers, no J needed. *)
   if options.dedicated_backups then
     for b = 0 to n - 1 do
-      let demand =
-        Model.Linexpr.sum
-          (List.filter_map
-             (fun i ->
-               Option.map
-                 (Model.Linexpr.term
-                    (float_of_int asis.Asis.groups.(i).App_group.servers))
-                 y.(i).(b))
-             (List.init m Fun.id))
-      in
-      Model.add_ge model
-        (Printf.sprintf "pool_%d" b)
+      let demand = Model.Linexpr.dot servers (col y b) in
+      Model.add_ge model ("pool_" ^ col_suffix.(b))
         (Model.Linexpr.sub (Model.Linexpr.var g.(b)) demand)
         0.0
     done
   else begin
-    let j_var = Array.init m (fun _ -> Hashtbl.create 4) in
+    (* j_var.(a).(b).(c) is J_abc, when group c may have its primary at
+       a and its secondary at b. *)
+    let j_var = Array.init n (fun _ -> Array.make_matrix n m None) in
     for c = 0 to m - 1 do
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
           if a <> b then
             match (x.(c).(a), y.(c).(b)) with
             | Some xv, Some yv ->
-                let jv =
-                  Model.add_var model ~hi:1.0 (Printf.sprintf "J_%d_%d_%d" a b c)
+                let name =
+                  col_suffix.(a) ^ "_" ^ col_suffix.(b) ^ "_" ^ string_of_int c
                 in
-                Hashtbl.replace j_var.(c) (a, b) jv;
+                let jv = Model.add_var model ~hi:1.0 ("J_" ^ name) in
+                j_var.(a).(b).(c) <- Some jv;
                 (* J_abc >= X_ca + Y_cb - 1 *)
-                Model.add_ge model
-                  (Printf.sprintf "link_%d_%d_%d" a b c)
+                Model.add_ge model ("link_" ^ name)
                   Model.Linexpr.(
                     sub (var jv) (add (var xv) (var yv)))
                   (-1.0)
@@ -92,18 +84,9 @@ let build ?(options = default_options) asis =
     for a = 0 to n - 1 do
       for b = 0 to n - 1 do
         if a <> b then begin
-          let demand =
-            Model.Linexpr.sum
-              (List.filter_map
-                 (fun c ->
-                   Option.map
-                     (Model.Linexpr.term
-                        (float_of_int asis.Asis.groups.(c).App_group.servers))
-                     (Hashtbl.find_opt j_var.(c) (a, b)))
-                 (List.init m Fun.id))
-          in
+          let demand = Model.Linexpr.dot servers j_var.(a).(b) in
           Model.add_ge model
-            (Printf.sprintf "pool_%d_%d" a b)
+            ("pool_" ^ col_suffix.(a) ^ "_" ^ col_suffix.(b))
             (Model.Linexpr.sub (Model.Linexpr.var g.(b)) demand)
             0.0
         end
@@ -114,58 +97,40 @@ let build ?(options = default_options) asis =
      spread on primaries. *)
   for j = 0 to n - 1 do
     let dc = asis.Asis.targets.(j) in
-    let load =
-      Model.Linexpr.sum
-        (List.filter_map
-           (fun i ->
-             Option.map
-               (Model.Linexpr.term
-                  (float_of_int asis.Asis.groups.(i).App_group.servers))
-               x.(i).(j))
-           (List.init m Fun.id))
-    in
-    Model.add_le model
-      (Printf.sprintf "cap_%d" j)
-      (Model.Linexpr.add load (Model.Linexpr.var g.(j)))
+    let xj = col x j in
+    Model.add_le model ("cap_" ^ col_suffix.(j))
+      (Model.Linexpr.add (Model.Linexpr.dot servers xj) (Model.Linexpr.var g.(j)))
       (float_of_int dc.Data_center.capacity);
     match options.omega with
     | None -> ()
     | Some w ->
-        let count =
-          Model.Linexpr.sum
-            (List.filter_map
-               (fun i -> Option.map Model.Linexpr.var x.(i).(j))
-               (List.init m Fun.id))
-        in
-        Model.add_le model
-          (Printf.sprintf "impact_%d" j)
-          count
+        Model.add_le model ("impact_" ^ col_suffix.(j))
+          (Model.Linexpr.dot ones_m xj)
           (w *. float_of_int m)
   done;
-  (* Objective: assignment costs + backup purchase and hosting. *)
-  let terms = ref [] in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      match x.(i).(j) with
-      | None -> ()
-      | Some v ->
-          terms :=
-            Lp.Model.Linexpr.term
-              (Cost_model.assign_cost asis ~group:i j)
-              v
-            :: !terms
-    done
-  done;
-  for b = 0 to n - 1 do
-    let dc = asis.Asis.targets.(b) in
-    let per_backup =
-      asis.Asis.params.Asis.dr_server_cost
-      +. Cost_model.power_labor_per_server asis dc
-      +. Data_center.first_tier_space dc
-    in
-    terms := Lp.Model.Linexpr.term per_backup g.(b) :: !terms
-  done;
-  Lp.Model.set_objective model (Lp.Model.Linexpr.sum !terms);
+  (* Objective: assignment costs + backup purchase and hosting, in
+     variable order. *)
+  let assign_costs =
+    List.init m (fun i ->
+        let c = Array.make n 0.0 in
+        for j = 0 to n - 1 do
+          match x.(i).(j) with
+          | None -> ()
+          | Some _ -> c.(j) <- Cost_model.assign_cost asis ~group:i j
+        done;
+        Model.Linexpr.dot c x.(i))
+  in
+  let per_backup =
+    Array.map
+      (fun dc ->
+        asis.Asis.params.Asis.dr_server_cost
+        +. Cost_model.power_labor_per_server asis dc
+        +. Data_center.first_tier_space dc)
+      asis.Asis.targets
+  in
+  Model.set_objective model
+    (Model.Linexpr.sum
+       (assign_costs @ [ Model.Linexpr.dot per_backup (Array.map Option.some g) ]));
   { model; x; y; g; asis }
 
 let argmax_row vars solution i =

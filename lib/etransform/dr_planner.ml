@@ -114,16 +114,22 @@ let secondary_model ?scenario asis (primary : int array) =
             else None))
   in
   let g = Array.init n (fun b -> Model.add_var model ("G_" ^ col_suffix.(b))) in
+  let ones = Array.make n 1.0 in
   for i = 0 to m - 1 do
-    let terms =
-      Array.to_list y.(i) |> List.filter_map (Option.map Model.Linexpr.var)
-    in
-    if terms = [] then
+    if Array.for_all Option.is_none y.(i) then
       failwith
         (Printf.sprintf "Dr_planner: group %d has no candidate secondary" i);
-    Model.add_eq model (Printf.sprintf "backup_%d" i) (Model.Linexpr.sum terms)
+    Model.add_eq model ("backup_" ^ string_of_int i) (Model.Linexpr.dot ones y.(i))
       1.0
   done;
+  (* [groups p] are the groups satisfying [p], in order; [backups gs b]
+     their secondary candidates at site [b], as a column for
+     {!Lp.Model.Linexpr.dot}. *)
+  let groups p = Array.of_list (List.filter p (List.init m Fun.id)) in
+  let backups gs b = Array.map (fun i -> y.(i).(b)) gs in
+  let servers gs =
+    Array.map (fun i -> float_of_int asis.Asis.groups.(i).App_group.servers) gs
+  in
   (* Pool sizing per (failure event e, pool site b): when event [e]
      strikes, every group whose primary is inside it fails over at once,
      so the pool at [b] must cover their joint demand.  With the default
@@ -131,23 +137,18 @@ let secondary_model ?scenario asis (primary : int array) =
      (primary site, pool site). *)
   Array.iteri
     (fun e ev ->
+      let hit = Array.make n false in
+      List.iter (fun a -> if a >= 0 && a < n then hit.(a) <- true) ev;
+      let gs = groups (fun i -> hit.(primary.(i))) in
+      let w = servers gs in
       for b = 0 to n - 1 do
         if not (List.mem b ev) then begin
-          let demand =
-            Model.Linexpr.sum
-              (List.filter_map
-                 (fun i ->
-                   if List.mem primary.(i) ev then
-                     Option.map
-                       (Model.Linexpr.term
-                          (float_of_int asis.Asis.groups.(i).App_group.servers))
-                       y.(i).(b)
-                   else None)
-                 (List.init m Fun.id))
-          in
+          (* G_b - demand, written with the terms in variable order (the
+             pools come after every Y) so that the row needs no sort. *)
+          let demand = Model.Linexpr.dot w (backups gs b) in
           Model.add_ge model
-            (Printf.sprintf "pool_%d_%d" e b)
-            (Model.Linexpr.sub (Model.Linexpr.var g.(b)) demand)
+            ("pool_" ^ string_of_int e ^ "_" ^ col_suffix.(b))
+            Model.Linexpr.(add (scale (-1.0) demand) (var g.(b)))
             0.0
         end
       done)
@@ -158,22 +159,17 @@ let secondary_model ?scenario asis (primary : int array) =
   (match evac_mb with
   | None -> ()
   | Some budget ->
+      let data i = asis.Asis.groups.(i).App_group.data_mb_month in
       for a = 0 to n - 1 do
+        let gs = groups (fun i -> primary.(i) = a && data i > 0.0) in
+        let w = Array.map data gs in
         for b = 0 to n - 1 do
           if a <> b then begin
-            let terms =
-              List.filter_map
-                (fun i ->
-                  let d = asis.Asis.groups.(i).App_group.data_mb_month in
-                  if primary.(i) = a && d > 0.0 then
-                    Option.map (Model.Linexpr.term d) y.(i).(b)
-                  else None)
-                (List.init m Fun.id)
-            in
-            if terms <> [] then
+            let col = backups gs b in
+            if Array.exists Option.is_some col then
               Model.add_le model
-                (Printf.sprintf "evac_%d_%d" a b)
-                (Model.Linexpr.sum terms) budget
+                ("evac_" ^ col_suffix.(a) ^ "_" ^ col_suffix.(b))
+                (Model.Linexpr.dot w col) budget
           end
         done
       done);
@@ -183,22 +179,20 @@ let secondary_model ?scenario asis (primary : int array) =
     (fun i a -> load.(a) <- load.(a) + asis.Asis.groups.(i).App_group.servers)
     primary;
   for b = 0 to n - 1 do
-    Model.add_le model
-      (Printf.sprintf "cap_%d" b)
+    Model.add_le model ("cap_" ^ col_suffix.(b))
       (Model.Linexpr.var g.(b))
       (float_of_int (asis.Asis.targets.(b).Data_center.capacity - load.(b)))
   done;
-  let terms = ref [] in
-  for b = 0 to n - 1 do
-    let dc = asis.Asis.targets.(b) in
-    let per_backup =
-      asis.Asis.params.Asis.dr_server_cost
-      +. Cost_model.power_labor_per_server asis dc
-      +. Data_center.first_tier_space dc
-    in
-    terms := Model.Linexpr.term per_backup g.(b) :: !terms
-  done;
-  Model.set_objective model (Model.Linexpr.sum !terms);
+  let per_backup =
+    Array.map
+      (fun dc ->
+        asis.Asis.params.Asis.dr_server_cost
+        +. Cost_model.power_labor_per_server asis dc
+        +. Data_center.first_tier_space dc)
+      asis.Asis.targets
+  in
+  Model.set_objective model
+    (Model.Linexpr.dot per_backup (Array.map Option.some g));
   (model, y)
 
 (* Deterministic fallback when the stage-2 MILP yields no integer point

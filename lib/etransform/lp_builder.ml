@@ -24,17 +24,22 @@ type built = {
   options : options;
 }
 
+(* Membership in a list of (group, target) pairs; no table and no
+   lookup when the list is empty, as it is for most plans. *)
+let pair_set = function
+  | [] -> fun _ _ -> false
+  | pairs ->
+      let t = Hashtbl.create 16 in
+      List.iter (fun p -> Hashtbl.replace t p ()) pairs;
+      fun i j -> Hashtbl.mem t (i, j)
+
 let build ?(options = default_options) asis =
   let open Lp in
   let m = Asis.num_groups asis and n = Asis.num_targets asis in
   let model = Model.create ~name:(asis.Asis.name ^ "_consolidation") () in
-  let forbidden = Hashtbl.create 16 in
-  List.iter (fun (i, j) -> Hashtbl.replace forbidden (i, j) ()) options.forbids;
-  let pinned = Hashtbl.create 16 in
-  List.iter (fun (i, j) -> Hashtbl.replace pinned (i, j) ()) options.pins;
+  let forbidden = pair_set options.forbids and pinned = pair_set options.pins in
   let base_admissible i j =
-    App_group.allowed asis.Asis.groups.(i) j
-    && not (Hashtbl.mem forbidden (i, j))
+    App_group.allowed asis.Asis.groups.(i) j && not (forbidden i j)
   in
   (* Latency budget: drop candidates whose user-weighted mean latency
      exceeds the budget.  A group whose every candidate violates the
@@ -63,7 +68,7 @@ let build ?(options = default_options) asis =
           if !best >= 0 && not (Hashtbl.mem within (i, !best)) then
             Hashtbl.replace within (i, !best) ()
         done;
-        fun i j -> Hashtbl.mem within (i, j) || Hashtbl.mem pinned (i, j)
+        fun i j -> Hashtbl.mem within (i, j) || pinned i j
   in
   let admissible i j = base_admissible i j && latency_ok i j in
   let col_suffix = Array.init n string_of_int in
@@ -81,67 +86,53 @@ let build ?(options = default_options) asis =
       | Some v -> Model.set_bounds model v ~lo:1.0 ~hi:1.0
       | None -> invalid_arg "Lp_builder.build: pin targets a forbidden pair")
     options.pins;
+  (* Rows and columns of [x] as {!Lp.Model.Linexpr.dot} weighs them: by
+     one or by each group's servers. *)
+  let x_col = Array.init n (fun j -> Array.init m (fun i -> x.(i).(j))) in
+  let ones_m = Array.make m 1.0 and ones_n = Array.make n 1.0 in
+  let servers =
+    Array.map (fun g -> float_of_int g.App_group.servers) asis.Asis.groups
+  in
   (* Assignment rows: a home for every group. *)
   for i = 0 to m - 1 do
-    let terms =
-      Array.to_list x.(i)
-      |> List.filter_map (Option.map Model.Linexpr.var)
-    in
-    Model.add_eq model (Printf.sprintf "assign_%d" i) (Model.Linexpr.sum terms)
+    Model.add_eq model ("assign_" ^ string_of_int i)
+      (Model.Linexpr.dot ones_n x.(i))
       1.0
   done;
-  (* Capacity rows and per-DC load expressions. *)
-  let load j =
-    Model.Linexpr.sum
-      (List.filter_map
-         (fun i ->
-           Option.map
-             (Model.Linexpr.term
-                (float_of_int asis.Asis.groups.(i).App_group.servers))
-             x.(i).(j))
-         (List.init m Fun.id))
-  in
-  let cost_terms = ref [] in
+  (* Capacity rows and per-DC load expressions.  The cost terms are
+     collected in variable order, so the objective needs no sort. *)
+  let site_costs = ref [] in
   for j = 0 to n - 1 do
     let dc = asis.Asis.targets.(j) in
-    let lj = load j in
-    Model.add_le model
-      (Printf.sprintf "cap_%d" j)
-      lj
+    let lj = Model.Linexpr.dot servers x_col.(j) in
+    Model.add_le model ("cap_" ^ col_suffix.(j)) lj
       (float_of_int dc.Data_center.capacity);
     if options.economies_of_scale then begin
       let space =
         Piecewise.concave_cost model
-          ~name:(Printf.sprintf "space_%d" j)
+          ~name:("space_" ^ col_suffix.(j))
           ~quantity:lj dc.Data_center.rates.Data_center.space_segments
       in
-      cost_terms := space :: !cost_terms
+      site_costs := space :: !site_costs
     end;
     if options.fixed_charges
        && dc.Data_center.rates.Data_center.fixed_monthly > 0.0
     then begin
       let fixed, _open_var =
         Piecewise.fixed_charge model
-          ~name:(Printf.sprintf "site_%d" j)
+          ~name:("site_" ^ col_suffix.(j))
           ~quantity:lj
           ~capacity:(float_of_int dc.Data_center.capacity)
           ~fixed_cost:dc.Data_center.rates.Data_center.fixed_monthly
       in
-      cost_terms := fixed :: !cost_terms
+      site_costs := fixed :: !site_costs
     end;
-    (match options.omega with
+    match options.omega with
     | None -> ()
     | Some w ->
-        let count =
-          Model.Linexpr.sum
-            (List.filter_map
-               (fun i -> Option.map Model.Linexpr.var x.(i).(j))
-               (List.init m Fun.id))
-        in
-        Model.add_le model
-          (Printf.sprintf "impact_%d" j)
-          count
-          (w *. float_of_int m))
+        Model.add_le model ("impact_" ^ col_suffix.(j))
+          (Model.Linexpr.dot ones_m x_col.(j))
+          (w *. float_of_int m)
   done;
   (* Shared-risk separation. *)
   Array.iteri
@@ -160,21 +151,24 @@ let build ?(options = default_options) asis =
             done)
         g.App_group.colocate_avoid)
     asis.Asis.groups;
-  (* Linear assignment costs. *)
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      match x.(i).(j) with
-      | None -> ()
-      | Some v ->
-          let c =
-            Cost_model.assign_cost
-              ~include_first_tier_space:(not options.economies_of_scale) asis
-              ~group:i j
-          in
-          cost_terms := Model.Linexpr.term c v :: !cost_terms
-    done
-  done;
-  Model.set_objective model (Model.Linexpr.sum !cost_terms);
+  (* Linear assignment costs, then the sites' discount and opening
+     costs. *)
+  let assign_costs =
+    List.init m (fun i ->
+        let c = Array.make n 0.0 in
+        for j = 0 to n - 1 do
+          match x.(i).(j) with
+          | None -> ()
+          | Some _ ->
+              c.(j) <-
+                Cost_model.assign_cost
+                  ~include_first_tier_space:(not options.economies_of_scale)
+                  asis ~group:i j
+        done;
+        Model.Linexpr.dot c x.(i))
+  in
+  Model.set_objective model
+    (Model.Linexpr.sum (assign_costs @ List.rev !site_costs));
   { model; x; asis; options }
 
 let decode built solution =

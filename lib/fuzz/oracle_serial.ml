@@ -145,7 +145,7 @@ let model_semantics m =
     Array.to_list (Lp.Model.constrs m)
     |> List.map (fun (c : Lp.Model.constr) ->
            ( c.Lp.Model.cname,
-             canon_terms names (Lp.Model.row_terms c),
+             canon_terms names c.Lp.Model.terms,
              c.Lp.Model.sense,
              c.Lp.Model.rhs ))
   in

@@ -9,10 +9,17 @@ let matrix ?base_ms ~dcs ~users () =
 let average ~weights row =
   if Array.length weights <> Array.length row then
     invalid_arg "Latency_model.average: length mismatch";
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 then 0.0
+  (* Loops over local refs box no float per location; both sums run in
+     index order. *)
+  let total = ref 0.0 in
+  for i = 0 to Array.length weights - 1 do
+    total := !total +. weights.(i)
+  done;
+  if !total <= 0.0 then 0.0
   else begin
     let acc = ref 0.0 in
-    Array.iteri (fun i w -> acc := !acc +. (w *. row.(i))) weights;
-    !acc /. total
+    for i = 0 to Array.length weights - 1 do
+      acc := !acc +. (weights.(i) *. row.(i))
+    done;
+    !acc /. !total
   end

@@ -9,13 +9,16 @@ type var = {
 type sense = Le | Ge | Eq
 
 module Linexpr = struct
-  (* Expressions are kept as unreduced trees while being built; [terms]
-     canonicalizes on demand.  Building is O(1) per combination, which
-     matters when summing tens of thousands of terms. *)
+  (* Expressions are kept as unreduced trees while being built; rows
+     canonicalize them once, when they are added.  Building is O(1) per
+     combination, which matters when summing tens of thousands of terms,
+     and a [Dot] leaf holds a whole weighted row or column of a builder's
+     variable matrix without a node per term. *)
   type t =
     | Zero
     | Const of float
     | Term of float * var
+    | Dot of float array * var option array
     | Add of t * t
     | Scale of float * t
 
@@ -24,6 +27,11 @@ module Linexpr = struct
   let term c v = Term (c, v)
   let var v = Term (1.0, v)
 
+  let dot w vs =
+    if Array.length w <> Array.length vs then
+      invalid_arg "Model.Linexpr.dot: arrays differ in length";
+    Dot (w, vs)
+
   let add a b =
     match (a, b) with Zero, e | e, Zero -> e | a, b -> Add (a, b)
 
@@ -31,50 +39,67 @@ module Linexpr = struct
   let sub a b = add a (scale (-1.0) b)
   let sum es = List.fold_left add Zero es
 
-  let fold_terms e ~on_const ~on_term =
-    let rec go k e =
-      match e with
-      | Zero -> ()
-      | Const c -> on_const (k *. c)
-      | Term (c, v) -> on_term (k *. c) v
-      | Add (a, b) ->
-          go k a;
-          go k b
-      | Scale (s, a) -> go (k *. s) a
-    in
-    go 1.0 e
+  (* The terms of a walk, in visiting order, and the sum of its
+     constants. *)
+  type acc = {
+    mutable ids : int array;
+    mutable cs : float array;
+    mutable n : int;
+    mutable const : float;
+  }
 
-  let const_part e =
-    let c = ref 0.0 in
-    fold_terms e ~on_const:(fun x -> c := !c +. x) ~on_term:(fun _ _ -> ());
-    !c
+  let reserve a extra =
+    let cap = Array.length a.ids in
+    if a.n + extra > cap then begin
+      let cap' = max (a.n + extra) (max 8 (2 * cap)) in
+      let ids = Array.make cap' 0 and cs = Array.make cap' 0.0 in
+      Array.blit a.ids 0 ids 0 a.n;
+      Array.blit a.cs 0 cs 0 a.n;
+      a.ids <- ids;
+      a.cs <- cs
+    end
 
-  let terms e =
+  (* Visits left before right, and multiplies the scales from the root
+     down before each coefficient: [k *. c] with [k] the product of the
+     enclosing scales, taken outermost first. *)
+  let rec walk a k e =
+    match e with
+    | Zero -> ()
+    | Const c -> a.const <- a.const +. (k *. c)
+    | Term (c, v) ->
+        reserve a 1;
+        a.ids.(a.n) <- v.id;
+        a.cs.(a.n) <- k *. c;
+        a.n <- a.n + 1
+    | Dot (w, vs) ->
+        reserve a (Array.length vs);
+        let ids = a.ids and cs = a.cs and n = ref a.n in
+        for t = 0 to Array.length vs - 1 do
+          match vs.(t) with
+          | None -> ()
+          | Some v ->
+              ids.(!n) <- v.id;
+              cs.(!n) <- k *. w.(t);
+              incr n
+        done;
+        a.n <- !n
+    | Add (l, r) ->
+        walk a k l;
+        walk a k r
+    | Scale (s, l) -> walk a (k *. s) l
+
+  let canonical e =
     (* Canonicalize by sort-and-merge over flat id/coefficient arrays
        rather than a hash table: builders emit terms in variable order
        almost always, so the pre-sorted check usually reduces the whole
-       pass to two array fills and one merge sweep.  A built-by-prepending
+       pass to one array fill and one merge sweep.  A built-by-prepending
        expression arrives strictly descending; its ids are distinct, so
        reversing it gives the only ascending order.  Any other order goes
        through the pair sort: with repeated ids, its tie order fixes the
        order in which their coefficients are summed. *)
-    let ids = ref (Array.make 16 0) and cs = ref (Array.make 16 0.0) in
-    let k = ref 0 in
-    fold_terms e
-      ~on_const:(fun _ -> ())
-      ~on_term:(fun c v ->
-        if !k = Array.length !ids then begin
-          let ids' = Array.make (2 * !k) 0 and cs' = Array.make (2 * !k) 0.0 in
-          Array.blit !ids 0 ids' 0 !k;
-          Array.blit !cs 0 cs' 0 !k;
-          ids := ids';
-          cs := cs'
-        end;
-        !ids.(!k) <- v.id;
-        !cs.(!k) <- c;
-        incr k);
-    let n0 = !k in
-    let ids = !ids and cs = !cs in
+    let a = { ids = [||]; cs = [||]; n = 0; const = 0.0 } in
+    walk a 1.0 e;
+    let n0 = a.n and ids = a.ids and cs = a.cs in
     let ascending = ref true and descending = ref true in
     for i = 1 to n0 - 1 do
       if ids.(i - 1) > ids.(i) then ascending := false
@@ -113,60 +138,30 @@ module Linexpr = struct
         incr w
       end
     done;
-    Array.init !w (fun i -> (ids.(i), cs.(i)))
+    let terms = Array.make !w (0, 0.0) in
+    for i = 0 to !w - 1 do
+      terms.(i) <- (ids.(i), cs.(i))
+    done;
+    (terms, a.const)
 
-  let eval e x =
-    let acc = ref 0.0 in
-    fold_terms e
-      ~on_const:(fun c -> acc := !acc +. c)
-      ~on_term:(fun c v -> acc := !acc +. (c *. x.(v.id)));
-    !acc
-
-  let pp ~names ppf e =
-    let ts = terms e in
-    let c = const_part e in
-    if Array.length ts = 0 then Fmt.pf ppf "%g" c
-    else begin
-      Array.iteri
-        (fun i (id, coeff) ->
-          if i = 0 then
-            if coeff < 0.0 then Fmt.pf ppf "- %g %s" (-.coeff) (names id)
-            else Fmt.pf ppf "%g %s" coeff (names id)
-          else if coeff < 0.0 then Fmt.pf ppf " - %g %s" (-.coeff) (names id)
-          else Fmt.pf ppf " + %g %s" coeff (names id))
-        ts;
-      if c <> 0.0 then Fmt.pf ppf " %s %g" (if c < 0.0 then "-" else "+") (abs_float c)
-    end
+  let terms e = fst (canonical e)
 end
 
 type constr = {
   cname : string;
-  expr : Linexpr.t;
+  terms : (int * float) array;
   sense : sense;
   rhs : float;
-  mutable tcache : (int * float) array option;
 }
-
-(* Rows are frozen once added, so their canonical term arrays can be
-   computed once and reused — [Milp.solve] compiles the same rows on every
-   call, which made repeated canonicalization the dominant setup cost. *)
-let row_terms c =
-  match c.tcache with
-  | Some a -> a
-  | None ->
-      let a = Linexpr.terms c.expr in
-      c.tcache <- Some a;
-      a
 
 type t = {
   mname : string;
   mutable nvars : int;
   mutable var_store : var array;
-  mutable rows_rev : constr list;
+  mutable row_store : constr array;
   mutable nrows : int;
-  mutable obj : Linexpr.t;
+  mutable obj : (int * float) array * float;
   mutable min : bool;
-  mutable obj_cache : ((int * float) array * float) option;
 }
 
 let create ?(name = "model") () =
@@ -174,56 +169,51 @@ let create ?(name = "model") () =
     mname = name;
     nvars = 0;
     var_store = [||];
-    rows_rev = [];
+    row_store = [||];
     nrows = 0;
-    obj = Linexpr.zero;
+    obj = ([||], 0.0);
     min = true;
-    obj_cache = None;
   }
 
 let name t = t.mname
+
+(* Append [x] to the first [n] slots of [store], growing it by doubling. *)
+let grow store n x =
+  let cap = Array.length store in
+  if n < cap then store
+  else begin
+    let store' = Array.make (max 16 (2 * cap)) x in
+    Array.blit store 0 store' 0 cap;
+    store'
+  end
 
 let add_var t ?(lo = 0.0) ?(hi = infinity) ?(integer = false) ?(binary = false)
     vname =
   let lo, hi, integer = if binary then (0.0, 1.0, true) else (lo, hi, integer) in
   let v = { id = t.nvars; name = vname; lo; hi; integer } in
-  let cap = Array.length t.var_store in
-  if t.nvars = cap then begin
-    let cap' = max 16 (2 * cap) in
-    let store = Array.make cap' v in
-    Array.blit t.var_store 0 store 0 cap;
-    t.var_store <- store
-  end;
+  t.var_store <- grow t.var_store t.nvars v;
   t.var_store.(t.nvars) <- v;
   t.nvars <- t.nvars + 1;
   v
 
 let add_constr t cname expr sense rhs =
-  (* Move any constant part of the expression to the right-hand side so the
-     stored row is in canonical [terms sense rhs] form. *)
-  let c = Linexpr.const_part expr in
-  let expr = if c = 0.0 then expr else Linexpr.sub expr (Linexpr.constant c) in
-  t.rows_rev <-
-    { cname; expr; sense; rhs = rhs -. c; tcache = None } :: t.rows_rev;
+  (* The stored row is in canonical [terms sense rhs] form: any constant
+     part of the expression moves to the right-hand side. *)
+  let terms, c = Linexpr.canonical expr in
+  let row = { cname; terms; sense; rhs = rhs -. c } in
+  t.row_store <- grow t.row_store t.nrows row;
+  t.row_store.(t.nrows) <- row;
   t.nrows <- t.nrows + 1
 
 let add_le t n e rhs = add_constr t n e Le rhs
 let add_ge t n e rhs = add_constr t n e Ge rhs
 let add_eq t n e rhs = add_constr t n e Eq rhs
 let set_objective t ?(minimize = true) e =
-  t.obj <- e;
-  t.min <- minimize;
-  t.obj_cache <- None
+  t.obj <- Linexpr.canonical e;
+  t.min <- minimize
 
 let minimize t = t.min
-
-let objective_terms t =
-  match t.obj_cache with
-  | Some (a, c) -> (a, c)
-  | None ->
-      let a = Linexpr.terms t.obj and c = Linexpr.const_part t.obj in
-      t.obj_cache <- Some (a, c);
-      (a, c)
+let objective_terms t = t.obj
 
 let set_bounds _t v ~lo ~hi =
   v.lo <- lo;
@@ -234,7 +224,7 @@ let set_integer _t v b = v.integer <- b
 let num_vars t = t.nvars
 let num_constrs t = t.nrows
 let vars t = Array.sub t.var_store 0 t.nvars
-let constrs t = Array.of_list (List.rev t.rows_rev)
+let constrs t = Array.sub t.row_store 0 t.nrows
 
 let integer_vars t =
   let acc = ref [] in
@@ -256,23 +246,22 @@ let validate t =
       bad "integer variable %s has empty integral domain [%g, %g]" v.name v.lo
         v.hi
   done;
-  List.iter
-    (fun r ->
-      if Float.is_nan r.rhs || Float.is_integer r.rhs && Float.abs r.rhs = infinity
-      then bad "constraint %s has non-finite rhs" r.cname;
-      if not (Float.is_nan r.rhs) && Float.abs r.rhs = infinity then
-        bad "constraint %s has infinite rhs" r.cname;
-      if Array.length (Linexpr.terms r.expr) = 0 then begin
-        (* Constant row: either trivially true or witnesses infeasibility. *)
-        let ok =
-          match r.sense with
-          | Le -> 0.0 <= r.rhs +. 1e-9
-          | Ge -> 0.0 >= r.rhs -. 1e-9
-          | Eq -> Float.abs r.rhs <= 1e-9
-        in
-        if not ok then bad "constraint %s is constant and violated" r.cname
-      end)
-    t.rows_rev;
+  for i = 0 to t.nrows - 1 do
+    let r = t.row_store.(i) in
+    if Float.is_nan r.rhs then bad "constraint %s has NaN rhs" r.cname;
+    if Float.abs r.rhs = infinity then
+      bad "constraint %s has infinite rhs" r.cname;
+    if Array.length r.terms = 0 then begin
+      (* Constant row: either trivially true or witnesses infeasibility. *)
+      let ok =
+        match r.sense with
+        | Le -> 0.0 <= r.rhs +. 1e-9
+        | Ge -> 0.0 >= r.rhs -. 1e-9
+        | Eq -> Float.abs r.rhs <= 1e-9
+      in
+      if not ok then bad "constraint %s is constant and violated" r.cname
+    end
+  done;
   List.rev !problems
 
 let pp_stats ppf t =

@@ -24,29 +24,35 @@ module Linexpr : sig
   val term : float -> var -> t
   val var : var -> t
 
+  (** [dot w vs] is the sum of [w.(k) * v] over the [k] where
+      [vs.(k) = Some v]: a weighted row or column of a builder's variable
+      matrix in one node.  The arrays are shared, not copied, and must not
+      change until the expression has been added; they must have the same
+      length. *)
+  val dot : float array -> var option array -> t
+
   val add : t -> t -> t
   val sub : t -> t -> t
   val scale : float -> t -> t
   val sum : t list -> t
 
-  (** [terms e] returns the canonical (deduplicated, id-sorted) term list. *)
+  (** [terms e] returns the canonical term array: ids ascending, repeated
+      ids summed, zero sums dropped.  Terms are summed in the order [e]
+      visits them (left operand first) after a sort by id; when that order
+      is neither ascending nor strictly descending, the sort is
+      [Array.sort]'s on (id, coefficient) pairs, whose tie order fixes the
+      order of each sum. *)
   val terms : t -> (int * float) array
-
-  val const_part : t -> float
-
-  (** [eval e x] evaluates [e] against the assignment [x] indexed by var id. *)
-  val eval : t -> float array -> float
-
-  val pp : names:(int -> string) -> t Fmt.t
 end
 
+(** A row in canonical form: [terms] as {!Linexpr.terms} makes them, and
+    any constant part of the added expression moved into [rhs].  Rows are
+    canonicalized once, when they are added, and never change. *)
 type constr = private {
   cname : string;
-  expr : Linexpr.t;
+  terms : (int * float) array;
   sense : sense;
   rhs : float;
-  mutable tcache : (int * float) array option;
-      (** memoized canonical terms of [expr]; use {!row_terms} *)
 }
 
 type t
@@ -61,8 +67,8 @@ val name : t -> string
 val add_var :
   t -> ?lo:float -> ?hi:float -> ?integer:bool -> ?binary:bool -> string -> var
 
-(** [add_constr t name expr sense rhs] adds the row [expr sense rhs].
-    Any constant part of [expr] is moved to the right-hand side. *)
+(** [add_constr t name expr sense rhs] adds the row [expr sense rhs] in
+    canonical form (see {!constr}).  It is the only way to add a row. *)
 val add_constr : t -> string -> Linexpr.t -> sense -> float -> unit
 
 (** Convenience wrappers around {!add_constr}. *)
@@ -71,20 +77,16 @@ val add_le : t -> string -> Linexpr.t -> float -> unit
 val add_ge : t -> string -> Linexpr.t -> float -> unit
 val add_eq : t -> string -> Linexpr.t -> float -> unit
 
-(** [set_objective t ~minimize e] installs the objective.  Default sense is
-    minimization; the constant part of [e] is carried into reported
-    objective values. *)
+(** [set_objective t ~minimize e] installs the objective, canonicalized
+    once as rows are.  Default sense is minimization; the constant part of
+    [e] is carried into reported objective values. *)
 val set_objective : t -> ?minimize:bool -> Linexpr.t -> unit
 
 val minimize : t -> bool
 
-(** [row_terms c] is [Linexpr.terms c.expr], memoized — rows are immutable
-    once added, so repeated compilation of the same model skips the
-    canonicalization pass. *)
-val row_terms : constr -> (int * float) array
-
-(** [objective_terms t] is the memoized canonical objective: its term array
-    and constant part.  Invalidated by {!set_objective}. *)
+(** [objective_terms t] is the canonical objective set by
+    {!set_objective}: its term array and constant part ([[||], 0.0] until
+    one is set). *)
 val objective_terms : t -> (int * float) array * float
 
 val set_bounds : t -> var -> lo:float -> hi:float -> unit

@@ -28,7 +28,7 @@ let write_model ppf m =
     (fun i c ->
       Array.iter
         (fun (id, coeff) -> cols.(id) <- (row_name i c, coeff) :: cols.(id))
-        (Model.Linexpr.terms c.Model.expr))
+        c.Model.terms)
     cs;
   let obj_terms, obj_const = Model.objective_terms m in
   Array.iter

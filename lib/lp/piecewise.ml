@@ -20,46 +20,47 @@ let check_segments name segs =
       if s.width <= 0.0 then invalid_arg (name ^ ": non-positive segment width"))
     segs
 
+(* One fill variable per segment of [segs], linked to [quantity];
+   returns the fills and the cost expression [sum_k unit_cost_k *
+   fill_k]. *)
 let fills m ~name ~quantity segs =
   let fills =
-    List.mapi
+    Array.mapi
       (fun k s ->
-        (Model.add_var m ~lo:0.0 ~hi:s.width (Printf.sprintf "%s_fill%d" name k), s))
+        Model.add_var m ~lo:0.0 ~hi:s.width (name ^ "_fill" ^ string_of_int k))
       segs
   in
-  let sum = Model.Linexpr.sum (List.map (fun (v, _) -> Model.Linexpr.var v) fills) in
-  Model.add_eq m (name ^ "_link") (Model.Linexpr.sub sum quantity) 0.0;
-  fills
-
-let cost_of_fills fills =
-  Model.Linexpr.sum
-    (List.map (fun (v, s) -> Model.Linexpr.term s.unit_cost v) fills)
+  let col = Array.map Option.some fills in
+  let ones = Array.make (Array.length segs) 1.0 in
+  Model.add_eq m (name ^ "_link")
+    (Model.Linexpr.sub (Model.Linexpr.dot ones col) quantity)
+    0.0;
+  (fills, Model.Linexpr.dot (Array.map (fun s -> s.unit_cost) segs) col)
 
 let convex_cost m ~name ~quantity segs =
   check_segments name segs;
-  cost_of_fills (fills m ~name ~quantity segs)
+  snd (fills m ~name ~quantity (Array.of_list segs))
 
 let concave_cost m ~name ~quantity segs =
   check_segments name segs;
-  let fs = Array.of_list (fills m ~name ~quantity segs) in
+  let segs = Array.of_list segs in
+  let fs, cost = fills m ~name ~quantity segs in
   (* Ordering binaries: z_k = 1 forces segment k-1 full and is required
      before segment k may hold anything.  Without them the LP would fill the
      cheapest (deepest) discount tier first. *)
   for k = 1 to Array.length fs - 1 do
-    let fk, sk = fs.(k) and fk1, sk1 = fs.(k - 1) in
-    let z = Model.add_var m ~binary:true (Printf.sprintf "%s_z%d" name k) in
-    Model.add_le m
-      (Printf.sprintf "%s_open%d" name k)
-      (Model.Linexpr.sub (Model.Linexpr.var fk)
-         (Model.Linexpr.term sk.width z))
+    let suffix = string_of_int k in
+    let z = Model.add_var m ~binary:true (name ^ "_z" ^ suffix) in
+    Model.add_le m (name ^ "_open" ^ suffix)
+      (Model.Linexpr.sub (Model.Linexpr.var fs.(k))
+         (Model.Linexpr.term segs.(k).width z))
       0.0;
-    Model.add_ge m
-      (Printf.sprintf "%s_full%d" name k)
-      (Model.Linexpr.sub (Model.Linexpr.var fk1)
-         (Model.Linexpr.term sk1.width z))
+    Model.add_ge m (name ^ "_full" ^ suffix)
+      (Model.Linexpr.sub (Model.Linexpr.var fs.(k - 1))
+         (Model.Linexpr.term segs.(k - 1).width z))
       0.0
   done;
-  cost_of_fills (Array.to_list fs)
+  cost
 
 let fixed_charge m ~name ~quantity ~capacity ~fixed_cost =
   if capacity <= 0.0 then invalid_arg (name ^ ": non-positive capacity");

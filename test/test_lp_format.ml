@@ -148,6 +148,22 @@ let test_validate_crossed_bounds () =
   Model.set_bounds m x ~lo:2.0 ~hi:1.0;
   Alcotest.(check bool) "bound order flagged" true (Model.validate m <> [])
 
+(* A NaN rhs and an infinite rhs are each reported once, whatever the
+   row's sense. *)
+let test_validate_non_finite_rhs () =
+  let m = Model.create () in
+  let x = Model.add_var m "x" in
+  Model.add_le m "nan_row" (Model.Linexpr.var x) Float.nan;
+  Model.add_ge m "inf_row" (Model.Linexpr.var x) Float.neg_infinity;
+  let problems = Model.validate m in
+  let count row =
+    List.length
+      (List.filter (fun s -> Astring_contains.contains s row) problems)
+  in
+  Alcotest.(check int) "NaN rhs reported once" 1 (count "nan_row");
+  Alcotest.(check int) "infinite rhs reported once" 1 (count "inf_row");
+  Alcotest.(check int) "nothing else" 2 (List.length problems)
+
 let prop_random_models_roundtrip =
   let gen =
     QCheck2.Gen.(
@@ -273,14 +289,28 @@ let test_terms_match_reference () =
       ("signed zeros ascending", [ (-0.0, 1); (0.0, 3); (1.5, 8) ]);
     ]
   in
+  let bits a = Array.map (fun (id, c) -> (id, Int64.bits_of_float c)) a in
   List.iter
     (fun (name, l) ->
       let e =
         Model.Linexpr.sum (List.map (fun (c, id) -> Model.Linexpr.term c vars.(id)) l)
       in
       let got = Model.Linexpr.terms e and want = reference_terms l in
-      let bits a = Array.map (fun (id, c) -> (id, Int64.bits_of_float c)) a in
-      if bits got <> bits want then Alcotest.failf "%s: terms differ" name)
+      if bits got <> bits want then Alcotest.failf "%s: terms differ" name;
+      (* The same terms as one [dot] leaf with absent entries between
+         them, and scaled by one half inside a sum. *)
+      let padded = List.concat_map (fun t -> [ None; Some t ]) l in
+      let w = Array.of_list (List.map (function Some (c, _) -> c | None -> 9.0) padded)
+      and vs = Array.of_list (List.map (Option.map (fun (_, id) -> vars.(id))) padded) in
+      let got = Model.Linexpr.terms (Model.Linexpr.dot w vs) in
+      if bits got <> bits want then Alcotest.failf "%s: dot terms differ" name;
+      let half = List.map (fun (c, id) -> (0.5 *. c, id)) l in
+      let got =
+        Model.Linexpr.terms
+          Model.Linexpr.(add zero (scale 0.5 (dot w vs)))
+      in
+      if bits got <> bits (reference_terms half) then
+        Alcotest.failf "%s: scaled dot terms differ" name)
     cases
 
 let suite =
@@ -298,6 +328,8 @@ let suite =
       test_validate_empty_integral_domain;
     Alcotest.test_case "validate crossed bounds" `Quick
       test_validate_crossed_bounds;
+    Alcotest.test_case "validate non-finite rhs" `Quick
+      test_validate_non_finite_rhs;
     Alcotest.test_case "terms match sort-and-merge" `Quick
       test_terms_match_reference;
     QCheck_alcotest.to_alcotest prop_random_models_roundtrip;
