@@ -339,10 +339,9 @@ let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
    same column indices in the same order, and their rhs and each
    coefficient print alike at [%.9g] ([0.0] and [-0.0] do not).  Equal
    bits always print alike; other pairs are compared by [key_9g], and
-   printed only when it cannot tell.  The seen cuts are bucketed by
-   sense and column indices, each bucket holding the rhs and
-   coefficients of its cuts. *)
-type seen = (Model.sense * int array, (float * float array) list) Hashtbl.t
+   printed only when it cannot tell.  The seen cuts are bucketed by a
+   hash of their sense and column indices, and compared in place. *)
+type seen = (int, ((int * float) array * Model.sense * float) list) Hashtbl.t
 
 let seen () : seen = Hashtbl.create 64
 
@@ -393,20 +392,32 @@ let same_9g a b =
   if ka >= 0 && kb >= 0 then ka = kb
   else String.equal (Printf.sprintf "%.9g" a) (Printf.sprintf "%.9g" b)
 
+let bucket_key terms sense =
+  let h = ref (match sense with Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2) in
+  for k = 0 to Array.length terms - 1 do
+    let j, _ = terms.(k) in
+    h := (!h * 31) + j
+  done;
+  !h land max_int
+
+let repeats (terms, sense, rhs) (terms', sense', rhs') =
+  let n = Array.length terms in
+  let rec same_terms k =
+    k = n
+    ||
+    let j, c = terms.(k) and j', c' = terms'.(k) in
+    j = j' && same_9g c c' && same_terms (k + 1)
+  in
+  sense = sense' && n = Array.length terms' && same_9g rhs rhs' && same_terms 0
+
 let keep_fresh (seen : seen) cuts =
   List.filter
-    (fun (terms, sense, rhs) ->
-      let key = (sense, Array.map fst terms) in
-      let coefs = Array.map snd terms in
+    (fun ((terms, sense, _) as cut) ->
+      let key = bucket_key terms sense in
       let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-      if
-        List.exists
-          (fun (rhs', coefs') ->
-            same_9g rhs rhs' && Array.for_all2 same_9g coefs coefs')
-          bucket
-      then false
+      if List.exists (repeats cut) bucket then false
       else begin
-        Hashtbl.replace seen key ((rhs, coefs) :: bucket);
+        Hashtbl.replace seen key (cut :: bucket);
         true
       end)
     cuts

@@ -93,8 +93,8 @@ val solve :
   result
 
 (** [basis_rows input b] factorizes the basis [b] of [input] and returns
-    a function from a basic column [c] to its row of [B⁻¹], taken by one
-    BTRAN: the vector [w] with [w · A_c = 1] and [w · A_c' = 0] for every
+    a function from a basic column [c] to its row of [B⁻¹], taken by a
+    BTRAN refined once against its residual: the vector [w] with [w · A_c = 1] and [w · A_c' = 0] for every
     other basic column [c'] (columns over the frame {!layout}).
     [None] when [b] does not fit [input]'s rows or is singular.  The
     function raises [Invalid_argument] on a nonbasic column. *)
