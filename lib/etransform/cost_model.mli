@@ -20,6 +20,12 @@ val wan_cost : Asis.t -> group:int -> Data_center.t -> float
     server at [dc]: alpha * hours * E_j + T_j / beta. *)
 val power_labor_per_server : Asis.t -> Data_center.t -> float
 
+(** [backup_price asis dc] is the monthly linear price of one backup
+    server in [dc]'s pool, as the DR models and the stage-2 fallback charge
+    it: the purchase zeta, plus power and labor, plus space at the first
+    volume tier's unit price. *)
+val backup_price : Asis.t -> Data_center.t -> float
+
 (** [latency_penalty asis ~group dc] is L_ij: the monthly dollar penalty for
     the group's users if placed at [dc]. *)
 val latency_penalty : Asis.t -> group:int -> Data_center.t -> float

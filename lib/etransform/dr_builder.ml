@@ -120,56 +120,24 @@ let build ?(options = default_options) asis =
         done;
         Model.Linexpr.dot c x.(i))
   in
-  let per_backup =
-    Array.map
-      (fun dc ->
-        asis.Asis.params.Asis.dr_server_cost
-        +. Cost_model.power_labor_per_server asis dc
-        +. Data_center.first_tier_space dc)
-      asis.Asis.targets
-  in
+  let per_backup = Array.map (Cost_model.backup_price asis) asis.Asis.targets in
   Model.set_objective model
     (Model.Linexpr.sum
        (assign_costs @ [ Model.Linexpr.dot per_backup (Array.map Option.some g) ]));
   { model; x; y; g; asis }
 
-let argmax_row vars solution i =
-  let best = ref (-1) and best_v = ref neg_infinity in
-  Array.iteri
-    (fun j v ->
-      match v with
-      | None -> ()
-      | Some var ->
-          let value = solution.(var.Lp.Model.id) in
-          if value > !best_v then begin
-            best_v := value;
-            best := j
-          end)
-    vars.(i);
-  !best
+let decode_secondaries y solution primary ~n =
+  Array.mapi
+    (fun i a ->
+      let b = Lp_builder.argmax ~except:a y.(i) solution in
+      if b >= 0 then b else (a + 1) mod n)
+    primary
 
 let decode built solution =
-  let m = Array.length built.x in
-  let primary = Array.init m (argmax_row built.x solution) in
+  let primary =
+    Array.map (fun row -> Lp_builder.argmax row solution) built.x
+  in
   let secondary =
-    Array.init m (fun i ->
-        let b = argmax_row built.y solution i in
-        (* Guard against ties decoding onto the primary. *)
-        if b = primary.(i) then begin
-          let alt = ref (-1) and alt_v = ref neg_infinity in
-          Array.iteri
-            (fun j v ->
-              match v with
-              | Some var when j <> primary.(i) ->
-                  let value = solution.(var.Lp.Model.id) in
-                  if value > !alt_v then begin
-                    alt_v := value;
-                    alt := j
-                  end
-              | _ -> ())
-            built.y.(i);
-          if !alt >= 0 then !alt else (primary.(i) + 1) mod Array.length built.g
-        end
-        else b)
+    decode_secondaries built.y solution primary ~n:(Array.length built.g)
   in
   Placement.with_dr ~primary ~secondary ()

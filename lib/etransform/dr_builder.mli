@@ -32,3 +32,9 @@ type built = {
 val build : ?options:options -> Asis.t -> built
 
 val decode : built -> float array -> Placement.t
+
+(** [decode_secondaries y solution primary ~n]: each group's argmax of its
+    [y] row off its primary, else the site after the primary among [n]. *)
+val decode_secondaries :
+  Lp.Model.var option array array -> float array -> int array -> n:int ->
+  int array

@@ -183,14 +183,7 @@ let secondary_model ?scenario asis (primary : int array) =
       (Model.Linexpr.var g.(b))
       (float_of_int (asis.Asis.targets.(b).Data_center.capacity - load.(b)))
   done;
-  let per_backup =
-    Array.map
-      (fun dc ->
-        asis.Asis.params.Asis.dr_server_cost
-        +. Cost_model.power_labor_per_server asis dc
-        +. Data_center.first_tier_space dc)
-      asis.Asis.targets
-  in
+  let per_backup = Array.map (Cost_model.backup_price asis) asis.Asis.targets in
   Model.set_objective model
     (Model.Linexpr.dot per_backup (Array.map Option.some g));
   (model, y)
@@ -217,12 +210,7 @@ let greedy_secondary ?scenario asis (primary : int array) =
         (fun a -> if a >= 0 && a < n then events_of.(a) <- e :: events_of.(a))
         ev)
     events;
-  let price b =
-    let dc = asis.Asis.targets.(b) in
-    asis.Asis.params.Asis.dr_server_cost
-    +. Cost_model.power_labor_per_server asis dc
-    +. Data_center.first_tier_space dc
-  in
+  let price b = Cost_model.backup_price asis asis.Asis.targets.(b) in
   let load = Array.make n 0 in
   Array.iteri
     (fun i a -> load.(a) <- load.(a) + asis.Asis.groups.(i).App_group.servers)
@@ -288,23 +276,6 @@ let greedy_secondary ?scenario asis (primary : int array) =
   in
   if List.for_all place order then Some secondary else None
 
-let decode_secondary asis primary y solution =
-  let n = Asis.num_targets asis in
-  Array.init (Array.length primary) (fun i ->
-      let best = ref (-1) and best_v = ref neg_infinity in
-      Array.iteri
-        (fun b v ->
-          match v with
-          | None -> ()
-          | Some var ->
-              let value = solution.(var.Lp.Model.id) in
-              if value > !best_v then begin
-                best_v := value;
-                best := b
-              end)
-        y.(i);
-      if !best >= 0 then !best else (primary.(i) + 1) mod n)
-
 let plan ?(options = default_options) asis =
   (* Reserving more capacity than the estate can spare would make stage 1
      unsolvable outright. *)
@@ -313,17 +284,22 @@ let plan ?(options = default_options) asis =
     let servers = float_of_int (Asis.total_servers asis) in
     Float.max 0.0 (1.0 -. (servers /. cap) -. 0.02)
   in
+  let builder =
+    {
+      Lp_builder.default_options with
+      Lp_builder.economies_of_scale = options.economies_of_scale;
+      omega = options.omega;
+      max_latency_ms = options.max_latency_ms;
+    }
+  in
+  (* The joint polish keeps stage 1's side constraints.  Their move rule
+     does not depend on capacity, so the full estate gives the same rule
+     as the reserved one stage 1 was built on. *)
+  let polish = Solver.polish builder asis in
+  let swaps = Asis.num_groups asis <= 120 in
   let rec attempt reserve tries =
     let reserve = Float.min reserve max_reserve in
     let stage1_asis = with_reserved_capacity asis reserve in
-    let builder =
-      {
-        Lp_builder.default_options with
-        Lp_builder.economies_of_scale = options.economies_of_scale;
-        omega = options.omega;
-        max_latency_ms = options.max_latency_ms;
-      }
-    in
     let stage1 =
       Solver.consolidate ~builder ~milp:options.milp ~local_search:false
         stage1_asis
@@ -340,20 +316,13 @@ let plan ?(options = default_options) asis =
            does not see failure events or evacuation budgets; a move
            could silently re-pair a group with a co-failing backup, so
            scenario'd plans skip the polish. *)
-        if options.scenario = None then
-          Local_search.improve ~swaps:(Asis.num_groups asis <= 120) asis
-            placement
+        if options.scenario = None then polish ~swaps placement
         else (placement, 0)
       in
-      {
-        Solver.placement;
-        summary = Evaluate.plan asis placement;
-        milp_status = status;
-        milp_gap = gap;
-        nodes = stage1.Solver.nodes + r.Lp.Milp.nodes;
-        lp_iterations = stage1.Solver.lp_iterations + r.Lp.Milp.lp_iterations;
-        local_moves = moves;
-      }
+      Solver.make_outcome asis placement ~status ~gap
+        ~nodes:(stage1.Solver.nodes + r.Lp.Milp.nodes)
+        ~lp_iterations:(stage1.Solver.lp_iterations + r.Lp.Milp.lp_iterations)
+        ~local_moves:moves
     in
     if Array.length r.Lp.Milp.x = 0 then begin
       (* A node or time budget can run out before branch-and-bound (or its
@@ -380,22 +349,23 @@ let plan ?(options = default_options) asis =
               "Dr_planner.plan: could not fit backup pools; raise capacity"
     end
     else begin
-      let gap = if Float.is_nan r.Lp.Milp.gap then 1.0 else r.Lp.Milp.gap in
       let milp_out =
         finish
-          ~secondary:(decode_secondary asis primary y r.Lp.Milp.x)
-          ~status:r.Lp.Milp.status ~gap
+          ~secondary:
+            (Dr_builder.decode_secondaries y r.Lp.Milp.x primary
+               ~n:(Asis.num_targets asis))
+          ~status:r.Lp.Milp.status ~gap:r.Lp.Milp.gap
       in
       (* Same insurance as Solver.consolidate: a heuristic incumbent the
          tree never had time to improve can lose to the greedy secondary
          assignment that no-incumbent runs would have used.  While the gap
          is loose, finish both and keep the cheaper plan. *)
-      if gap <= 0.05 then milp_out
+      if milp_out.Solver.milp_gap <= 0.05 then milp_out
       else
         match greedy_secondary ?scenario:options.scenario asis primary with
         | Some secondary ->
             let greedy_out =
-              finish ~secondary ~status:r.Lp.Milp.status ~gap
+              finish ~secondary ~status:r.Lp.Milp.status ~gap:r.Lp.Milp.gap
             in
             let total out =
               Evaluate.total out.Solver.summary.Evaluate.cost
@@ -415,13 +385,7 @@ let joint_plan ?omega ?(milp = Solver.default_milp_options) asis =
     failwith
       (Printf.sprintf "Dr_planner.joint_plan: %s"
          (Lp.Status.to_string r.Lp.Milp.status));
-  let placement = Dr_builder.decode built r.Lp.Milp.x in
-  {
-    Solver.placement;
-    summary = Evaluate.plan asis placement;
-    milp_status = r.Lp.Milp.status;
-    milp_gap = (if Float.is_nan r.Lp.Milp.gap then 1.0 else r.Lp.Milp.gap);
-    nodes = r.Lp.Milp.nodes;
-    lp_iterations = r.Lp.Milp.lp_iterations;
-    local_moves = 0;
-  }
+  Solver.make_outcome asis
+    (Dr_builder.decode built r.Lp.Milp.x)
+    ~status:r.Lp.Milp.status ~gap:r.Lp.Milp.gap ~nodes:r.Lp.Milp.nodes
+    ~lp_iterations:r.Lp.Milp.lp_iterations ~local_moves:0

@@ -11,10 +11,14 @@
     + stage 2 optimally chooses secondaries given the primaries — with
       primaries fixed, shared pools linearize exactly as
       G_b >= sum over groups with primary a of S_i Y_ib, an O(M N) MILP;
-    + a joint local search then polishes both decisions against the exact
-      evaluator.
+    + a joint local search ({!Solver.polish} with stage 1's side
+      constraints, over the full estate) then polishes both decisions
+      against the exact evaluator, keeping the pins, forbids, latency
+      budget and omega spread of the primaries.
 
-    If stage 2 is infeasible the reservation is raised and both stages
+    When stage 2 ends without an incumbent, greedy secondaries over the
+    same pool rules serve; while its gap exceeds 5% they compete with
+    it.  If neither fits, the reservation is raised and both stages
     rerun.  On small instances the result is checked against the joint
     model in the test suite. *)
 

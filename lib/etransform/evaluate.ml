@@ -43,12 +43,7 @@ let cost_over asis ~estate ~assign ~backups =
     if all > 0.0 then begin
       let space_all = Data_center.space_cost dc all in
       let space_prim = Data_center.space_cost dc prim in
-      let per_server =
-        (p.Asis.server_power_kw *. p.Asis.hours_per_month
-        *. dc.Data_center.rates.Data_center.power_per_kwh)
-        +. (dc.Data_center.rates.Data_center.admin_monthly
-           /. p.Asis.servers_per_admin)
-      in
+      let per_server = Cost_model.power_labor_per_server asis dc in
       space := !space +. space_prim;
       power :=
         !power

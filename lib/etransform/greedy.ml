@@ -61,7 +61,6 @@ let plan asis =
 let plan_dr asis =
   let n = Asis.num_targets asis in
   let primary, load = place_primaries asis in
-  let p = asis.Asis.params in
   (* pair.(a).(b): backup servers already promised at b for primaries of a;
      pools.(b) = max_a pair.(a).(b). *)
   let pair = Array.make_matrix n n 0.0 in
@@ -81,11 +80,7 @@ let plan_dr asis =
           if
             load.(b) +. new_pool <= float_of_int dc.Data_center.capacity
           then begin
-            let per_server =
-              Cost_model.power_labor_per_server asis dc
-              +. Data_center.first_tier_space dc
-            in
-            let c = delta *. (p.Asis.dr_server_cost +. per_server) in
+            let c = delta *. Cost_model.backup_price asis dc in
             if c < !best_c then begin
               best_c := c;
               best := b

@@ -6,6 +6,10 @@
     The DR variant (§VI-C) then assigns each group's backup to the cheapest
     distinct site, charging for any new backup servers the choice forces. *)
 
+(** [order_by_size asis] lists the groups largest first, the order both
+    greedy planners and the engine's LP rounding place them in. *)
+val order_by_size : Asis.t -> int array
+
 val plan : Asis.t -> Placement.t
 
 val plan_dr : Asis.t -> Placement.t

@@ -34,7 +34,23 @@ type built = {
   options : options;
 }
 
+(** [may_place options asis i j] is the move rule of the side constraints,
+    and their one owner: group [i] may sit at target [j], an allowed site,
+    not forbidden, inside the latency budget (or the group's fastest site
+    when none is), and its pin if it has one.  [build] makes X columns by
+    the same rule less the pin clause (a pin fixes its column instead).
+    The rule does not read capacities. *)
+val may_place : options -> Asis.t -> int -> int -> bool
+
+(** [constrained options]: pins, forbids, [omega] or a latency budget is
+    set, so candidates that ignore them (the greedy plan) may not serve. *)
+val constrained : options -> bool
+
 val build : ?options:options -> Asis.t -> built
+
+(** [argmax ?except row solution]: the index of [row]'s variable, other
+    than [except], with the largest value (the first on ties); -1 if none. *)
+val argmax : ?except:int -> Lp.Model.var option array -> float array -> int
 
 (** [decode built solution] reads the X variables back into a plan (argmax
     per group, robust to mild fractionality). *)

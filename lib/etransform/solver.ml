@@ -12,6 +12,24 @@ type outcome = {
   local_moves : int;
 }
 
+let make_outcome asis placement ~status ~gap ~nodes ~lp_iterations
+    ~local_moves =
+  {
+    placement;
+    summary = Evaluate.plan asis placement;
+    milp_status = status;
+    milp_gap = (if Float.is_nan gap then 1.0 else gap);
+    nodes;
+    lp_iterations;
+    local_moves;
+  }
+
+let polish builder asis =
+  let may_place = Lp_builder.may_place builder asis in
+  fun ?max_rounds ~swaps placement ->
+    Local_search.improve ?max_rounds ~swaps ~may_place
+      ?omega:builder.Lp_builder.omega asis placement
+
 (* The dive heuristic plus local search does nearly all the work on
    consolidation models; the LP bound stays loose under volume discounts,
    so a deep best-bound search rarely improves the incumbent.  Keep the
@@ -38,12 +56,6 @@ let lp_round ~relax_x asis (built : Lp_builder.built) =
   if Array.length relax_x = 0 then None
   else begin
     let m = Asis.num_groups asis and n = Asis.num_targets asis in
-    let order = Array.init m Fun.id in
-    Array.sort
-      (fun a b ->
-        compare asis.Asis.groups.(b).App_group.servers
-          asis.Asis.groups.(a).App_group.servers)
-      order;
     let load = Array.make n 0.0 in
     let primary = Array.make m (-1) in
     let ok = ref true in
@@ -75,7 +87,7 @@ let lp_round ~relax_x asis (built : Lp_builder.built) =
             primary.(i) <- j;
             load.(j) <- load.(j) +. s
         | None -> ok := false)
-      order;
+      (Greedy.order_by_size asis);
     if !ok then Some (Placement.non_dr primary) else None
   end
 
@@ -96,40 +108,25 @@ let consolidate ?(builder = Lp_builder.default_options)
       Log.warn (fun f ->
           f "MILP returned %s with no incumbent; rounding the LP relaxation"
             (Lp.Status.to_string r.Lp.Milp.status));
-      match
-        lp_round ~relax_x:r.Lp.Milp.relax_x asis built
-      with
+      match lp_round ~relax_x:r.Lp.Milp.relax_x asis built with
       | Some p -> p
       | None -> Greedy.plan asis
     end
   in
-  (* Local search must not undo pins or revisit forbidden pairs. *)
-  let may_place =
-    match (builder.Lp_builder.pins, builder.Lp_builder.forbids) with
-    | [], [] -> fun _ _ -> true
-    | pins, forbids ->
-        let pinned = Hashtbl.create 8 and banned = Hashtbl.create 8 in
-        List.iter (fun (i, j) -> Hashtbl.replace pinned i j) pins;
-        List.iter (fun ij -> Hashtbl.replace banned ij ()) forbids;
-        fun i j ->
-          (not (Hashtbl.mem banned (i, j)))
-          && match Hashtbl.find_opt pinned i with None -> true | Some j' -> j = j'
+  (* Every candidate is polished under the side constraints' move rule
+     and omega: the polish must not undo a pin, revisit a forbidden pair
+     or leave the latency budget.  Swaps are proposed only on estates of
+     at most 220 groups (120 in Dr_planner).  The gate decides plans more
+     than time: swaps reach plans that single reassignments cannot, so
+     raising it changes the plans large estates get.  That is a
+     plan-changing decision of its own, not a speed-up. *)
+  let polish =
+    if local_search then polish builder asis
+    else fun ?max_rounds:_ ~swaps:_ placement -> (placement, 0)
   in
-  let polish placement =
-    if local_search then begin
-      (* Swaps are proposed only on estates of at most 220 groups (120 in
-         Dr_planner).  The gate decides plans more than time: swaps reach
-         plans that single reassignments cannot, so raising it changes
-         the plans large estates get.  That is a plan-changing decision
-         of its own, not a speed-up. *)
-      let swaps = Asis.num_groups asis <= 220 in
-      Local_search.improve ~swaps ~may_place ?omega:builder.Lp_builder.omega
-        asis placement
-    end
-    else (placement, 0)
-  in
+  let swaps = Asis.num_groups asis <= 220 in
   let cost p = Evaluate.total (Evaluate.plan asis p).Evaluate.cost in
-  let placement, moves = polish placement in
+  let placement, moves = polish ~swaps placement in
   (* An early heuristic incumbent is progress for the gap report, but a
      budget-starved tree can stop at one the old no-incumbent rounding
      fallback would have beaten.  While the proven gap stays loose, polish
@@ -140,46 +137,30 @@ let consolidate ?(builder = Lp_builder.default_options)
       Array.length r.Lp.Milp.x > 0
       && (Float.is_nan r.Lp.Milp.gap || r.Lp.Milp.gap > 0.05)
     then
-      match
-        lp_round ~relax_x:r.Lp.Milp.relax_x asis built
-      with
+      match lp_round ~relax_x:r.Lp.Milp.relax_x asis built with
       | Some rounded when Placement.validate asis rounded = [] ->
-          let rounded, rmoves = polish rounded in
+          let rounded, rmoves = polish ~swaps rounded in
           if cost rounded < cost placement then (rounded, rmoves)
           else (placement, moves)
       | _ -> (placement, moves)
     else (placement, moves)
   in
-  (* When no side constraints restrict the plan, keep the better of the
+  (* When no side constraint restricts the plan, keep the better of the
      engine's plan and the polished greedy plan — a cheap insurance against
      budget-starved MILP runs. *)
   let placement, moves =
-    if
-      builder.Lp_builder.pins = []
-      && builder.Lp_builder.forbids = []
-      && builder.Lp_builder.omega = None
-    then
+    if Lp_builder.constrained builder then (placement, moves)
+    else
       match Greedy.plan asis with
       | g ->
-          let g, gmoves =
-            if local_search then
-              Local_search.improve ~swaps:false ~max_rounds:2 asis g
-            else (g, 0)
-          in
+          let g, gmoves = polish ~swaps:false ~max_rounds:2 g in
           if Placement.validate asis g = [] && cost g < cost placement then
             (g, gmoves)
           else (placement, moves)
       | exception Failure _ -> (placement, moves)
-    else (placement, moves)
   in
-  {
-    placement;
-    summary = Evaluate.plan asis placement;
-    milp_status = r.Lp.Milp.status;
-    milp_gap = (if Float.is_nan r.Lp.Milp.gap then 1.0 else r.Lp.Milp.gap);
-    nodes = r.Lp.Milp.nodes;
-    lp_iterations = r.Lp.Milp.lp_iterations;
-    local_moves = moves;
-  }
+  make_outcome asis placement ~status:r.Lp.Milp.status ~gap:r.Lp.Milp.gap
+    ~nodes:r.Lp.Milp.nodes ~lp_iterations:r.Lp.Milp.lp_iterations
+    ~local_moves:moves
 
 let solve_to_placement ?builder asis = (consolidate ?builder asis).placement

@@ -6,20 +6,22 @@ let matrix ?base_ms ~dcs ~users () =
       Array.map (fun u -> rtt_ms ?base_ms (Location.distance_km dc u)) users)
     dcs
 
-let average ~weights row =
+let mean ~total ~weights row =
   if Array.length weights <> Array.length row then
     invalid_arg "Latency_model.average: length mismatch";
-  (* Loops over local refs box no float per location; both sums run in
-     index order. *)
-  let total = ref 0.0 in
-  for i = 0 to Array.length weights - 1 do
-    total := !total +. weights.(i)
-  done;
-  if !total <= 0.0 then 0.0
+  if total <= 0.0 then 0.0
   else begin
+    (* A loop over a local ref boxes no float per location. *)
     let acc = ref 0.0 in
     for i = 0 to Array.length weights - 1 do
       acc := !acc +. (weights.(i) *. row.(i))
     done;
-    !acc /. !total
+    !acc /. total
   end
+
+let average ~weights row =
+  let total = ref 0.0 in
+  for i = 0 to Array.length weights - 1 do
+    total := !total +. weights.(i)
+  done;
+  mean ~total:!total ~weights row

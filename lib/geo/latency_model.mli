@@ -17,3 +17,7 @@ val matrix :
     row; raises [Invalid_argument] on length mismatch, returns 0 when all
     weights are zero. *)
 val average : weights:float array -> float array -> float
+
+(** [mean ~total ~weights row] is [average ~weights row] for a caller that
+    already holds [total], the sum of [weights] in index order. *)
+val mean : total:float -> weights:float array -> float array -> float

@@ -98,15 +98,8 @@ let greedy_outcome job asis =
   let placement =
     if job.Job.dr then Greedy.plan_dr asis else Greedy.plan asis
   in
-  {
-    Solver.placement;
-    summary = Evaluate.plan asis placement;
-    milp_status = Lp.Status.Time_limit;
-    milp_gap = 1.0;
-    nodes = 0;
-    lp_iterations = 0;
-    local_moves = 0;
-  }
+  Solver.make_outcome asis placement ~status:Lp.Status.Time_limit ~gap:1.0
+    ~nodes:0 ~lp_iterations:0 ~local_moves:0
 
 let code_string = function
   | Solved -> "solved"
