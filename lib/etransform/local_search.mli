@@ -21,8 +21,9 @@
     returns the improved plan and the number of accepted moves.  Moves that
     would violate capacity, allowed-DC, shared-risk or secondary-distinct
     constraints are never proposed.  [may_place group dc] adds external
-    admissibility (pins/forbids from the iterative interface); [omega]
-    enforces the business-impact spread on primaries. *)
+    admissibility (the side constraints' move rule,
+    {!Lp_builder.may_place}); [omega] enforces the business-impact spread
+    on primaries. *)
 val improve :
   ?max_rounds:int -> ?swaps:bool -> ?may_place:(int -> int -> bool) ->
   ?omega:float -> Asis.t -> Placement.t -> Placement.t * int
