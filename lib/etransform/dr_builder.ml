@@ -16,7 +16,7 @@ let build ?(options = default_options) asis =
   let model = Model.create ~name:(asis.Asis.name ^ "_dr") () in
   let col_suffix = Array.init n string_of_int in
   let mk prefix =
-    Array.init m (fun i ->
+    Lp_builder.init_blocks m [||] (fun i ->
         let row_prefix = prefix ^ "_" ^ string_of_int i ^ "_" in
         Array.init n (fun j ->
             if App_group.allowed asis.Asis.groups.(i) j then
@@ -27,7 +27,7 @@ let build ?(options = default_options) asis =
   let g = Array.init n (fun b -> Model.add_var model ("G_" ^ col_suffix.(b))) in
   (* Columns of [x] and [y], and the weights {!Lp.Model.Linexpr.dot} puts
      on rows and columns: one, or each group's servers. *)
-  let col vars j = Array.init m (fun i -> vars.(i).(j)) in
+  let col vars j = Lp_builder.init_blocks m None (fun i -> vars.(i).(j)) in
   let ones_m = Array.make m 1.0 and ones_n = Array.make n 1.0 in
   let servers =
     Array.map (fun g -> float_of_int g.App_group.servers) asis.Asis.groups

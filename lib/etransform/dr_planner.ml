@@ -102,7 +102,7 @@ let secondary_model ?scenario asis (primary : int array) =
   let model = Model.create ~name:(asis.Asis.name ^ "_dr_stage2") () in
   let col_suffix = Array.init n string_of_int in
   let y =
-    Array.init m (fun i ->
+    Lp_builder.init_blocks m [||] (fun i ->
         let row_prefix = "Y_" ^ string_of_int i ^ "_" in
         Array.init n (fun b ->
             if
@@ -126,7 +126,9 @@ let secondary_model ?scenario asis (primary : int array) =
      their secondary candidates at site [b], as a column for
      {!Lp.Model.Linexpr.dot}. *)
   let groups p = Array.of_list (List.filter p (List.init m Fun.id)) in
-  let backups gs b = Array.map (fun i -> y.(i).(b)) gs in
+  let backups gs b =
+    Lp_builder.init_blocks (Array.length gs) None (fun k -> y.(gs.(k)).(b))
+  in
   let servers gs =
     Array.map (fun i -> float_of_int asis.Asis.groups.(i).App_group.servers) gs
   in

@@ -7,20 +7,20 @@ let capacity_shadow_prices ?(builder = Lp_builder.default_options) asis =
   if result.Lp.Simplex.status = Lp.Status.Optimal then begin
     (* Capacity rows are named cap_<j>; locate them by name because option
        rows (discount tiers, opening charges) interleave with them. *)
-    Array.iteri
-      (fun row (c : Lp.Model.constr) ->
-        match String.index_opt c.Lp.Model.cname '_' with
-        | Some i when String.sub c.Lp.Model.cname 0 i = "cap" -> (
-            match
-              int_of_string_opt
-                (String.sub c.Lp.Model.cname (i + 1)
-                   (String.length c.Lp.Model.cname - i - 1))
-            with
-            | Some j when j >= 0 && j < n ->
-                prices.(j) <- result.Lp.Simplex.duals.(row)
-            | _ -> ())
-        | _ -> ())
-      (Lp.Model.constrs built.Lp_builder.model)
+    let model = built.Lp_builder.model in
+    for row = 0 to Lp.Model.num_constrs model - 1 do
+      let cname = Lp.Model.constr_name model row in
+      match String.index_opt cname '_' with
+      | Some i when String.sub cname 0 i = "cap" -> (
+          match
+            int_of_string_opt
+              (String.sub cname (i + 1) (String.length cname - i - 1))
+          with
+          | Some j when j >= 0 && j < n ->
+              prices.(j) <- result.Lp.Simplex.duals.(row)
+          | _ -> ())
+      | _ -> ()
+    done
   end;
   Array.mapi (fun j y -> (j, y)) prices
 

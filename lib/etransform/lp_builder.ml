@@ -24,6 +24,13 @@ type built = {
   options : options;
 }
 
+let init_blocks n empty f =
+  let a = Array.make n empty in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
 (* Membership in a list of (group, target) pairs; no table and no
    lookup when the list is empty, as it is for most plans. *)
 let pair_set = function
@@ -42,11 +49,10 @@ let pair_set = function
 let columns options asis =
   let forbidden = pair_set options.forbids and pinned = pair_set options.pins in
   let cols =
-    Array.mapi
-      (fun i g ->
+    init_blocks (Asis.num_groups asis) [||] (fun i ->
+        let g = asis.Asis.groups.(i) in
         Array.init (Asis.num_targets asis) (fun j ->
             App_group.allowed g j && not (forbidden i j)))
-      asis.Asis.groups
   in
   Option.iter
     (fun budget ->
@@ -97,7 +103,7 @@ let build ?(options = default_options) asis =
   let cols = columns options asis in
   let col_suffix = Array.init n string_of_int in
   let x =
-    Array.init m (fun i ->
+    init_blocks m [||] (fun i ->
         let row_prefix = "X_" ^ string_of_int i ^ "_" in
         Array.init n (fun j ->
             if cols.(i).(j) then
@@ -112,7 +118,7 @@ let build ?(options = default_options) asis =
     options.pins;
   (* Rows and columns of [x] as {!Lp.Model.Linexpr.dot} weighs them: by
      one or by each group's servers. *)
-  let x_col = Array.init n (fun j -> Array.init m (fun i -> x.(i).(j))) in
+  let x_col = Array.init n (fun j -> init_blocks m None (fun i -> x.(i).(j))) in
   let ones_m = Array.make m 1.0 and ones_n = Array.make n 1.0 in
   let servers =
     Array.map (fun g -> float_of_int g.App_group.servers) asis.Asis.groups

@@ -26,6 +26,13 @@ type options = {
 
 val default_options : options
 
+(** [init_blocks n empty f] is [Array.init n f] for an array of blocks
+    that may pass 256 words: it starts from the immediate [empty]
+    ([[||]], [None]), where [Array.init] would start from the young
+    [f 0] and force a minor collection (DESIGN.md, "Allocation on the
+    plan path").  [f] runs on [0 .. n-1] in order. *)
+val init_blocks : int -> 'a -> (int -> 'a) -> 'a array
+
 type built = {
   model : Lp.Model.t;
   x : Lp.Model.var option array array;

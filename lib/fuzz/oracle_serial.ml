@@ -126,28 +126,30 @@ let json_roundtrip j =
    default bounds [0,inf), no objective weight, no row appearance and no
    integrality mark leaves no trace in the LP text, by design. *)
 
-let canon_terms names terms =
-  Array.to_list terms
+let canon_terms names ids coefs =
+  Array.to_list (Array.mapi (fun k j -> (j, coefs.(k))) ids)
   |> List.filter_map (fun (j, c) -> if c = 0.0 then None else Some (names j, c))
   |> List.sort compare
 
-let visible (v : Lp.Model.var) ~in_obj ~in_rows =
-  in_obj || in_rows || v.Lp.Model.integer
-  || v.Lp.Model.lo <> 0.0
-  || v.Lp.Model.hi <> infinity
+let visible m v ~in_obj ~in_rows =
+  in_obj || in_rows || Lp.Model.is_integer m v
+  || Lp.Model.lower m v <> 0.0
+  || Lp.Model.upper m v <> infinity
 
 let model_semantics m =
   let vars = Lp.Model.vars m in
-  let names j = vars.(j).Lp.Model.name in
-  let obj_terms, obj_const = Lp.Model.objective_terms m in
-  let obj = canon_terms names obj_terms in
+  let names j = Lp.Model.var_name m vars.(j) in
+  let obj_ids, obj_coefs, obj_const = Lp.Model.objective_terms m in
+  let obj = canon_terms names obj_ids obj_coefs in
   let rows =
-    Array.to_list (Lp.Model.constrs m)
-    |> List.map (fun (c : Lp.Model.constr) ->
-           ( c.Lp.Model.cname,
-             canon_terms names c.Lp.Model.terms,
-             c.Lp.Model.sense,
-             c.Lp.Model.rhs ))
+    Array.to_list
+      (Array.mapi
+         (fun i (c : Lp.Model.row) ->
+           ( Lp.Model.constr_name m i,
+             canon_terms names c.ids c.coefs,
+             c.sense,
+             c.rhs ))
+         (Lp.Model.constrs m))
   in
   let appears = Hashtbl.create 16 in
   List.iter (fun (name, _) -> Hashtbl.replace appears name true) obj;
@@ -157,13 +159,17 @@ let model_semantics m =
     rows;
   let bounds =
     Array.to_list vars
-    |> List.filter_map (fun (v : Lp.Model.var) ->
+    |> List.filter_map (fun v ->
+           let name = Lp.Model.var_name m v in
            if
-             visible v
-               ~in_obj:(Hashtbl.mem appears v.Lp.Model.name)
-               ~in_rows:false
-             || Hashtbl.mem appears v.Lp.Model.name
-           then Some (v.Lp.Model.name, (v.Lp.Model.lo, v.Lp.Model.hi, v.Lp.Model.integer))
+             visible m v ~in_obj:(Hashtbl.mem appears name) ~in_rows:false
+             || Hashtbl.mem appears name
+           then
+             Some
+               ( name,
+                 ( Lp.Model.lower m v,
+                   Lp.Model.upper m v,
+                   Lp.Model.is_integer m v ) )
            else None)
     |> List.sort compare
   in
@@ -221,26 +227,30 @@ let gen_job_case : job_case Gen.t =
   let estate_name =
     Gen.choose [ "enterprise1"; "florida"; "federal"; "synthetic" ] rng
   in
-  {
-    estate_name;
-    scale = Gen.choose [ 0.5; 1.0; 2.0 ] rng;
-    seed = Gen.int_range 0 99 rng;
-    groups = Gen.int_range 2 12 rng;
-    targets = Gen.int_range 1 4 rng;
-    dr = Gen.bool rng;
-    eos = Gen.bool rng;
-    fixed_charges = Gen.bool rng;
-    omega = opt (Gen.choose [ 0.25; 0.5; 0.75 ]) rng;
-    reserve = opt (Gen.choose [ 0.1; 0.3 ]) rng;
-    dr_server_cost = opt (Gen.choose [ 50.0; 100.0 ]) rng;
-    nodes = opt (Gen.int_range 1 64) rng;
-    time = opt (Gen.choose [ 1.0; 30.0 ]) rng;
-    gap = opt (Gen.choose [ 0.001; 0.01 ]) rng;
-    deadline_s = opt (Gen.choose [ 5.0; 60.0 ]) rng;
-    degrade = opt Gen.bool rng;
-    shuffle_a = Gen.int_range 0 0x3FFF_FFFF rng;
-    shuffle_b = Gen.int_range 0 0x3FFF_FFFF rng;
-  }
+  let c =
+    {
+      estate_name;
+      scale = Gen.choose [ 0.5; 1.0; 2.0 ] rng;
+      seed = Gen.int_range 0 99 rng;
+      groups = Gen.int_range 2 12 rng;
+      targets = Gen.int_range 1 4 rng;
+      dr = Gen.bool rng;
+      eos = Gen.bool rng;
+      fixed_charges = Gen.bool rng;
+      omega = opt (Gen.choose [ 0.25; 0.5; 0.75 ]) rng;
+      reserve = opt (Gen.choose [ 0.1; 0.3 ]) rng;
+      dr_server_cost = opt (Gen.choose [ 50.0; 100.0 ]) rng;
+      nodes = opt (Gen.int_range 1 64) rng;
+      time = opt (Gen.choose [ 1.0; 30.0 ]) rng;
+      gap = opt (Gen.choose [ 0.001; 0.01 ]) rng;
+      deadline_s = opt (Gen.choose [ 5.0; 60.0 ]) rng;
+      degrade = opt Gen.bool rng;
+      shuffle_a = Gen.int_range 0 0x3FFF_FFFF rng;
+      shuffle_b = Gen.int_range 0 0x3FFF_FFFF rng;
+    }
+  in
+  (* A DR job takes no fixed charges. *)
+  { c with fixed_charges = c.fixed_charges && not c.dr }
 
 let job_fields ?(id = "j") c =
   let num f = Service.Json.Num f in
@@ -339,12 +349,24 @@ let fingerprint_permutation c =
     if fp_d <> fp_a then
       failf "delivery-only fields moved the fingerprint: %s vs %s" fp_a fp_d
     else
-      (* A plan-relevant flip must move it. *)
-      let flipped = Service.Json.Obj (job_fields { c with dr = not c.dr }) in
-      let* fp_f = decode_fp ~what:"dr-flipped variant" flipped in
+      (* A plan-relevant flip must move it: dr, or fixed charges where
+         the job asks for them (a DR job takes none, and the decoder
+         refuses the pair). *)
+      let field, flipped =
+        if c.fixed_charges then ("fixed_charges", { c with fixed_charges = false })
+        else ("dr", { c with dr = not c.dr })
+      in
+      let flipped = Service.Json.Obj (job_fields flipped) in
+      let* fp_f = decode_fp ~what:(field ^ "-flipped variant") flipped in
       if fp_f = fp_a then
-        failf "flipping dr did not change the fingerprint (%s)" fp_a
-      else Ok ()
+        failf "flipping %s did not change the fingerprint (%s)" field fp_a
+      else
+        match
+          Service.Batch.job_of_json
+            (Service.Json.Obj (job_fields { c with dr = true; fixed_charges = true }))
+        with
+        | Ok _ -> failf "decoded a DR job with fixed charges"
+        | Error _ -> Ok ()
 
 let pp_job_case ppf c =
   Format.fprintf ppf "%s" (Service.Json.to_string (Service.Json.Obj (job_fields c)))

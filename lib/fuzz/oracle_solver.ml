@@ -307,23 +307,25 @@ let milp_node_limited_vs_enumeration spec =
 let elastic (input : Lp.Simplex.input) =
   let n = input.Lp.Simplex.nvars in
   let next = ref n in
-  let viol c =
+  let viol () =
     let j = !next in
     incr next;
-    (j, c)
+    j
   in
   let rows =
     Array.map
-      (fun (terms, sense, rhs) ->
-        let extra =
-          match sense with
-          | Lp.Model.Le -> [ viol (-1.0) ]
-          | Lp.Model.Ge -> [ viol 1.0 ]
+      (fun (r : Lp.Model.row) ->
+        let ids, coefs =
+          match r.sense with
+          | Lp.Model.Le -> ([| viol () |], [| -1.0 |])
+          | Lp.Model.Ge -> ([| viol () |], [| 1.0 |])
           | Lp.Model.Eq ->
-              let p = viol 1.0 in
-              [ p; viol (-1.0) ]
+              let p = viol () in
+              ([| p; viol () |], [| 1.0; -1.0 |])
         in
-        (Array.append terms (Array.of_list extra), sense, rhs))
+        { r with
+          ids = Array.append r.ids ids;
+          coefs = Array.append r.coefs coefs })
       input.Lp.Simplex.rows
   in
   let k = !next - n in
@@ -416,7 +418,9 @@ let evicting_lp =
     obj = [| -1.0; -2.0 |];
     obj_const = 0.0;
     minimize = true;
-    rows = [| ([| (0, 1.0); (1, 1.0) |], Lp.Model.Le, 4.0) |];
+    rows =
+      [| { Lp.Model.ids = [| 0; 1 |]; coefs = [| 1.0; 1.0 |]; sense = Lp.Model.Le;
+           rhs = 4.0 } |];
   }
 
 (* Bit-level equality: [=] would call two NaN objectives different and
@@ -492,18 +496,18 @@ let warm_memo_equivalence c =
    and supports shifted or reordered.  Both filters, each keeping its
    seen set across rounds, must keep the same cuts in the same order. *)
 
-type cut = (int * float) array * Lp.Model.sense * float
+type cut = Lp.Model.row
 
-let reference_cut_key ((terms, sense, rhs) : cut) =
+let reference_cut_key ({ ids; coefs; sense; rhs } : cut) =
   let b = Buffer.create 64 in
   (match sense with
   | Lp.Model.Le -> Buffer.add_char b 'L'
   | Lp.Model.Ge -> Buffer.add_char b 'G'
   | Lp.Model.Eq -> Buffer.add_char b 'E');
   Buffer.add_string b (Printf.sprintf "%.9g" rhs);
-  Array.iter
-    (fun (j, c) -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j c))
-    terms;
+  Array.iteri
+    (fun k j -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j coefs.(k)))
+    ids;
   Buffer.contents b
 
 let reference_dedup rounds =
@@ -518,12 +522,12 @@ let reference_dedup rounds =
          end))
     rounds
 
-let pp_cut ppf ((terms, sense, rhs) : cut) =
+let pp_cut ppf ({ ids; coefs; sense; rhs } : cut) =
   Format.fprintf ppf "%s%h[%s]"
     (match sense with Lp.Model.Le -> "<=" | Lp.Model.Ge -> ">=" | Lp.Model.Eq -> "=")
     rhs
     (String.concat " "
-       (List.map (fun (j, c) -> Printf.sprintf "%d:%h" j c) (Array.to_list terms)))
+       (Array.to_list (Array.mapi (fun k j -> Printf.sprintf "%d:%h" j coefs.(k)) ids)))
 
 let pp_rounds ppf rounds =
   List.iteri
@@ -560,9 +564,10 @@ let gen_fresh_cut : cut Gen.t =
     List.filter (fun _ -> Gen.int_range 0 2 rng = 0) (List.init 12 Fun.id)
   in
   let support = if support = [] then [ Gen.int_range 0 11 rng ] else support in
-  let terms = Array.of_list (List.map (fun j -> (j, gen_value rng)) support) in
-  (terms, Gen.choose [ Lp.Model.Ge; Lp.Model.Ge; Lp.Model.Le; Lp.Model.Eq ] rng,
-   gen_value rng)
+  let coefs = Array.of_list (List.map (fun _ -> gen_value rng) support) in
+  let rhs = gen_value rng in
+  let sense = Gen.choose [ Lp.Model.Ge; Lp.Model.Ge; Lp.Model.Le; Lp.Model.Eq ] rng in
+  { Lp.Model.ids = Array.of_list support; coefs; sense; rhs }
 
 (* One value moved: by a relative step below or above nine significant
    digits, by one ulp, across the sign of zero, or to its negation. *)
@@ -578,25 +583,25 @@ let gen_nudge : (float -> float) Gen.t =
       Gen.return Float.neg;
     ]
 
-let gen_variant ((terms, sense, rhs) : cut) : cut Gen.t =
+let gen_variant (cut : cut) : cut Gen.t =
  fun rng ->
   match Gen.int_range 0 5 rng with
-  | 0 -> (terms, sense, rhs)
-  | 1 -> (terms, sense, gen_nudge rng rhs)
+  | 0 -> { cut with ids = cut.ids }
+  | 1 -> { cut with rhs = gen_nudge rng cut.rhs }
   | 2 ->
-      let k = Gen.int_range 0 (Array.length terms - 1) rng in
+      let k = Gen.int_range 0 (Array.length cut.ids - 1) rng in
       let f = gen_nudge rng in
-      (Array.mapi (fun i (j, c) -> if i = k then (j, f c) else (j, c)) terms,
-       sense, rhs)
+      { cut with coefs = Array.mapi (fun i c -> if i = k then f c else c) cut.coefs }
   | 3 ->
-      (terms, Gen.choose [ Lp.Model.Le; Lp.Model.Ge; Lp.Model.Eq ] rng, rhs)
+      { cut with sense = Gen.choose [ Lp.Model.Le; Lp.Model.Ge; Lp.Model.Eq ] rng }
   | 4 ->
-      let k = Gen.int_range 0 (Array.length terms - 1) rng in
-      (Array.mapi (fun i (j, c) -> if i = k then (j + 12, c) else (j, c)) terms,
-       sense, rhs)
+      let k = Gen.int_range 0 (Array.length cut.ids - 1) rng in
+      { cut with ids = Array.mapi (fun i j -> if i = k then j + 12 else j) cut.ids }
   | _ ->
-      let n = Array.length terms in
-      (Array.init n (fun i -> terms.(n - 1 - i)), sense, rhs)
+      let n = Array.length cut.ids in
+      { cut with
+        ids = Array.init n (fun i -> cut.ids.(n - 1 - i));
+        coefs = Array.init n (fun i -> cut.coefs.(n - 1 - i)) }
 
 let gen_rounds : cut list list Gen.t =
  fun rng ->

@@ -13,23 +13,29 @@ let total s = s.gomory + s.cover
 let near_integral v = Float.abs (v -. Float.round v) <= 1e-9
 
 (* The coefficient of row [k]'s slack: +1 on Le, -1 on Ge. *)
-let sigma rows k = match rows.(k) with _, Model.Le, _ -> 1.0 | _ -> -1.0
+let sigma (rows : Model.row array) k =
+  match rows.(k).sense with Model.Le -> 1.0 | Model.Ge | Model.Eq -> -1.0
 
 (* The tableau row w · [A | S] into [abar] (one entry per column before
    the artificials), and its right-hand side w · b. *)
 let tableau_row rows slack abar (w : float array) =
   Array.fill abar 0 (Array.length abar) 0.0;
   Array.iteri
-    (fun k (terms, _, _) ->
+    (fun k { Model.ids; coefs; _ } ->
       let wk = w.(k) in
       if Float.abs wk > 1e-13 then
-        Array.iter (fun (j, c) -> abar.(j) <- abar.(j) +. (wk *. c)) terms)
+        for t = 0 to Array.length ids - 1 do
+          let j = ids.(t) in
+          abar.(j) <- abar.(j) +. (wk *. coefs.(t))
+        done)
     rows;
   Array.iteri
     (fun k s -> if s >= 0 then abar.(s) <- w.(k) *. sigma rows k)
     slack;
   let beta = ref 0.0 in
-  Array.iteri (fun k (_, _, rk) -> beta := !beta +. (w.(k) *. rk)) rows;
+  for k = 0 to Array.length rows - 1 do
+    beta := !beta +. (w.(k) *. rows.(k).Model.rhs)
+  done;
   !beta
 
 (* The row's basic value with every nonbasic column shifted onto its
@@ -93,10 +99,11 @@ let gmi ~integer (input : Simplex.input) vstat row_of_slack abar f0 coef =
             (* slack at lower (0): substitute
                s = sigma * (rhs_k - row_k . x). *)
             let k = row_of_slack.(j - n) in
-            let sg = sigma rows k and terms, _, rk = rows.(k) in
-            Array.iter
-              (fun (jj, c) -> coef.(jj) <- coef.(jj) -. (gamma *. sg *. c))
-              terms;
+            let sg = sigma rows k and { Model.ids; coefs; rhs = rk; _ } = rows.(k) in
+            for t = 0 to Array.length ids - 1 do
+              let jj = ids.(t) in
+              coef.(jj) <- coef.(jj) -. (gamma *. sg *. coefs.(t))
+            done;
             cut_rhs := !cut_rhs -. (gamma *. sg *. rk)
           end
   done;
@@ -125,15 +132,17 @@ let hygienic coef cut_rhs (x : float array) =
     && Float.abs cut_rhs <= 1e10
     && viol > 1e-4
   then begin
-    let terms = Array.make !kept (0, 0.0) and k = ref 0 in
+    let ids = Array.make !kept 0 and coefs = Array.make !kept 0.0 in
+    let k = ref 0 in
     Array.iteri
       (fun j c ->
         if Float.abs c > 1e-9 then begin
-          terms.(!k) <- (j, c);
+          ids.(!k) <- j;
+          coefs.(!k) <- c;
           incr k
         end)
       coef;
-    Some (terms, Model.Ge, cut_rhs)
+    Some { Model.ids; coefs; sense = Model.Ge; rhs = cut_rhs }
   end
   else None
 
@@ -212,7 +221,7 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
   let cuts = ref [] and ncuts = ref 0 in
   (try
      Array.iteri
-       (fun ri (terms, sense, b) ->
+       (fun ri { Model.ids; coefs; sense; rhs = b } ->
          if
            ri < base_rows
            && (match sense with Model.Le -> true | Model.Ge | Model.Eq -> false)
@@ -223,24 +232,22 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
               0/1 knapsack  sum w_k z_k <= cap  with w_k > 0. *)
            let cap = ref b and ok = ref true in
            let items = ref [] in
-           Array.iter
-             (fun (j, c) ->
-               if c <> 0.0 then
-                 if is_bin j then
-                   if c > 0.0 then items := (j, c, false, x.(j)) :: !items
-                   else begin
-                     (* c*x = c - c*(1-x): complement to weight -c. *)
-                     cap := !cap -. c;
-                     items := (j, -.c, true, 1.0 -. x.(j)) :: !items
-                   end
+           for t = 0 to Array.length ids - 1 do
+             let j = ids.(t) and c = coefs.(t) in
+             if c <> 0.0 then
+               if is_bin j then
+                 if c > 0.0 then items := (j, c, false, x.(j)) :: !items
                  else begin
-                   let mn =
-                     if c > 0.0 then c *. lo.(j) else c *. hi.(j)
-                   in
-                   if Float.is_finite mn then cap := !cap -. mn
-                   else ok := false
-                 end)
-             terms;
+                   (* c*x = c - c*(1-x): complement to weight -c. *)
+                   cap := !cap -. c;
+                   items := (j, -.c, true, 1.0 -. x.(j)) :: !items
+                 end
+               else begin
+                 let mn = if c > 0.0 then c *. lo.(j) else c *. hi.(j) in
+                 if Float.is_finite mn then cap := !cap -. mn
+                 else ok := false
+               end
+           done;
            let wsum =
              List.fold_left (fun a (_, w, _, _) -> a +. w) 0.0 !items
            in
@@ -281,20 +288,19 @@ let cover_cuts ~integer (input : Simplex.input) x ~base_rows ~max_cuts =
                in
                if zsum > float_of_int (sz - 1) +. 0.005 then begin
                  let rhs = ref (float_of_int (sz - 1)) in
-                 let cterms =
-                   List.map
-                     (fun (j, _, compl, _) ->
-                       if compl then begin
-                         rhs := !rhs -. 1.0;
-                         (j, -1.0)
-                       end
-                       else (j, 1.0))
-                     (List.sort
-                        (fun (i, _, _, _) (j, _, _, _) -> Int.compare i j)
-                        c)
-                 in
+                 let ids = Array.make sz 0 and coefs = Array.make sz 1.0 in
+                 List.iteri
+                   (fun k (j, _, compl, _) ->
+                     ids.(k) <- j;
+                     if compl then begin
+                       rhs := !rhs -. 1.0;
+                       coefs.(k) <- -1.0
+                     end)
+                   (List.sort
+                      (fun (i, _, _, _) (j, _, _, _) -> Int.compare i j)
+                      c);
                  incr ncuts;
-                 cuts := (Array.of_list cterms, Model.Le, !rhs) :: !cuts
+                 cuts := { Model.ids; coefs; sense = Model.Le; rhs = !rhs } :: !cuts
                end
              end
            end
@@ -341,7 +347,7 @@ let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
    bits always print alike; other pairs are compared by [key_9g], and
    printed only when it cannot tell.  The seen cuts are bucketed by a
    hash of their sense and column indices, and compared in place. *)
-type seen = (int, ((int * float) array * Model.sense * float) list) Hashtbl.t
+type seen = (int, Model.row list) Hashtbl.t
 
 let seen () : seen = Hashtbl.create 64
 
@@ -392,28 +398,28 @@ let same_9g a b =
   if ka >= 0 && kb >= 0 then ka = kb
   else String.equal (Printf.sprintf "%.9g" a) (Printf.sprintf "%.9g" b)
 
-let bucket_key terms sense =
+let bucket_key { Model.ids; sense; _ } =
   let h = ref (match sense with Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2) in
-  for k = 0 to Array.length terms - 1 do
-    let j, _ = terms.(k) in
-    h := (!h * 31) + j
+  for k = 0 to Array.length ids - 1 do
+    h := (!h * 31) + ids.(k)
   done;
   !h land max_int
 
-let repeats (terms, sense, rhs) (terms', sense', rhs') =
-  let n = Array.length terms in
+let repeats (a : Model.row) (b : Model.row) =
+  let n = Array.length a.ids in
   let rec same_terms k =
     k = n
-    ||
-    let j, c = terms.(k) and j', c' = terms'.(k) in
-    j = j' && same_9g c c' && same_terms (k + 1)
+    || a.ids.(k) = b.ids.(k)
+       && same_9g a.coefs.(k) b.coefs.(k)
+       && same_terms (k + 1)
   in
-  sense = sense' && n = Array.length terms' && same_9g rhs rhs' && same_terms 0
+  a.sense = b.sense && n = Array.length b.ids && same_9g a.rhs b.rhs
+  && same_terms 0
 
 let keep_fresh (seen : seen) cuts =
   List.filter
-    (fun ((terms, sense, _) as cut) ->
-      let key = bucket_key terms sense in
+    (fun cut ->
+      let key = bucket_key cut in
       let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
       if List.exists (repeats cut) bucket then false
       else begin
@@ -464,7 +470,8 @@ let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
           if fresh = [] then (input, r)
           else begin
             let ng =
-              List.length (List.filter (fun (_, s, _) -> s = Model.Ge) fresh)
+              List.length
+                (List.filter (fun (r : Model.row) -> r.sense = Model.Ge) fresh)
             in
             stats :=
               { gomory = !stats.gomory + ng;

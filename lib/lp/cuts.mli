@@ -37,14 +37,11 @@ val seen : unit -> seen
 
 (** [keep_fresh seen cuts] keeps, in order, the cuts of [cuts] that
     repeat no cut in [seen] nor an earlier one of [cuts], and adds them
-    to [seen].  A cut [(terms, sense, rhs)] repeats another when both
-    have the same [sense], the same column indices in the same order,
-    and their [rhs] and each coefficient print the same under
-    [Printf.sprintf "%.9g"] (so [0.0] and [-0.0] differ). *)
-val keep_fresh :
-  seen ->
-  ((int * float) array * Model.sense * float) list ->
-  ((int * float) array * Model.sense * float) list
+    to [seen].  A cut repeats another when both have the same [sense],
+    the same [ids] in the same order, and their [rhs] and each of their
+    [coefs] print the same under [Printf.sprintf "%.9g"] (so [0.0] and
+    [-0.0] differ). *)
+val keep_fresh : seen -> Model.row list -> Model.row list
 
 (** [extend_basis input b k] extends the basis [b] of [input] to [input]
     with [k] inequality rows appended, each new row's slack basic in its

@@ -199,11 +199,11 @@ let parse_bounds_line b toks =
           Model.set_bounds b.model v ~lo:neg_infinity ~hi:infinity
       | Rel Model.Le :: tail -> (
           match num_of tail with
-          | Some (hi, []) -> Model.set_bounds b.model v ~lo:v.Model.lo ~hi
+          | Some (hi, []) -> Model.set_bounds b.model v ~lo:(Model.lower b.model v) ~hi
           | _ -> fail "bad bound line for %s" name)
       | Rel Model.Ge :: tail -> (
           match num_of tail with
-          | Some (lo, []) -> Model.set_bounds b.model v ~lo ~hi:v.Model.hi
+          | Some (lo, []) -> Model.set_bounds b.model v ~lo ~hi:(Model.upper b.model v)
           | _ -> fail "bad bound line for %s" name)
       | Rel Model.Eq :: tail -> (
           match num_of tail with
@@ -216,7 +216,7 @@ let parse_bounds_line b toks =
       | Some (lo, Rel Model.Le :: Ident name :: tail) -> (
           let v = lookup b name in
           match tail with
-          | [] -> Model.set_bounds b.model v ~lo ~hi:v.Model.hi
+          | [] -> Model.set_bounds b.model v ~lo ~hi:(Model.upper b.model v)
           | Rel Model.Le :: tail2 -> (
               match num_of tail2 with
               | Some (hi, []) -> Model.set_bounds b.model v ~lo ~hi

@@ -263,30 +263,31 @@ let free_integers st y =
     st.int_ids;
   let keep_free = Array.make n false in
   Array.iter
-    (fun (row, sense, _) ->
+    (fun { Model.ids; sense; _ } ->
       if
         sense = Model.Eq
-        && Array.exists (fun (j, _) -> fractional.(j)) row
-        && Array.for_all (fun (j, _) -> integer.(j)) row
-      then Array.iter (fun (j, _) -> keep_free.(j) <- true) row)
+        && Array.exists (fun j -> fractional.(j)) ids
+        && Array.for_all (fun j -> integer.(j)) ids
+      then Array.iter (fun j -> keep_free.(j) <- true) ids)
     rows;
   let decision = Array.make n false in
   Array.iter
-    (fun (row, _, _) ->
-      if Array.for_all (fun (j, _) -> integer.(j)) row then
-        Array.iter (fun (j, _) -> decision.(j) <- true) row)
+    (fun { Model.ids; _ } ->
+      if Array.for_all (fun j -> integer.(j)) ids then
+        Array.iter (fun j -> decision.(j) <- true) ids)
     rows;
   List.iter
     (fun j -> if not decision.(j) then keep_free.(j) <- true)
     st.int_ids;
   Array.iter
-    (fun (row, sense, _) ->
+    (fun { Model.ids; coefs; sense; _ } ->
       if
         sense <> Model.Eq
-        && Array.exists (fun (j, _) -> fractional.(j) || keep_free.(j)) row
+        && Array.exists (fun j -> fractional.(j) || keep_free.(j)) ids
       then
-        Array.iter
-          (fun (j, c) ->
+        Array.iteri
+          (fun k j ->
+            let c = coefs.(k) in
             if
               integer.(j)
               && (not fractional.(j))
@@ -297,7 +298,7 @@ let free_integers st y =
               | Model.Ge -> c > 0.0
               | Model.Eq -> false
             then keep_free.(j) <- true)
-          row)
+          ids)
     rows;
   (decision, keep_free)
 

@@ -1,12 +1,12 @@
 (** Writer for the (free-form) MPS format, as a second interchange format
     next to {!Lp_format}. *)
 
-let row_name i (c : Model.constr) =
-  let s = Lp_format.sanitize_name c.Model.cname in
+let row_name m i =
+  let s = Lp_format.sanitize_name (Model.constr_name m i) in
   if s = "" then Printf.sprintf "c%d" i else s
 
-let var_name (v : Model.var) =
-  let s = Lp_format.sanitize_name v.Model.name in
+let var_name m (v : Model.var) =
+  let s = Lp_format.sanitize_name (Model.var_name m v) in
   if s = "" then Printf.sprintf "x%d" v.Model.id else s
 
 let write_model ppf m =
@@ -20,40 +20,42 @@ let write_model ppf m =
       let k =
         match c.Model.sense with Model.Le -> 'L' | Model.Ge -> 'G' | Model.Eq -> 'E'
       in
-      Format.fprintf ppf " %c %s\n" k (row_name i c))
+      Format.fprintf ppf " %c %s\n" k (row_name m i))
     cs;
   (* Column-major coefficients. *)
   let cols = Array.make (Array.length vs) [] in
   Array.iteri
-    (fun i c ->
-      Array.iter
-        (fun (id, coeff) -> cols.(id) <- (row_name i c, coeff) :: cols.(id))
-        c.Model.terms)
+    (fun i (c : Model.row) ->
+      let row = row_name m i in
+      Array.iteri
+        (fun k id -> cols.(id) <- (row, c.coefs.(k)) :: cols.(id))
+        c.ids)
     cs;
-  let obj_terms, obj_const = Model.objective_terms m in
-  Array.iter
-    (fun (id, coeff) -> cols.(id) <- ("obj", coeff) :: cols.(id))
-    obj_terms;
+  let obj_ids, obj_coefs, obj_const = Model.objective_terms m in
+  Array.iteri
+    (fun k id -> cols.(id) <- ("obj", obj_coefs.(k)) :: cols.(id))
+    obj_ids;
   Format.fprintf ppf "COLUMNS\n";
   let in_int = ref false in
   Array.iter
     (fun (v : Model.var) ->
-      if v.Model.integer && not !in_int then begin
+      let integer = Model.is_integer m v in
+      if integer && not !in_int then begin
         Format.fprintf ppf " MARKER M%d 'MARKER' 'INTORG'\n" v.Model.id;
         in_int := true
       end
-      else if (not v.Model.integer) && !in_int then begin
+      else if (not integer) && !in_int then begin
         Format.fprintf ppf " MARKER M%d 'MARKER' 'INTEND'\n" v.Model.id;
         in_int := false
       end;
       (* A column in no row and not in the objective still gets an entry,
          so BOUNDS never names an undeclared column. *)
       match cols.(v.Model.id) with
-      | [] -> Format.fprintf ppf " %s obj 0\n" (var_name v)
+      | [] -> Format.fprintf ppf " %s obj 0\n" (var_name m v)
       | entries ->
           List.iter
             (fun (row, coeff) ->
-              Format.fprintf ppf " %s %s %.12g\n" (var_name v) row coeff)
+              Format.fprintf ppf " %s %s %.12g\n" (var_name m v) row coeff)
             (List.rev entries))
     vs;
   if !in_int then Format.fprintf ppf " MARKER MEND 'MARKER' 'INTEND'\n";
@@ -65,13 +67,13 @@ let write_model ppf m =
   Array.iteri
     (fun i c ->
       if c.Model.rhs <> 0.0 then
-        Format.fprintf ppf " rhs %s %.12g\n" (row_name i c) c.Model.rhs)
+        Format.fprintf ppf " rhs %s %.12g\n" (row_name m i) c.Model.rhs)
     cs;
   Format.fprintf ppf "BOUNDS\n";
   Array.iter
-    (fun (v : Model.var) ->
-      let name = var_name v in
-      let lo = v.Model.lo and hi = v.Model.hi in
+    (fun v ->
+      let name = var_name m v in
+      let lo = Model.lower m v and hi = Model.upper m v in
       if lo = 0.0 && hi = infinity then ()
       else if lo = neg_infinity && hi = infinity then
         Format.fprintf ppf " FR BND %s\n" name

@@ -32,8 +32,8 @@ type input = {
   obj : float array;    (** length [nvars] *)
   obj_const : float;
   minimize : bool;
-  rows : ((int * float) array * Model.sense * float) array;
-      (** sparse rows: (terms, sense, rhs) *)
+  rows : Model.row array;
+      (** sparse rows: ids, coefficients, sense and rhs ({!Model.row}) *)
 }
 
 (** Column status: a nonbasic column rests at one of its bounds (or at 0

@@ -250,7 +250,8 @@ let reference_terms (l : (float * int) list) =
     done;
     if !acc <> 0.0 then out := (id, !acc) :: !out
   done;
-  Array.of_list (List.rev !out)
+  let out = List.rev !out in
+  (Array.of_list (List.map fst out), Array.of_list (List.map snd out))
 
 let test_terms_match_reference () =
   let m = Model.create () in
@@ -289,7 +290,7 @@ let test_terms_match_reference () =
       ("signed zeros ascending", [ (-0.0, 1); (0.0, 3); (1.5, 8) ]);
     ]
   in
-  let bits a = Array.map (fun (id, c) -> (id, Int64.bits_of_float c)) a in
+  let bits (ids, coefs) = (ids, Array.map Int64.bits_of_float coefs) in
   List.iter
     (fun (name, l) ->
       let e =

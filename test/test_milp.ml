@@ -330,7 +330,7 @@ let enumerate_gap m =
   let input = Simplex.of_model m in
   let groups =
     Array.fold_left
-      (fun n (_, sense, _) -> if sense = Model.Eq then n + 1 else n)
+      (fun n (r : Model.row) -> if r.sense = Model.Eq then n + 1 else n)
       0 input.Simplex.rows
   in
   let dcs = input.Simplex.nvars / groups in

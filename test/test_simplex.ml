@@ -235,8 +235,7 @@ let test_eta_refactorization_drift () =
     (r.Simplex.iterations > 30);
   let residual = ref 0.0 in
   Array.iteri
-    (fun ri (terms, sense, rhs) ->
-      ignore terms;
+    (fun ri { Model.sense; rhs; _ } ->
       let act = ref 0.0 in
       for j = 0 to n - 1 do
         act := !act +. (coeffs.(ri).(j) *. r.Simplex.x.(j))
@@ -387,8 +386,8 @@ let frame_column (input : Simplex.input) c =
   let n = input.Simplex.nvars in
   let next_slack = ref n in
   Array.iteri
-    (fun i (terms, sense, _) ->
-      Array.iter (fun (j, a) -> if j = c then col.(i) <- col.(i) +. a) terms;
+    (fun i { Model.ids; coefs; sense; _ } ->
+      Array.iteri (fun k j -> if j = c then col.(i) <- col.(i) +. coefs.(k)) ids;
       match sense with
       | Model.Eq -> ()
       | Model.Le | Model.Ge ->
@@ -637,7 +636,7 @@ let assignment_lp rng g t =
                List.init t (fun j ->
                    Model.Linexpr.term (Datasets.Prng.range rng 1.0 20.0) x.(i).(j))))));
   ( Simplex.of_model m,
-    Array.map (fun (v : Model.var) -> v.Model.integer) (Model.vars m) )
+    Array.map (Model.is_integer m) (Model.vars m) )
 
 (* Seeded assignment LPs strengthened by [Cuts.strengthen]: its dense
    Gomory rows make the final optimal bases refactorize with fill.  Each
@@ -810,6 +809,10 @@ let build_checked what rng (dense, cstart, crow, cval) cols =
       check_factor what rng f dense b;
       (f, b)
 
+(* A row from its (id, coefficient) terms. *)
+let row_of_terms terms sense rhs =
+  { Model.ids = Array.map fst terms; coefs = Array.map snd terms; sense; rhs }
+
 (* A random sparse input: [m] mixed-sense rows over [n] columns, then
    [z0 = x0 + x1] and a column [zero] in no row. *)
 let sparse_input rng m n =
@@ -830,7 +833,7 @@ let sparse_input rng m n =
           | 1 -> Model.Ge
           | _ -> Model.Eq
         in
-        (Array.of_list terms, sense, 1.0))
+        row_of_terms (Array.of_list terms) sense 1.0)
   in
   let nv = n + 2 in
   { Simplex.nvars = nv; lo = Array.make nv 0.0; hi = Array.make nv 1.0;
@@ -951,7 +954,7 @@ let test_factor_cut_rows rng =
             Array.init n (fun j -> (j, Datasets.Prng.range rng (-3.0) 3.0))
           in
           let sense = if Datasets.Prng.int rng 2 = 0 then Model.Ge else Model.Le in
-          (terms, sense, 1.0))
+          row_of_terms terms sense 1.0)
     in
     match r.Simplex.basis with
     | None -> ()
