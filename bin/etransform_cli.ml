@@ -49,6 +49,10 @@ let builder_options eos fixed omega =
 let plan_cmd_run verbose dataset scale seed groups targets dr eos fixed omega
     workdir =
   setup_logs verbose;
+  if dr && fixed then begin
+    Printf.eprintf "--dr takes no --fixed-charges: the DR planner has no fixed charges\n";
+    exit 2
+  end;
   let asis = load_dataset dataset scale seed groups targets in
   Fmt.pr "%a@.@." Asis.pp_summary asis;
   let builder = builder_options eos fixed omega in

@@ -6,15 +6,21 @@ type artifacts = {
 
 let run ?(builder = Lp_builder.default_options) ?(dr = false) ?workdir asis =
   let outcome =
-    if dr then
+    if dr then begin
+      if builder.Lp_builder.pins <> [] || builder.Lp_builder.forbids <> [] then
+        invalid_arg "Pipeline.run: the DR planner takes no pins or forbids";
+      if builder.Lp_builder.fixed_charges then
+        invalid_arg "Pipeline.run: the DR planner takes no fixed charges";
       Dr_planner.plan
         ~options:
           {
             Dr_planner.default_options with
             Dr_planner.omega = builder.Lp_builder.omega;
             economies_of_scale = builder.Lp_builder.economies_of_scale;
+            max_latency_ms = builder.Lp_builder.max_latency_ms;
           }
         asis
+    end
     else Solver.consolidate ~builder asis
   in
   match workdir with

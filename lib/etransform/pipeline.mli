@@ -10,7 +10,11 @@ type artifacts = {
 
 (** [run asis] plans consolidation (or integrated DR when [dr] is set) and,
     when [workdir] is given, materializes the LP file and solution file
-    exactly as the paper's architecture does. *)
+    exactly as the paper's architecture does.  Under [dr] the builder's
+    [omega], [economies_of_scale] and [max_latency_ms] go to the DR
+    planner's stage 1; the planner has no pins, forbids nor fixed
+    charges, so a builder that sets any of them raises
+    [Invalid_argument]. *)
 val run :
   ?builder:Lp_builder.options ->
   ?dr:bool ->

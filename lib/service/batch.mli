@@ -30,7 +30,8 @@ type resolver = Json.t -> (string * (unit -> Etransform.Asis.t)) option
 
 (** [job_of_json ?resolve j] decodes one job spec.  Unknown estate kinds
     without a resolver (or resolver miss) are errors, as are missing or
-    ill-typed fields. *)
+    ill-typed fields and ["dr": true] with ["fixed_charges": true] (the
+    DR planner prices no fixed charges). *)
 val job_of_json : ?resolve:resolver -> Json.t -> (Job.t, string) result
 
 (** [job_of_line ?resolve line] parses then decodes. *)

@@ -57,6 +57,8 @@ let v ?(id = "") ?(dr = false) ?(economies_of_scale = false)
     ?(fixed_charges = false) ?omega ?reserve ?dr_server_cost
     ?(milp = no_overrides) ?(scenario = no_scenario) ?deadline_s
     ?(degrade = true) estate =
+  if dr && fixed_charges then
+    invalid_arg "Job.v: a DR job takes no fixed charges";
   {
     id;
     estate;

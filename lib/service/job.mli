@@ -63,6 +63,7 @@ type t = {
   dr : bool;                      (** plan disaster recovery too *)
   economies_of_scale : bool;
   fixed_charges : bool;
+      (** never with [dr]: the DR planner prices no fixed charges *)
   omega : float option;           (** business-impact spread *)
   reserve : float option;         (** DR stage-1 capacity reservation *)
   dr_server_cost : float option;  (** override ζ on the built estate *)
@@ -78,7 +79,8 @@ type t = {
 
 (** [v estate] builds a job with library defaults: non-DR, plain §III model
     (no economies of scale, no fixed charges, no spread), default MILP
-    budgets, no deadline, degradation on. *)
+    budgets, no deadline, degradation on.  Raises [Invalid_argument] on
+    [~dr:true] with [~fixed_charges:true]. *)
 val v :
   ?id:string ->
   ?dr:bool ->

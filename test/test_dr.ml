@@ -227,6 +227,30 @@ let test_latency_budget_served () =
   Alcotest.(check (list int)) "no group off budget" []
     (Fixtures.off_budget asis ~budget_ms:16.2 o.Solver.placement)
 
+(* [Pipeline.run ~dr] hands its builder's latency budget to the DR
+   planner, and refuses the builder options the planner has no place
+   for. *)
+let test_pipeline_dr_builder () =
+  let asis = Datasets.Enterprise1.asis ~scale:0.3 () in
+  let builder =
+    { Lp_builder.default_options with Lp_builder.max_latency_ms = Some 16.2 }
+  in
+  let o = (Pipeline.run ~builder ~dr:true asis).Pipeline.outcome in
+  Alcotest.(check (list int)) "no group off budget" []
+    (Fixtures.off_budget asis ~budget_ms:16.2 o.Solver.placement);
+  List.iter
+    (fun (name, builder) ->
+      match Pipeline.run ~builder ~dr:true asis with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("pins", { Lp_builder.default_options with Lp_builder.pins = [ (0, 0) ] });
+      ( "forbids",
+        { Lp_builder.default_options with Lp_builder.forbids = [ (0, 0) ] } );
+      ( "fixed charges",
+        { Lp_builder.default_options with Lp_builder.fixed_charges = true } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "joint model dimensions" `Quick test_joint_model_dimensions;
@@ -244,5 +268,6 @@ let suite =
       test_candidate_branches_pinned;
     Alcotest.test_case "omega served" `Quick test_omega_served;
     Alcotest.test_case "latency budget served" `Quick test_latency_budget_served;
+    Alcotest.test_case "pipeline: DR builder options" `Quick test_pipeline_dr_builder;
     QCheck_alcotest.to_alcotest prop_two_stage_feasible;
   ]

@@ -257,6 +257,30 @@ let test_unknown_milp_keys_ignored () =
   Alcotest.(check string) "same fingerprint"
     (Service.Job.fingerprint plain) (Service.Job.fingerprint extra)
 
+(* A DR job cannot ask for fixed charges: the DR planner prices none, so
+   the field would only split the cache key.  The decoder names the
+   field, and [Job.v] refuses the pair. *)
+let test_dr_fixed_charges_rejected () =
+  let estate = {|"estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25}|} in
+  (match
+     Service.Batch.job_of_line ~resolve:Harness.Line_jobs.resolve
+       ({|{"dr":true,"fixed_charges":true,|} ^ estate ^ "}")
+   with
+  | Ok _ -> Alcotest.fail "decoded a DR job with fixed charges"
+  | Error e ->
+      Alcotest.(check bool) ("error names the field: " ^ e) true
+        (Astring_contains.contains e "fixed_charges"));
+  List.iter
+    (fun flags -> ignore (parse_job ("{" ^ flags ^ estate ^ "}")))
+    [ {|"dr":true,|}; {|"fixed_charges":true,|}; {|"dr":false,"fixed_charges":true,|} ];
+  match
+    Service.Job.v ~dr:true ~fixed_charges:true
+      (Service.Job.Dataset
+         { name = "florida"; scale = 0.25; seed = 0; groups = 0; targets = 0 })
+  with
+  | _ -> Alcotest.fail "Job.v accepted a DR job with fixed charges"
+  | exception Invalid_argument _ -> ()
+
 (* ----------------------------------------------------------------- cache *)
 
 let test_cache_eviction () =
@@ -956,4 +980,6 @@ let suite =
       test_pool_domains_first;
     Alcotest.test_case "pool: shutdown serves the backlog" `Quick
       test_pool_shutdown_drains;
+    Alcotest.test_case "batch: a DR job takes no fixed charges" `Quick
+      test_dr_fixed_charges_rejected;
   ]
