@@ -83,7 +83,8 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
   let w = Array.map (fun g -> g.App_group.servers) asis.Asis.groups in
   let gc =
     let t = Cost_model.pairs asis in
-    Array.map2 (Array.map2 ( +. )) t.Cost_model.wan t.Cost_model.penalty
+    Lp_builder.init_blocks (Array.length w) [||] (fun i ->
+        Array.map2 ( +. ) t.Cost_model.wan.(i) t.Cost_model.penalty.(i))
   in
   let dr = plan.Placement.secondary <> None in
   let shared = dr && not plan.Placement.dedicated_backups in

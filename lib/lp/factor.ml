@@ -22,11 +22,16 @@ let start base = { base; etas = [||]; n = 0 }
 let due t = t.base.sn + t.n >= max 64 (min 128 t.base.sm)
 
 let diagonal dg =
-  let m = Array.length dg in
-  let rows = List.filter (fun i -> dg.(i) <> 1.0) (List.init m Fun.id) in
-  let eta i = { ep = i; erow = [||]; evals = [||]; epiv = dg.(i) } in
-  let setas = Array.of_list (List.map eta rows) in
-  { sm = m; setas; sn = Array.length setas }
+  let sn = Array.fold_left (fun n d -> if d <> 1.0 then n + 1 else n) 0 dg in
+  let setas = Array.make sn dummy_eta and k = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if d <> 1.0 then begin
+        setas.(!k) <- { ep = i; erow = [||]; evals = [||]; epiv = d };
+        incr k
+      end)
+    dg;
+  { sm = Array.length dg; setas; sn }
 
 let update t ~p (d : float array) =
   let m = t.base.sm in

@@ -64,11 +64,11 @@ let push h ~key:k v =
   let cap = Array.length h.data in
   if h.size = cap then
     if cap = 0 then h.data <- Array.make 16 (k, v)
-    else begin
-      let data = Array.make (2 * cap) h.data.(0) in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
+    else
+      (* Doubled by a copy: [Array.make] from a young entry would force
+         a minor collection once the array passes 256 words.  Slots past
+         [size] are never read. *)
+      h.data <- Array.append h.data h.data;
   h.data.(h.size) <- (k, v);
   h.size <- h.size + 1;
   bubble_up h (h.size - 1)
