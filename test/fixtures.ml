@@ -76,13 +76,18 @@ let synthetic ?(seed = 42) ?(groups = 24) ?(targets = 5) ?(current = 6)
       capacity_range = capacity;
     }
 
-(* An outcome as the candidate-branch pins see it: the plan, the local
-   moves that polished it, the MILP status, the gap's bits and nodes. *)
+(* An outcome as the candidate-branch pins see it: the plan's primary and
+   secondary sites, the local moves that polished it, the MILP status,
+   the gap's bits and nodes.  The sites are hashed, not the whole
+   [Placement.t], so a change to the record's other fields leaves the
+   pins alone. *)
 let outcome_digest (o : Solver.outcome) =
+  let p = o.Solver.placement in
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( o.Solver.placement,
+          ( p.Placement.primary,
+            p.Placement.secondary,
             o.Solver.local_moves,
             Lp.Status.to_string o.Solver.milp_status,
             Int64.bits_of_float o.Solver.milp_gap,
