@@ -31,19 +31,10 @@ let () =
         Fmt.pr "  %-28s %4.0f backup servers@."
           asis.Asis.targets.(b).Data_center.name pool)
     s.Evaluate.backups;
-  let dedicated =
-    match outcome.Solver.placement.Placement.secondary with
-    | None -> 0.0
-    | Some sec ->
-        let p =
-          Placement.with_dr ~dedicated_backups:true
-            ~primary:outcome.Solver.placement.Placement.primary ~secondary:sec ()
-        in
-        Array.fold_left ( +. ) 0.0 (Placement.backup_servers asis p)
-  in
+  (* Without sharing, every server would need a backup of its own. *)
   let shared = Array.fold_left ( +. ) 0.0 s.Evaluate.backups in
-  Fmt.pr "@.sharing buys %.0f backup servers instead of %.0f dedicated ones@."
-    shared dedicated;
+  Fmt.pr "@.sharing buys %.0f backup servers instead of %d dedicated ones@."
+    shared (Asis.total_servers asis);
   let saved =
     100.0
     *. (1.0 -. Evaluate.total s.Evaluate.cost /. Evaluate.total strawman.Evaluate.cost)

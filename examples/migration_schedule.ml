@@ -10,7 +10,7 @@ let () =
   let asis = Datasets.Enterprise1.asis ~scale:0.5 () in
   Fmt.pr "%a@.@." Asis.pp_summary asis;
 
-  let plan = Solver.solve_to_placement asis in
+  let plan = (Solver.consolidate asis).Solver.placement in
   let schedule = Migration.plan ~servers_per_wave:60 asis plan in
 
   Fmt.pr "migration in %d waves (max 60 servers per wave):@."

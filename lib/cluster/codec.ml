@@ -57,7 +57,9 @@ let encode (o : Solver.outcome) =
   | Some s ->
       u8 1;
       int_array s);
-  u8 (if p.Placement.dedicated_backups then 1 else 0);
+  (* A reserved byte, always 0, so entries already on disk keep their
+     layout; [decode] reads any other value as a miss. *)
+  u8 0;
   let s = o.Solver.summary in
   let c = s.Evaluate.cost in
   f64 c.Evaluate.space;
@@ -122,7 +124,7 @@ let decode s =
     let local_moves = Int64.to_int (i64 ()) in
     let primary = int_array () in
     let secondary = if u8 () = 1 then Some (int_array ()) else None in
-    let dedicated_backups = u8 () = 1 in
+    if u8 () <> 0 then raise Bad;
     let space = f64 () in
     let wan = f64 () in
     let power = f64 () in
@@ -139,7 +141,7 @@ let decode s =
     Some
       {
         Solver.placement =
-          { Placement.primary; secondary; dedicated_backups };
+          { Placement.primary; secondary };
         summary =
           {
             Evaluate.cost =

@@ -1,35 +1,29 @@
 (** The paper's joint consolidation + disaster-recovery MILP (§IV-B).
 
-    On top of the §III model it adds, per application group, a secondary
-    site choice Y_ij with X_ij + Y_ij <= 1, the linearization
+    It is the §III model of {!Lp_builder.build}, with every option that
+    builder takes (pins, forbids, latency budget, omega spread,
+    shared-risk rows, volume discounts, fixed charges), plus the DR half:
+    per application group a secondary site choice Y_ij on the group's
+    allowed sites, with X_ij + Y_ij <= 1; the linearization
     J_abc >= X_ca + Y_cb - 1 (J may stay continuous: the objective presses
-    it down, the constraint up), backup-pool sizes
-    G_b >= sum_c J_abc S_c for every primary a, shared capacity
-    sum_i S_i X_ij + G_j <= O_j, the business-impact constraint
-    sum_i X_ij <= omega M, and backup costs zeta G_b plus the backup pools'
-    space/power/labor.
+    it down, the constraint up); shared backup pools sized for one failing
+    site, G_b >= sum_c J_abc S_c for every primary site a; capacity shared
+    by primaries and pool, sum_i S_i X_ij + G_j <= O_j; and the backup
+    costs zeta G_b plus the pools' space/power/labor, appended to stage 1's
+    objective.
 
     The J variables make the model O(M N^2); use this faithful form on
     small/medium instances (it anchors the tests) and {!Dr_planner} at
     scale. *)
 
-type options = {
-  omega : float option;
-  dedicated_backups : bool;
-      (** plan for concurrent failures: G_b is the sum, not the max *)
-}
-
-val default_options : options
-
 type built = {
-  model : Lp.Model.t;
-  x : Lp.Model.var option array array;
+  base : Lp_builder.built;  (** the §III model the DR half extends *)
   y : Lp.Model.var option array array;
-  g : Lp.Model.var array;
-  asis : Asis.t;
+      (** [y.(i).(j)]: secondary variable, [None] off group [i]'s sites *)
+  g : Lp.Model.var array;   (** pool size per target *)
 }
 
-val build : ?options:options -> Asis.t -> built
+val build : ?options:Lp_builder.options -> Asis.t -> built
 
 val decode : built -> float array -> Placement.t
 

@@ -378,11 +378,9 @@ let plan ?(options = default_options) asis =
   in
   attempt options.reserve 3
 
-let joint_plan ?omega ?(milp = Solver.default_milp_options) asis =
-  let built =
-    Dr_builder.build ~options:{ Dr_builder.default_options with Dr_builder.omega } asis
-  in
-  let r = Lp.Milp.solve ~options:milp built.Dr_builder.model in
+let joint_plan ?builder ?(milp = Solver.default_milp_options) asis =
+  let built = Dr_builder.build ?options:builder asis in
+  let r = Lp.Milp.solve ~options:milp built.Dr_builder.base.Lp_builder.model in
   if Array.length r.Lp.Milp.x = 0 then
     failwith
       (Printf.sprintf "Dr_planner.joint_plan: %s"

@@ -67,7 +67,10 @@ val secondary_model :
   int array ->
   Lp.Model.t * Lp.Model.var option array array
 
-(** [joint_plan asis] solves the faithful §IV MILP directly (small
-    instances only). *)
+(** [joint_plan asis] solves the faithful §IV MILP of {!Dr_builder}
+    directly (small instances only), with [builder]'s side constraints and
+    cost terms on the primaries, and serves its decoded plan without a
+    polish. *)
 val joint_plan :
-  ?omega:float -> ?milp:Lp.Milp.options -> Asis.t -> Solver.outcome
+  ?builder:Lp_builder.options -> ?milp:Lp.Milp.options -> Asis.t ->
+  Solver.outcome

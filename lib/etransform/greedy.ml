@@ -73,7 +73,7 @@ let plan_dr asis =
       let a = primary.(i) in
       let best = ref (-1) and best_c = ref infinity in
       for b = 0 to n - 1 do
-        if b <> a then begin
+        if b <> a && App_group.allowed g b then begin
           let dc = asis.Asis.targets.(b) in
           let new_pool = Float.max pools.(b) (pair.(a).(b) +. s) in
           let delta = new_pool -. pools.(b) in

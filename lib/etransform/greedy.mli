@@ -4,7 +4,8 @@
     curve), power, labor, WAN and latency penalty.
 
     The DR variant (§VI-C) then assigns each group's backup to the cheapest
-    distinct site, charging for any new backup servers the choice forces. *)
+    distinct site among its allowed ones, charging for any new backup
+    servers the choice forces. *)
 
 (** [order_by_size asis] lists the groups largest first, the order both
     greedy planners and the engine's LP rounding place them in. *)

@@ -87,7 +87,6 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
         Array.map2 ( +. ) t.Cost_model.wan.(i) t.Cost_model.penalty.(i))
   in
   let dr = plan.Placement.secondary <> None in
-  let shared = dr && not plan.Placement.dedicated_backups in
   let threshold = -.min_gain +. slack asis ~dr in
   let cap = Array.map (fun dc -> dc.Data_center.capacity) targets in
   let per_server =
@@ -104,33 +103,30 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
       +. (dr_cost *. float_of_int bk)
     else 0.0
   in
-  (* Loads of [!current]: primaries and pools per site, and under shared
-     pools the servers by (primary, secondary) site, whose column max is
-     the pool. *)
-  let prim = Array.make n 0 and pool = Array.make n 0 in
-  let pair = Array.make_matrix (if shared then n else 0) n 0 in
+  (* Loads of [!current]: primaries per site, and for DR plans the
+     servers by (primary, secondary) site, whose column max is the pool. *)
+  let prim = Array.make n 0 in
+  let pair = Array.make_matrix (if dr then n else 0) n 0 in
   let site = Array.make n 0.0 in
-  let col_max b =
+  let pool b =
     let worst = ref 0 in
-    for a = 0 to n - 1 do
-      if pair.(a).(b) > !worst then worst := pair.(a).(b)
-    done;
+    if dr then
+      for a = 0 to n - 1 do
+        if pair.(a).(b) > !worst then worst := pair.(a).(b)
+      done;
     !worst
   in
   let rebuild () =
     let p = !current in
     Array.fill prim 0 n 0;
-    Array.fill pool 0 n 0;
     Array.iter (fun row -> Array.fill row 0 n 0) pair;
     Array.iteri (fun i a -> prim.(a) <- prim.(a) + w.(i)) p.Placement.primary;
     Option.iter
       (Array.iteri (fun i b ->
            let a = p.Placement.primary.(i) in
-           if shared then pair.(a).(b) <- pair.(a).(b) + w.(i)
-           else pool.(b) <- pool.(b) + w.(i)))
+           pair.(a).(b) <- pair.(a).(b) + w.(i)))
       p.Placement.secondary;
-    if shared then for b = 0 to n - 1 do pool.(b) <- col_max b done;
-    for j = 0 to n - 1 do site.(j) <- site_cost j prim.(j) pool.(j) done
+    for j = 0 to n - 1 do site.(j) <- site_cost j prim.(j) (pool j) done
   in
   rebuild ();
   (* The exact check, the only judge of a move. *)
@@ -166,8 +162,7 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
     prim.(a) <- prim.(a) + d;
     touch a;
     if b >= 0 then begin
-      if shared then pair.(a).(b) <- pair.(a).(b) + d
-      else pool.(b) <- pool.(b) + d;
+      pair.(a).(b) <- pair.(a).(b) + d;
       touch b
     end
   in
@@ -184,7 +179,7 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
     let over = ref false and d = ref gdelta in
     for t = 0 to !n_touched - 1 do
       let j = touched.(t) in
-      let bk = if shared then col_max j else pool.(j) in
+      let bk = pool j in
       if prim.(j) + bk > cap.(j) then over := true
       else d := !d +. (site_cost j prim.(j) bk -. site.(j))
     done;
@@ -224,7 +219,7 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
                   sec)
                 p.Placement.secondary
             in
-            let p' = { p with Placement.primary; secondary } in
+            let p' = { Placement.primary; secondary } in
             if try_plan p' then improved := true
           end
         end
@@ -238,7 +233,10 @@ let improve ?(max_rounds = 6) ?(swaps = true) ?(may_place = fun _ _ -> true)
           for j = 0 to n - 1 do
             let p = !current in
             match p.Placement.secondary with
-            | Some sec when sec.(i) <> j && p.Placement.primary.(i) <> j ->
+            | Some sec
+              when sec.(i) <> j
+                   && p.Placement.primary.(i) <> j
+                   && App_group.allowed asis.Asis.groups.(i) j ->
                 let a = p.Placement.primary.(i) and s = sec.(i) in
                 if passes ~gdelta:0.0 (move i (a, s) (a, j)) then begin
                   let sec' = Array.copy sec in

@@ -28,11 +28,11 @@ let run ?(builder = Lp_builder.default_options) ?(dr = false) ?workdir asis =
   | Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let built =
-        if dr then (Dr_builder.build asis).Dr_builder.model
-        else (Lp_builder.build ~options:builder asis).Lp_builder.model
+        if dr then (Dr_builder.build ~options:builder asis).Dr_builder.base
+        else Lp_builder.build ~options:builder asis
       in
       let lp_file = Filename.concat dir (asis.Asis.name ^ ".lp") in
-      Lp.Lp_format.write_model_file lp_file built;
+      Lp.Lp_format.write_model_file lp_file built.Lp_builder.model;
       let solution_file = Filename.concat dir (asis.Asis.name ^ ".sol") in
       let oc = open_out solution_file in
       let ppf = Format.formatter_of_out_channel oc in

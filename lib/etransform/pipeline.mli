@@ -14,7 +14,9 @@ type artifacts = {
     [omega], [economies_of_scale] and [max_latency_ms] go to the DR
     planner's stage 1; the planner has no pins, forbids nor fixed
     charges, so a builder that sets any of them raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  The LP file under [dr] is the joint model of
+    {!Dr_builder} with the same builder, not the two stages the planner
+    solves. *)
 val run :
   ?builder:Lp_builder.options ->
   ?dr:bool ->

@@ -1,15 +1,11 @@
-type t = {
-  primary : int array;
-  secondary : int array option;
-  dedicated_backups : bool;
-}
+type t = { primary : int array; secondary : int array option }
 
-let non_dr primary = { primary; secondary = None; dedicated_backups = false }
+let non_dr primary = { primary; secondary = None }
 
-let with_dr ?(dedicated_backups = false) ~primary ~secondary () =
+let with_dr ~primary ~secondary () =
   if Array.length primary <> Array.length secondary then
     invalid_arg "Placement.with_dr: length mismatch";
-  { primary; secondary = Some secondary; dedicated_backups }
+  { primary; secondary = Some secondary }
 
 let servers_per_dc asis t =
   let counts = Array.make (Asis.num_targets asis) 0 in
@@ -24,32 +20,21 @@ let backup_servers asis t =
   match t.secondary with
   | None -> Array.make n 0.0
   | Some sec ->
-      if t.dedicated_backups then begin
-        let g = Array.make n 0.0 in
-        Array.iteri
-          (fun i b ->
-            g.(b) <-
-              g.(b) +. float_of_int asis.Asis.groups.(i).App_group.servers)
-          sec;
-        g
-      end
-      else begin
-        (* pair.(a).(b): servers with primary a and secondary b; the pool at
-           b must cover the worst single failing primary site. *)
-        let pair = Array.make_matrix n n 0.0 in
-        Array.iteri
-          (fun i b ->
-            let a = t.primary.(i) in
-            pair.(a).(b) <-
-              pair.(a).(b) +. float_of_int asis.Asis.groups.(i).App_group.servers)
-          sec;
-        Array.init n (fun b ->
-            let worst = ref 0.0 in
-            for a = 0 to n - 1 do
-              if pair.(a).(b) > !worst then worst := pair.(a).(b)
-            done;
-            !worst)
-      end
+      (* pair.(a).(b): servers with primary a and secondary b; the pool at
+         b must cover the worst single failing primary site. *)
+      let pair = Array.make_matrix n n 0.0 in
+      Array.iteri
+        (fun i b ->
+          let a = t.primary.(i) in
+          pair.(a).(b) <-
+            pair.(a).(b) +. float_of_int asis.Asis.groups.(i).App_group.servers)
+        sec;
+      Array.init n (fun b ->
+          let worst = ref 0.0 in
+          for a = 0 to n - 1 do
+            if pair.(a).(b) > !worst then worst := pair.(a).(b)
+          done;
+          !worst)
 
 let dcs_used asis t =
   let n = Asis.num_targets asis in
@@ -102,7 +87,9 @@ let validate asis t =
             bad "group %d has unknown secondary %d" i b
           end
           else if i < Array.length t.primary && b = t.primary.(i) then
-            bad "group %d has identical primary and secondary %d" i b)
+            bad "group %d has identical primary and secondary %d" i b
+          else if i < m && not (App_group.allowed asis.Asis.groups.(i) b) then
+            bad "group %d backed up in disallowed target %d" i b)
         sec);
   (* Loads are only well-defined once every index is in range. *)
   if !indices_ok then begin

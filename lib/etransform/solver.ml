@@ -162,5 +162,3 @@ let consolidate ?(builder = Lp_builder.default_options)
   make_outcome asis placement ~status:r.Lp.Milp.status ~gap:r.Lp.Milp.gap
     ~nodes:r.Lp.Milp.nodes ~lp_iterations:r.Lp.Milp.lp_iterations
     ~local_moves:moves
-
-let solve_to_placement ?builder asis = (consolidate ?builder asis).placement

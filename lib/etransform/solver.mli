@@ -40,7 +40,3 @@ val consolidate :
   ?milp:Lp.Milp.options ->
   ?local_search:bool ->
   Asis.t -> outcome
-
-(** [solve_to_placement] is [consolidate] stripped to the plan, for callers
-    that do not need diagnostics. *)
-val solve_to_placement : ?builder:Lp_builder.options -> Asis.t -> Placement.t

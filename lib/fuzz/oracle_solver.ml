@@ -742,9 +742,9 @@ let pool_workers_equivalence c =
    validated and priced by [Evaluate.plan].  Both must accept the same
    moves in the same order, so the plans and move counts must be equal on
    any estate: line estates (identical groups, so zero-delta swaps abound)
-   and synthetic ones (volume discounts), non-DR and DR plans with shared
-   or dedicated pools, pins and forbids, omega, allowed-DC lists and
-   one-sided shared-risk lists, swaps on and off. *)
+   and synthetic ones (volume discounts), non-DR and DR plans, pins and
+   forbids, omega, allowed-DC lists and one-sided shared-risk lists, swaps
+   on and off. *)
 
 let reference_improve ?(max_rounds = 6) ?(swaps = true)
     ?(may_place = fun _ _ -> true) ?omega asis (plan : Etransform.Placement.t) =
@@ -794,7 +794,7 @@ let reference_improve ?(max_rounds = 6) ?(swaps = true)
                 sec)
               p.Placement.secondary
           in
-          if try_plan { p with Placement.primary; secondary } then
+          if try_plan { Placement.primary; secondary } then
             improved := true
         end
       done
@@ -804,7 +804,10 @@ let reference_improve ?(max_rounds = 6) ?(swaps = true)
         for j = 0 to n - 1 do
           let p = !current in
           match p.Placement.secondary with
-          | Some sec when sec.(i) <> j && p.Placement.primary.(i) <> j ->
+          | Some sec
+            when sec.(i) <> j
+                 && p.Placement.primary.(i) <> j
+                 && App_group.allowed asis.Asis.groups.(i) j ->
               let sec' = Array.copy sec in
               sec'.(i) <- j;
               if try_plan { p with Placement.secondary = Some sec' } then
@@ -841,7 +844,7 @@ type ls_case = {
   ls_groups : int;
   ls_sites : int;
   ls_tight : bool;        (* capacity close to the load *)
-  ls_dr : int;            (* 0 none, 1 shared pools, 2 dedicated backups *)
+  ls_dr : bool;           (* DR plans, with shared pools *)
   ls_greedy : bool;       (* start from the greedy plan, else random *)
   ls_pins : int;          (* pins plus forbids behind may_place *)
   ls_omega : float option;
@@ -852,7 +855,7 @@ type ls_case = {
 
 let pp_ls_case ppf c =
   Format.fprintf ppf
-    "seed=%d %s m=%d n=%d tight=%b dr=%d greedy=%b pins=%d omega=%s \
+    "seed=%d %s m=%d n=%d tight=%b dr=%b greedy=%b pins=%d omega=%s \
      allowed=%b avoid=%b swaps=%b"
     c.ls_seed
     (if c.ls_line then "line" else "synth")
@@ -869,7 +872,7 @@ let gen_ls_case : ls_case Gen.t =
     ls_groups = Gen.int_range 2 18 rng;
     ls_sites;
     ls_tight = Gen.bool rng;
-    ls_dr = Gen.int_range 0 2 rng;
+    ls_dr = Gen.bool rng;
     ls_greedy = Gen.bool rng;
     ls_pins = Gen.choose [ 0; 0; 2; 5 ] rng;
     ls_omega =
@@ -907,7 +910,7 @@ let ls_instance c =
   (* Synthetic estates may split a group, so m is read back below. *)
   let servers = Array.init c.ls_groups (fun _ -> 1 + Datasets.Prng.int rng 6) in
   let total = Array.fold_left ( + ) 0 servers in
-  let need = if c.ls_dr > 0 then 2 * total else total in
+  let need = if c.ls_dr then 2 * total else total in
   let cap = max 6 ((if c.ls_tight then 13 else 30) * need / (10 * n)) in
   let base =
     if c.ls_line then
@@ -990,23 +993,20 @@ let ls_instance c =
   let start =
     let p =
       if c.ls_greedy then
-        try if c.ls_dr > 0 then Greedy.plan_dr asis else Greedy.plan asis
+        try if c.ls_dr then Greedy.plan_dr asis else Greedy.plan asis
         with Failure _ -> random_plan ()
       else random_plan ()
     in
     match (c.ls_dr, p.Placement.secondary) with
-    | 0, _ -> Placement.non_dr p.Placement.primary
-    | dr, Some secondary ->
-        Placement.with_dr ~dedicated_backups:(dr = 2)
-          ~primary:p.Placement.primary ~secondary ()
-    | dr, None ->
+    | false, _ -> Placement.non_dr p.Placement.primary
+    | true, Some _ -> p
+    | true, None ->
         let secondary =
           Array.map
             (fun a -> (a + 1 + Datasets.Prng.int rng (n - 1)) mod n)
             p.Placement.primary
         in
-        Placement.with_dr ~dedicated_backups:(dr = 2)
-          ~primary:p.Placement.primary ~secondary ()
+        Placement.with_dr ~primary:p.Placement.primary ~secondary ()
   in
   let pinned = Hashtbl.create 8 and banned = Hashtbl.create 8 in
   for _ = 1 to c.ls_pins do

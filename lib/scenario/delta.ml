@@ -79,7 +79,8 @@ let fingerprint (p : Placement.t) =
   | Some sec ->
       Buffer.add_char b '|';
       Array.iter (fun j -> Buffer.add_string b (Printf.sprintf ";%d" j)) sec);
-  Buffer.add_string b (if p.Placement.dedicated_backups then "|d" else "|s");
+  (* The pool rule's tag, kept so fingerprints keep their bytes. *)
+  Buffer.add_string b "|s";
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ----------------------------------------------------------------- pins *)

@@ -147,6 +147,66 @@ let test_codec_roundtrip () =
     (Cluster.Codec.decode ("ETP9" ^ String.sub encoded 4 (String.length encoded - 4))
      = None)
 
+(* A DR outcome as the store wrote it while plans still carried a pool
+   rule flag: the byte after the secondaries, 0 for shared pools.  The
+   bytes still decode to the same outcome and re-encode to themselves, and
+   a non-zero flag (the dropped dedicated-pool rule) reads as a miss. *)
+let test_codec_stored_bytes () =
+  let hex =
+    "45545031043fc0000000000000000000000000001100000000000001410000000000\
+     0000020000000300000000000000020000000101000000030000000100000000000000\
+     02003ff800000000000040020000000000004008000000000000401080000000000000\
+     000000000000003fe0000000000000408f400000000000401f00000000000000000000\
+     000000030000000300000004000000050000000600000003401400000000000040100000\
+     000000004018000000000000"
+  in
+  let stored =
+    String.init (String.length hex / 2) (fun k ->
+        Char.chr (int_of_string ("0x" ^ String.sub hex (2 * k) 2)))
+  in
+  let o =
+    {
+      Solver.placement =
+        Placement.with_dr ~primary:[| 0; 2; 1 |] ~secondary:[| 1; 0; 2 |] ();
+      summary =
+        {
+          Evaluate.cost =
+            {
+              Evaluate.space = 1.5;
+              wan = 2.25;
+              power = 3.0;
+              labor = 4.125;
+              fixed = 0.0;
+              latency_penalty = 0.5;
+              backup_capex = 1000.0;
+              backup_ops = 7.75;
+            };
+          violations = 0;
+          dcs_used = 3;
+          servers = [| 4; 5; 6 |];
+          backups = [| 5.0; 4.0; 6.0 |];
+        };
+      milp_status = Lp.Status.Node_limit;
+      milp_gap = 0.125;
+      nodes = 17;
+      lp_iterations = 321;
+      local_moves = 2;
+    }
+  in
+  Alcotest.(check bool) "stored bytes decode to the outcome" true
+    (Cluster.Codec.decode stored = Some o);
+  Alcotest.(check string) "encode writes the same bytes" hex
+    (String.concat ""
+       (List.map
+          (fun c -> Printf.sprintf "%02x" (Char.code c))
+          (List.of_seq (String.to_seq (Cluster.Codec.encode o)))));
+  (* magic, status, gap, three counters, two tagged arrays of three *)
+  let flag = 4 + 1 + 8 + (3 * 8) + (4 + 12) + 1 + (4 + 12) in
+  let flagged = Bytes.of_string stored in
+  Bytes.set flagged flag '\001';
+  Alcotest.(check bool) "a set pool flag is a miss" true
+    (Cluster.Codec.decode (Bytes.to_string flagged) = None)
+
 (* ----------------------------------------------------------------- store *)
 
 let test_store_restart () =
@@ -501,6 +561,8 @@ let suite =
       test_ring;
     Alcotest.test_case "codec: exact roundtrip, total decode" `Quick
       test_codec_roundtrip;
+    Alcotest.test_case "codec: stored bytes still decode" `Quick
+      test_codec_stored_bytes;
     Alcotest.test_case "store: restart via snapshot and scan" `Quick
       test_store_restart;
     Alcotest.test_case "store: capped budget not persisted" `Quick

@@ -110,13 +110,7 @@ let test_backup_sharing () =
      covers the worst failing site: max(4+3, 5+2) = 7. *)
   let p = Placement.with_dr ~primary:[| 0; 0; 1; 1 |] ~secondary:[| 2; 2; 2; 2 |] () in
   Alcotest.(check (array (float 1e-9))) "shared" [| 0.0; 0.0; 7.0 |]
-    (Placement.backup_servers asis p);
-  let d =
-    Placement.with_dr ~dedicated_backups:true ~primary:[| 0; 0; 1; 1 |]
-      ~secondary:[| 2; 2; 2; 2 |] ()
-  in
-  Alcotest.(check (array (float 1e-9))) "dedicated" [| 0.0; 0.0; 14.0 |]
-    (Placement.backup_servers asis d)
+    (Placement.backup_servers asis p)
 
 let test_placement_validate () =
   let asis = Fixtures.asis () in

@@ -275,17 +275,10 @@ let test_solver_input_pinned () =
     "22c37869f2867e8df537041c52d54ac6"
     (digest model);
   let joint = Fixtures.synthetic ~seed:11 ~groups:8 ~targets:4 () in
-  let options = { Dr_builder.omega = Some 0.5; dedicated_backups = false } in
+  let options = { Lp_builder.default_options with Lp_builder.omega = Some 0.5 } in
   Alcotest.(check string) "joint DR model"
-    "946f0c67df33c3f3b89b4634e31edd1c"
-    (digest (Dr_builder.build ~options joint).Dr_builder.model);
-  Alcotest.(check string) "joint DR model, dedicated backups"
-    "37c1ea9e6c642005cb4cd07fa75b6e35"
-    (digest
-       (Dr_builder.build
-          ~options:{ options with Dr_builder.dedicated_backups = true }
-          joint)
-         .Dr_builder.model)
+    "99690e9c2e3c7ba227d216849096e5d2"
+    (digest (Dr_builder.build ~options joint).Dr_builder.base.Lp_builder.model)
 
 (* Building and solving a served model forces no minor collection.  The
    runtime forces one when [Array.make] (or [init], [map], [of_list])

@@ -4,7 +4,7 @@ open Etransform
 
 let setup () =
   let asis = Fixtures.synthetic ~seed:51 ~groups:20 ~targets:4 () in
-  let plan = Solver.solve_to_placement asis in
+  let plan = (Solver.consolidate asis).Solver.placement in
   (asis, plan)
 
 let test_schedule_validates () =
