@@ -164,23 +164,42 @@ let build ?(options = default_options) asis =
           (Model.Linexpr.dot ones_m x_col.(j))
           (w *. float_of_int m)
   done;
-  (* Shared-risk separation. *)
+  (* Shared-risk separation: rows [risk_i_k_j] (i < k) for each
+     unordered pair that either group's list names, as [Placement.validate]
+     reads the lists.  Group i writes the pairs its own list names, in
+     that list's order, then those only a higher-indexed group's list
+     names, by increasing k. *)
+  let avoid i = asis.Asis.groups.(i).App_group.colocate_avoid in
+  let named_above = Array.make m [] in
   Array.iteri
-    (fun i (g : App_group.t) ->
+    (fun k (g : App_group.t) ->
       List.iter
-        (fun k ->
-          if k > i && k < m then
-            for j = 0 to n - 1 do
-              match (x.(i).(j), x.(k).(j)) with
-              | Some a, Some b ->
-                  Model.add_le model
-                    (Printf.sprintf "risk_%d_%d_%d" i k j)
-                    Model.Linexpr.(add (var a) (var b))
-                    1.0
-              | _ -> ()
-            done)
+        (fun i ->
+          if i >= 0 && i < k && not (List.mem k (avoid i)) then
+            named_above.(i) <- k :: named_above.(i))
         g.App_group.colocate_avoid)
     asis.Asis.groups;
+  for i = 0 to m - 1 do
+    let own = List.filter (fun k -> k > i && k < m) (avoid i) in
+    let own =
+      List.rev
+        (List.fold_left
+           (fun acc k -> if List.mem k acc then acc else k :: acc)
+           [] own)
+    in
+    List.iter
+      (fun k ->
+        for j = 0 to n - 1 do
+          match (x.(i).(j), x.(k).(j)) with
+          | Some a, Some b ->
+              Model.add_le model
+                (Printf.sprintf "risk_%d_%d_%d" i k j)
+                Model.Linexpr.(add (var a) (var b))
+                1.0
+          | _ -> ()
+        done)
+      (own @ List.sort_uniq compare named_above.(i))
+  done;
   (* Linear assignment costs, then the sites' discount and opening
      costs. *)
   let assign_costs =

@@ -101,6 +101,27 @@ let test_shared_risk_rows () =
   Alcotest.(check bool) "groups separated" true
     (p.Placement.primary.(0) <> p.Placement.primary.(3))
 
+(* A shared-risk pair named by the higher-indexed group alone still gets
+   its rows: [Placement.validate] reads every list, so a plan that put
+   groups 0 and 2 together would be refused after it was served. *)
+let test_one_sided_shared_risk () =
+  let asis = Fixtures.synthetic ~seed:21 ~groups:6 ~targets:3 () in
+  let groups = Array.copy asis.Asis.groups in
+  groups.(2) <- { (groups.(2)) with App_group.colocate_avoid = [ 0 ] };
+  let asis = { asis with Asis.groups } in
+  let model = (Lp_builder.build asis).Lp_builder.model in
+  let risk =
+    List.filter
+      (fun i -> String.starts_with ~prefix:"risk_" (Lp.Model.constr_name model i))
+      (List.init (Lp.Model.num_constrs model) Fun.id)
+  in
+  Alcotest.(check (list string)) "one row per target, pair (0, 2)"
+    [ "risk_0_2_0"; "risk_0_2_1"; "risk_0_2_2" ]
+    (List.map (Lp.Model.constr_name model) risk);
+  let o = Solver.consolidate asis in
+  Alcotest.(check (list string)) "served plan validates" []
+    (Placement.validate asis o.Solver.placement)
+
 let test_eos_objective_matches_curve () =
   (* With volume discounts, the MILP objective must equal the evaluator's
      exact space cost, not the first-tier approximation. *)
@@ -255,8 +276,10 @@ let test_solver_input_pinned () =
     }
   in
   let built = Lp_builder.build ~options synth in
+  (* Group 4's list names group 2 on one side only: its rows
+     [risk_2_4_j] are part of the model. *)
   Alcotest.(check string) "synthetic 30x6, every option"
-    "e3419b22cea296316f0ffb295b022337"
+    "af6e98723dc3d3f3b94d2e9a591d93bb"
     (digest built.Lp_builder.model);
   let dr = Fixtures.line () in
   let primary = (Greedy.plan dr).Placement.primary in
@@ -339,6 +362,8 @@ let suite =
     Alcotest.test_case "business-impact omega" `Quick test_omega_spreads;
     Alcotest.test_case "capacity rows" `Quick test_capacity_binds;
     Alcotest.test_case "shared-risk rows" `Quick test_shared_risk_rows;
+    Alcotest.test_case "shared-risk rows named by one side" `Quick
+      test_one_sided_shared_risk;
     Alcotest.test_case "economies of scale priced exactly" `Quick test_eos_objective_matches_curve;
     Alcotest.test_case "pin/forbid conflict" `Quick test_pin_on_forbidden_rejected;
     Alcotest.test_case "LP file export" `Quick test_lp_file_export;
