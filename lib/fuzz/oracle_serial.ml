@@ -24,13 +24,24 @@ let gen_num : float Gen.t =
           ] );
     ]
 
+(* Printable ASCII, the bytes that must be escaped, and UTF-8 scalars of
+   two, three and four bytes (the last print as surrogate pairs when
+   escaped). *)
 let gen_string : string Gen.t =
-  Gen.string_of ~max:12
-    (Gen.frequency
-       [
-         (8, Gen.char_range ' ' '~');
-         (1, Gen.choose [ '"'; '\\'; '\n'; '\r'; '\t'; '\x01'; '\x1f' ]);
-       ])
+  Gen.map (String.concat "")
+    (Gen.list ~max:12
+       (Gen.frequency
+          [
+            (8, Gen.map (String.make 1) (Gen.char_range ' ' '~'));
+            ( 1,
+              Gen.map (String.make 1)
+                (Gen.choose
+                   [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\x01'; '\x1f' ]) );
+            ( 1,
+              Gen.choose
+                [ "\xc3\xa9"; "\xc2\x80"; "\xe2\x82\xac"; "\xef\xbf\xbf";
+                  "\xf0\x9f\x98\x80"; "\xf4\x8f\xbf\xbf" ] );
+          ]))
 
 let rec gen_json depth : Service.Json.t Gen.t =
  fun rng ->
@@ -103,18 +114,132 @@ let rec shrink_json (j : Service.Json.t) : Service.Json.t Seq.t =
               ~elt:(fun (k, v) -> Seq.map (fun v -> (k, v)) (shrink_json v))
               kvs))
 
-let arb_json =
-  Check.arb ~shrink:shrink_json
-    ~pp:(fun ppf j -> Format.fprintf ppf "%s" (Service.Json.to_string j))
-    (gen_json 3)
+(* The same value printed another way the grammar allows, drawn from
+   [rng]: insignificant whitespace around every token, and each string
+   scalar either raw or as an equivalent escape ([\/], [\u00XX] in either
+   hex case, a surrogate pair above the basic plane). *)
+let noisy_print rng j =
+  let buf = Buffer.create 128 in
+  let draw n = Datasets.Prng.int rng n in
+  let ws () =
+    for _ = 1 to max 0 (draw 6 - 3) do
+      Buffer.add_char buf (Datasets.Prng.pick rng [| ' '; '\t'; '\n'; '\r' |])
+    done
+  in
+  let u4 u =
+    let digits = if draw 2 = 0 then "0123456789abcdef" else "0123456789ABCDEF" in
+    Buffer.add_string buf "\\u";
+    for k = 3 downto 0 do
+      Buffer.add_char buf digits.[(u lsr (4 * k)) land 0xF]
+    done
+  in
+  let scalar u =
+    if u >= 0x10000 then begin
+      let v = u - 0x10000 in
+      u4 (0xD800 lor (v lsr 10));
+      u4 (0xDC00 lor (v land 0x3FF))
+    end
+    else u4 u
+  in
+  let str s =
+    Buffer.add_char buf '"';
+    let n = String.length s in
+    let rec go i =
+      if i < n then begin
+        let c = Char.code s.[i] in
+        let len =
+          if c < 0x80 then 1 else if c < 0xE0 then 2 else if c < 0xF0 then 3 else 4
+        in
+        let cont k = i + k < n && Char.code s.[i + k] land 0xC0 = 0x80 in
+        (* A byte that starts no whole UTF-8 sequence (a shrunk string
+           may cut one) stays raw, as the parser passes it through. *)
+        let len, raw =
+          if c >= 0x80 && (c < 0xC0 || not (List.for_all cont (List.init (len - 1) succ)))
+          then (1, true)
+          else (len, false)
+        in
+        let u =
+          if len = 1 then c
+          else
+            let u = ref (c land (0xFF lsr (len + 1))) in
+            for k = 1 to len - 1 do
+              u := (!u lsl 6) lor (Char.code s.[i + k] land 0x3F)
+            done;
+            !u
+        in
+        let escaped = (not raw) && draw 3 = 0 in
+        (match Char.unsafe_chr c with
+        | '"' -> if escaped then scalar u else Buffer.add_string buf "\\\""
+        | '\\' -> if escaped then scalar u else Buffer.add_string buf "\\\\"
+        | '/' -> if escaped then Buffer.add_string buf "\\/" else Buffer.add_char buf '/'
+        | '\n' when not escaped -> Buffer.add_string buf "\\n"
+        | '\r' when not escaped -> Buffer.add_string buf "\\r"
+        | '\t' when not escaped -> Buffer.add_string buf "\\t"
+        | '\b' when not escaped -> Buffer.add_string buf "\\b"
+        | '\012' when not escaped -> Buffer.add_string buf "\\f"
+        | _ when c < 0x20 || escaped -> scalar u
+        | _ -> Buffer.add_substring buf s i len);
+        go (i + len)
+      end
+    in
+    go 0;
+    Buffer.add_char buf '"'
+  in
+  let rec value j =
+    ws ();
+    (match j with
+    | Service.Json.Null | Bool _ | Num _ ->
+        Buffer.add_string buf (Service.Json.to_string j)
+    | Str s -> str s
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            value v)
+          items;
+        if items = [] then ws ();
+        Buffer.add_char buf ']'
+    | Obj members ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            ws ();
+            str k;
+            ws ();
+            Buffer.add_char buf ':';
+            value v)
+          members;
+        if members = [] then ws ();
+        Buffer.add_char buf '}');
+    ws ()
+  in
+  value j;
+  Buffer.contents buf
 
-let json_roundtrip j =
-  let s = Service.Json.to_string j in
-  match Service.Json.parse s with
-  | Error e -> failf "rendered %S, reparse failed: %s" s e
-  | Ok j' ->
-      if json_eq j j' then Ok ()
-      else failf "rendered %S, reparsed as %S" s (Service.Json.to_string j')
+(* A value and the seed of its noisy printing. *)
+let arb_json =
+  Check.arb
+    ~shrink:(fun (j, seed) -> Seq.map (fun j -> (j, seed)) (shrink_json j))
+    ~pp:(fun ppf (j, seed) ->
+      Format.fprintf ppf "%s, noisy %S" (Service.Json.to_string j)
+        (noisy_print (Datasets.Prng.create seed) j))
+    (Gen.pair (gen_json 3) (Gen.int_range 0 0x3FFF_FFFF))
+
+(* Both the compact rendering and a noisy printing of the value parse
+   back to it. *)
+let json_roundtrip (j, seed) =
+  let reparse what s =
+    match Service.Json.parse s with
+    | Error e -> failf "%s %S, reparse failed: %s" what s e
+    | Ok j' ->
+        if json_eq j j' then Ok ()
+        else failf "%s %S, reparsed as %S" what s (Service.Json.to_string j')
+  in
+  match reparse "rendered" (Service.Json.to_string j) with
+  | Error _ as e -> e
+  | Ok () -> reparse "printed" (noisy_print (Datasets.Prng.create seed) j)
 
 (* -------------------------------------------------- LP file round-trip *)
 

@@ -1,4 +1,4 @@
-let fl f = Printf.sprintf "%h" f
+let fl = Service.Job.fl
 
 let canonical_key ~penalty (cfg : Line_estate.config) =
   String.concat ","

@@ -69,31 +69,62 @@ let refill c =
     end
   end
 
+(* The next byte's code, or -1 at EOF: nothing is allocated per byte. *)
 let read_byte c =
   if refill c then begin
-    let b = Bytes.get c.buf c.pos in
+    let b = Bytes.unsafe_get c.buf c.pos in
     c.pos <- c.pos + 1;
-    Some b
+    Char.code b
   end
-  else None
+  else -1
+
+(* The index of the first LF in [buf.[i .. stop - 1]], or [stop]. *)
+let rec find_lf buf i stop =
+  if i >= stop || Bytes.unsafe_get buf i = '\n' then i
+  else find_lf buf (i + 1) stop
+
+(* The line [scratch] ^ [b.[start .. stop - 1]] less one trailing CR.  A
+   line that lies whole in [b] is copied once, without [scratch]. *)
+let line_of scratch b start stop =
+  if Buffer.length scratch = 0 then
+    let stop =
+      if stop > start && Bytes.get b (stop - 1) = '\r' then stop - 1 else stop
+    in
+    Bytes.sub_string b start (stop - start)
+  else begin
+    Buffer.add_subbytes scratch b start (stop - start);
+    let n = Buffer.length scratch in
+    Buffer.sub scratch 0
+      (if n > 0 && Buffer.nth scratch (n - 1) = '\r' then n - 1 else n)
+  end
 
 (* One CRLF- (or bare-LF-) terminated protocol line, terminator dropped.
-   [None] only when EOF arrives before any byte. *)
+   [None] only when EOF arrives before any byte.  The bytes before the LF
+   are taken a buffered run at a time; every one of them counts against
+   [max_request_line], so the line that is one byte too long is refused
+   at the same byte as when they were taken one at a time. *)
 let read_crlf_line c =
   let buf = c.line_scratch in
   Buffer.clear buf;
+  let max = c.limits.max_request_line in
   let rec go () =
-    match read_byte c with
-    | None -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
-    | Some '\n' ->
-        let s = Buffer.contents buf in
-        let n = String.length s in
-        Some (if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s)
-    | Some ch ->
-        if Buffer.length buf >= c.limits.max_request_line then
-          bad "header line exceeds %d bytes" c.limits.max_request_line;
-        Buffer.add_char buf ch;
+    if not (refill c) then
+      if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+    else begin
+      let start = c.pos in
+      let lf = find_lf c.buf start c.len in
+      if Buffer.length buf + (lf - start) > max then
+        bad "header line exceeds %d bytes" max;
+      if lf < c.len then begin
+        c.pos <- lf + 1;
+        Some (line_of buf c.buf start lf)
+      end
+      else begin
+        Buffer.add_subbytes buf c.buf start (lf - start);
+        c.pos <- lf;
         go ()
+      end
+    end
   in
   go ()
 
@@ -212,15 +243,15 @@ let parse_chunk_size line =
   in
   n
 
+(* The next body byte's code, or -1 at the end of the body. *)
 let rec body_byte b =
   match b.mode with
-  | Done -> None
-  | Fixed n -> (
-      match read_byte b.bconn with
-      | None -> bad "connection closed inside body"
-      | Some ch ->
-          b.mode <- (if n = 1 then Done else Fixed (n - 1));
-          account b ch)
+  | Done -> -1
+  | Fixed n ->
+      let ch = read_byte b.bconn in
+      if ch < 0 then bad "connection closed inside body";
+      b.mode <- (if n = 1 then Done else Fixed (n - 1));
+      account b ch
   | Chunk_header -> (
       match read_crlf_line b.bconn with
       | None -> bad "connection closed inside chunked body"
@@ -236,65 +267,120 @@ let rec body_byte b =
             in
             trailers ();
             b.mode <- Done;
-            None
+            -1
           end
           else begin
             b.mode <- Chunk_data n;
             body_byte b
           end)
-  | Chunk_data n -> (
-      match read_byte b.bconn with
-      | None -> bad "connection closed inside chunk"
-      | Some ch ->
-          (if n = 1 then begin
-             (* Consume the CRLF that closes every chunk. *)
-             (match read_byte b.bconn with
-             | Some '\r' -> (
-                 match read_byte b.bconn with
-                 | Some '\n' -> ()
-                 | _ -> bad "missing LF after chunk")
-             | Some '\n' -> ()
-             | _ -> bad "missing CRLF after chunk");
-             b.mode <- Chunk_header
-           end
-           else b.mode <- Chunk_data (n - 1));
-          account b ch)
+  | Chunk_data n ->
+      let ch = read_byte b.bconn in
+      if ch < 0 then bad "connection closed inside chunk";
+      (if n = 1 then begin
+         (* Consume the CRLF that closes every chunk. *)
+         let t = read_byte b.bconn in
+         if t = Char.code '\r' then begin
+           if read_byte b.bconn <> Char.code '\n' then
+             bad "missing LF after chunk"
+         end
+         else if t <> Char.code '\n' then bad "missing CRLF after chunk";
+         b.mode <- Chunk_header
+       end
+       else b.mode <- Chunk_data (n - 1));
+      account b ch
 
 and account b ch =
   b.total <- b.total + 1;
   if b.total > b.bconn.limits.max_body then raise Payload_too_large;
-  Some ch
+  ch
+
+(* How many body bytes, already in the connection buffer, can be taken
+   in one copy.  A chunk's last byte (its CRLF follows) and the byte that
+   would pass [max_body] are left to [body_byte], as is the first byte
+   after each refill, so every error is raised at the same byte as when
+   the body was read one byte at a time. *)
+let body_run b =
+  let c = b.bconn in
+  let avail = c.len - c.pos and room = c.limits.max_body - b.total in
+  match b.mode with
+  | Fixed n -> min (min n avail) room
+  | Chunk_data n -> min (min (n - 1) avail) room
+  | Chunk_header | Done -> 0
+
+(* Consume [k] bytes of the current run. *)
+let take_run b k =
+  b.bconn.pos <- b.bconn.pos + k;
+  b.total <- b.total + k;
+  match b.mode with
+  | Fixed n -> b.mode <- (if n = k then Done else Fixed (n - k))
+  | Chunk_data n -> b.mode <- Chunk_data (n - k)
+  | Chunk_header | Done -> ()
 
 let read_line b =
-  let buf = b.bconn.body_scratch in
+  let c = b.bconn in
+  let buf = c.body_scratch in
   Buffer.clear buf;
   let rec go () =
-    match body_byte b with
-    | None -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
-    | Some '\n' ->
-        let s = Buffer.contents buf in
-        let n = String.length s in
-        Some (if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s)
-    | Some ch ->
-        Buffer.add_char buf ch;
+    let k = body_run b in
+    if k > 0 then begin
+      let start = c.pos in
+      let lf = find_lf c.buf start (start + k) in
+      if lf < start + k then begin
+        take_run b (lf - start + 1);
+        Some (line_of buf c.buf start lf)
+      end
+      else begin
+        Buffer.add_subbytes buf c.buf start k;
+        take_run b k;
         go ()
+      end
+    end
+    else
+      let ch = body_byte b in
+      if ch < 0 then
+        if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+      else if ch = Char.code '\n' then Some (line_of buf c.buf 0 0)
+      else begin
+        Buffer.add_char buf (Char.unsafe_chr ch);
+        go ()
+      end
   in
   go ()
 
 let read_all b =
-  let buf = b.bconn.body_scratch in
+  let c = b.bconn in
+  let buf = c.body_scratch in
   Buffer.clear buf;
   let rec go () =
-    match body_byte b with
-    | None -> Buffer.contents buf
-    | Some ch ->
-        Buffer.add_char buf ch;
+    let k = body_run b in
+    if k > 0 then begin
+      let start = c.pos in
+      take_run b k;
+      match b.mode with
+      | Done when Buffer.length buf = 0 -> Bytes.sub_string c.buf start k
+      | _ ->
+          Buffer.add_subbytes buf c.buf start k;
+          go ()
+    end
+    else
+      let ch = body_byte b in
+      if ch < 0 then Buffer.contents buf
+      else begin
+        Buffer.add_char buf (Char.unsafe_chr ch);
         go ()
+      end
   in
   go ()
 
 let drain b =
-  let rec go () = match body_byte b with None -> () | Some _ -> go () in
+  let rec go () =
+    let k = body_run b in
+    if k > 0 then begin
+      take_run b k;
+      go ()
+    end
+    else if body_byte b >= 0 then go ()
+  in
   go ()
 
 (* -------------------------------------------------------------- writing *)

@@ -75,8 +75,14 @@ let v ?(id = "") ?(dr = false) ?(economies_of_scale = false)
   }
 
 (* Hex floats round-trip exactly, so two jobs fingerprint equal iff their
-   numeric fields are bit-identical. *)
-let fl f = Printf.sprintf "%h" f
+   numeric fields are bit-identical.  [Printf.sprintf "%h"] calls this
+   primitive with precision -6 (as many digits as needed) and sign '-'
+   (none for positive numbers); calling it directly skips the format
+   interpreter. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+let fl f = hexstring_of_float f (-6) '-'
 
 let opt f = function None -> "~" | Some v -> f v
 

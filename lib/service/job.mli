@@ -95,6 +95,11 @@ val v :
   ?degrade:bool ->
   estate -> t
 
+(** [fl f] is [Printf.sprintf "%h" f] byte for byte: the exact
+    hexadecimal text of [f], the form every float takes in a canonical
+    key. *)
+val fl : float -> string
+
 (** Canonical key of the estate alone (the [Dataset] fields or the
     [Inline] key). *)
 val estate_key : estate -> string

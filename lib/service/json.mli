@@ -17,6 +17,12 @@ val parse : string -> (t, string) result
 (** Compact single-line rendering (safe for NDJSON / JSONL streams). *)
 val to_string : t -> string
 
+(** How {!to_string} prints a [Num]: [null] when not finite, an integer
+    below 1e15 in plain digits ([Printf.sprintf "%.0f"]), any other value
+    as [Printf.sprintf "%.12g"] when that reads back as the same float,
+    else as ["%.17g"]. *)
+val number_to_string : float -> string
+
 (** [member k j] is the value under key [k] when [j] is an object. *)
 val member : string -> t -> t option
 

@@ -241,6 +241,94 @@ let test_fingerprint_pinned () =
     "pinned fingerprint" "4fd1af45cdd5155174ebe2c6fd69ecc2"
     (Service.Job.fingerprint job)
 
+(* Keys and result lines print floats through the runtime's primitives
+   directly.  They must print what the [Printf] forms did, byte for byte:
+   the references below are those forms, kept here only. *)
+
+let ref_hex f = Printf.sprintf "%h" f
+
+let ref_number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Signed zeros, subnormals, infinities, NaNs of both signs, every power
+   of two, their neighbours, integers around the 1e15 switch, and 10 000
+   seeded random bit patterns. *)
+let float_corpus =
+  let st = Random.State.make [| 36 |] in
+  let specials =
+    [
+      0.0; -0.0; infinity; neg_infinity; nan; Float.neg nan; Float.min_float;
+      -.Float.min_float; Float.max_float; -.Float.max_float; 4.9e-324;
+      -4.9e-324; Float.pred Float.min_float; Float.epsilon; 1e15; -1e15;
+      Float.pred 1e15; Float.succ 1e15; 0.1; 1.0 /. 3.0; 123456.789;
+    ]
+  in
+  let powers =
+    List.concat_map
+      (fun k ->
+        let p = Float.ldexp 1.0 k in
+        [ p; -.p; Float.succ p; Float.pred p ])
+      (List.init (1023 + 1075) (fun i -> i - 1074))
+  in
+  let random =
+    List.init 10_000 (fun _ -> Int64.float_of_bits (Random.State.bits64 st))
+  in
+  specials @ powers @ random
+
+let test_hex_floats_match_printf () =
+  List.iter
+    (fun f ->
+      let want = ref_hex f in
+      if Service.Job.fl f <> want then
+        Alcotest.failf "Job.fl %Lx: %S, Printf %S" (Int64.bits_of_float f)
+          (Service.Job.fl f) want)
+    float_corpus;
+  (* [Line_jobs.fl] through the key it writes: each float field of a
+     line estate, and the penalty, is one comma-separated field. *)
+  let corpus = Array.of_list float_corpus in
+  for c = 0 to (Array.length corpus / 11) - 1 do
+    let v = Array.sub corpus (11 * c) 11 in
+    let cfg =
+      {
+        Harness.Line_estate.default with
+        Harness.Line_estate.base_space = v.(0);
+        space_step = v.(1);
+        base_latency_ms = v.(2);
+        ms_per_hop = v.(3);
+        latency_exponent = v.(4);
+        users_per_group = v.(5);
+        frac_at_0 = v.(6);
+        data_mb_month = v.(8);
+        vpn_base = v.(9);
+        vpn_per_ms = v.(10);
+      }
+    in
+    let key = Harness.Line_jobs.canonical_key ~penalty:v.(7) cfg in
+    let fields = Array.of_list (String.split_on_char ',' key) in
+    Alcotest.(check (array string)) "line key floats" (Array.map ref_hex v)
+      (Array.append (Array.sub fields 5 9) (Array.sub fields 15 2))
+  done
+
+let test_number_to_string_matches_printf () =
+  List.iter
+    (fun f ->
+      let want = ref_number f in
+      if Service.Json.number_to_string f <> want then
+        Alcotest.failf "number_to_string %Lx: %S, Printf %S"
+          (Int64.bits_of_float f) (Service.Json.number_to_string f) want)
+    float_corpus;
+  (* Integers below the switch print with or without a sign, and through
+     [to_string] the same way. *)
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "integer" (ref_number f)
+        (Service.Json.to_string (Service.Json.Num f)))
+    [ 0.0; -0.0; 7.0; -7.0; 10.0; 99999.0; 999999999999999.0; -999999999999999.0 ]
+
 (* Unknown keys are ignored (Batch's contract), including the "milp"
    keys older clients may still send. *)
 let test_unknown_milp_keys_ignored () =
@@ -968,6 +1056,10 @@ let suite =
       test_fingerprint_pinned;
     Alcotest.test_case "fingerprint: unknown milp keys ignored" `Quick
       test_unknown_milp_keys_ignored;
+    Alcotest.test_case "keys: hex floats match Printf %h" `Quick
+      test_hex_floats_match_printf;
+    Alcotest.test_case "json: numbers match the Printf forms" `Quick
+      test_number_to_string_matches_printf;
     Alcotest.test_case "pool: lookups counted once per tier" `Quick
       test_pool_lookup_counts;
     Alcotest.test_case "pool: a full queue still answers local hits" `Quick
