@@ -36,7 +36,8 @@ let gen_string : string Gen.t =
             ( 1,
               Gen.map (String.make 1)
                 (Gen.choose
-                   [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\x01'; '\x1f' ]) );
+                   [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\x01';
+                     '\x1f' ]) );
             ( 1,
               Gen.choose
                 [ "\xc3\xa9"; "\xc2\x80"; "\xe2\x82\xac"; "\xef\xbf\xbf";
@@ -127,7 +128,9 @@ let noisy_print rng j =
     done
   in
   let u4 u =
-    let digits = if draw 2 = 0 then "0123456789abcdef" else "0123456789ABCDEF" in
+    let digits =
+      if draw 2 = 0 then "0123456789abcdef" else "0123456789ABCDEF"
+    in
     Buffer.add_string buf "\\u";
     for k = 3 downto 0 do
       Buffer.add_char buf digits.[(u lsr (4 * k)) land 0xF]
@@ -148,13 +151,18 @@ let noisy_print rng j =
       if i < n then begin
         let c = Char.code s.[i] in
         let len =
-          if c < 0x80 then 1 else if c < 0xE0 then 2 else if c < 0xF0 then 3 else 4
+          if c < 0x80 then 1
+          else if c < 0xE0 then 2
+          else if c < 0xF0 then 3
+          else 4
         in
         let cont k = i + k < n && Char.code s.[i + k] land 0xC0 = 0x80 in
         (* A byte that starts no whole UTF-8 sequence (a shrunk string
            may cut one) stays raw, as the parser passes it through. *)
         let len, raw =
-          if c >= 0x80 && (c < 0xC0 || not (List.for_all cont (List.init (len - 1) succ)))
+          if
+            c >= 0x80
+            && (c < 0xC0 || not (List.for_all cont (List.init (len - 1) succ)))
           then (1, true)
           else (len, false)
         in
@@ -171,7 +179,9 @@ let noisy_print rng j =
         (match Char.unsafe_chr c with
         | '"' -> if escaped then scalar u else Buffer.add_string buf "\\\""
         | '\\' -> if escaped then scalar u else Buffer.add_string buf "\\\\"
-        | '/' -> if escaped then Buffer.add_string buf "\\/" else Buffer.add_char buf '/'
+        | '/' ->
+            if escaped then Buffer.add_string buf "\\/"
+            else Buffer.add_char buf '/'
         | '\n' when not escaped -> Buffer.add_string buf "\\n"
         | '\r' when not escaped -> Buffer.add_string buf "\\r"
         | '\t' when not escaped -> Buffer.add_string buf "\\t"

@@ -131,8 +131,8 @@ let filler n =
     else
       let len = if n > 4000 then 3000 else n in
       let name = Printf.sprintf "X-F%d: " i in
-      go (i + 1) (n - len)
-        ((name ^ String.make (len - String.length name - 2) 'c' ^ "\r\n") :: acc)
+      let line = name ^ String.make (len - String.length name - 2) 'c' in
+      go (i + 1) (n - len) ((line ^ "\r\n") :: acc)
   in
   go 0 n []
 
@@ -152,12 +152,12 @@ let test_header_line_at_limit () =
           in
           let read len =
             outcome (fun () ->
-                match Server.Http.read_request (conn_of_string ~step (head len)) with
+                let conn = conn_of_string ~step (head len) in
+                match Server.Http.read_request conn with
                 | None -> "none"
                 | Some r ->
-                    string_of_int
-                      (String.length
-                         (Option.value ~default:"" (Server.Http.header r "x-long"))))
+                    let v = Server.Http.header r "x-long" in
+                    string_of_int (String.length (Option.value ~default:"" v)))
           in
           Alcotest.(check string)
             (Printf.sprintf "%s, %d bytes before: limit parses" what before)
@@ -169,13 +169,13 @@ let test_header_line_at_limit () =
             (read (max_line + 1)))
         [ 0; 16384 - String.length request_line - 100 ];
       (* The request line is bounded the same way. *)
-      let target len = "/" ^ String.make (len - String.length "GET / HTTP/1.1\r") 'p' in
+      let line len =
+        let pad = len - String.length "GET / HTTP/1.1\r" in
+        "GET /" ^ String.make pad 'p' ^ " HTTP/1.1\r\n\r\n"
+      in
       let read len =
         outcome (fun () ->
-            match
-              Server.Http.read_request
-                (conn_of_string ~step ("GET " ^ target len ^ " HTTP/1.1\r\n\r\n"))
-            with
+            match Server.Http.read_request (conn_of_string ~step (line len)) with
             | None -> "none"
             | Some r -> string_of_int (String.length r.Server.Http.path))
       in
@@ -188,19 +188,26 @@ let test_header_line_at_limit () =
 
 let ndjson_body n =
   String.concat ""
-    (List.init n (fun i -> Printf.sprintf "{\"line\":%d,\"pad\":\"%s\"}\n" i (String.make (i mod 97) 'z')))
+    (List.init n (fun i ->
+         Printf.sprintf "{\"line\":%d,\"pad\":\"%s\"}\n" i
+           (String.make (i mod 97) 'z')))
 
 (* Bodies longer than the 16 KiB connection buffer, so one read ends
    inside them: a Content-Length body and a chunked one whose chunk
    straddles the buffer's end, read whole and line by line. *)
 let test_body_across_buffer_end () =
   let body = ndjson_body 400 in
-  Alcotest.(check bool) "body spans two buffers" true (String.length body > 20000);
-  let fixed = Printf.sprintf "POST /batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" (String.length body) body in
+  let n = String.length body in
+  Alcotest.(check bool) "body spans two buffers" true (n > 20000);
+  let fixed =
+    Printf.sprintf "POST /batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" n body
+  in
   let chunked =
-    let a = String.sub body 0 16000 and b = String.sub body 16000 (String.length body - 16000) in
-    Printf.sprintf "POST /batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n"
-      (String.length a) a (String.length b) b
+    let chunk s = Printf.sprintf "%x\r\n%s\r\n" (String.length s) s in
+    "POST /batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+    ^ chunk (String.sub body 0 16000)
+    ^ chunk (String.sub body 16000 (n - 16000))
+    ^ "0\r\n\r\n"
   in
   let lines = List.filter (( <> ) "") (String.split_on_char '\n' body) in
   List.iter
@@ -208,32 +215,41 @@ let test_body_across_buffer_end () =
       List.iter
         (fun (enc, text) ->
           let open_body () =
-            let conn = conn_of_string ~step (text ^ "GET /next HTTP/1.1\r\n\r\n") in
+            let text = text ^ "GET /next HTTP/1.1\r\n\r\n" in
+            let conn = conn_of_string ~step text in
             match Server.Http.read_request conn with
             | None -> Alcotest.fail "no request"
             | Some r -> (conn, Server.Http.body_of_request conn r)
           in
+          let next conn =
+            Option.map
+              (fun r -> r.Server.Http.path)
+              (Server.Http.read_request conn)
+          in
+          let name = Printf.sprintf "%s, %s: %s" what enc in
           let conn, b = open_body () in
-          Alcotest.(check string) (Printf.sprintf "%s, %s: read_all" what enc) body
-            (Server.Http.read_all b);
-          Alcotest.(check (option string)) "next request follows"
-            (Some "/next")
-            (Option.map (fun r -> r.Server.Http.path) (Server.Http.read_request conn));
+          Alcotest.(check string) (name "read_all") body (Server.Http.read_all b);
+          Alcotest.(check (option string)) (name "next request") (Some "/next")
+            (next conn);
           let conn, b = open_body () in
           let rec all acc =
-            match Server.Http.read_line b with None -> List.rev acc | Some l -> all (l :: acc)
+            match Server.Http.read_line b with
+            | None -> List.rev acc
+            | Some l -> all (l :: acc)
           in
-          Alcotest.(check (list string)) (Printf.sprintf "%s, %s: read_line" what enc) lines (all []);
-          Alcotest.(check (option string)) "next request follows after lines"
-            (Some "/next")
-            (Option.map (fun r -> r.Server.Http.path) (Server.Http.read_request conn)))
+          Alcotest.(check (list string)) (name "read_line") lines (all []);
+          Alcotest.(check (option string)) (name "next request after lines")
+            (Some "/next") (next conn))
         [ ("content-length", fixed); ("chunked", chunked) ])
     steps
 
 (* A body that ends before its Content-Length is still a 400 naming it,
    whichever reader meets the end. *)
 let test_body_ends_early () =
-  let text = "POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n" ^ String.make 40 'b' ^ "\nbbb" in
+  let text =
+    "POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+    ^ String.make 40 'b' ^ "\nbbb"
+  in
   List.iter
     (fun (what, step) ->
       List.iter
@@ -249,8 +265,14 @@ let test_body_ends_early () =
             "400 connection closed inside body" got)
         [
           ("read_all", Server.Http.read_all);
-          ("read_line", fun b -> ignore (Server.Http.read_line b); Option.value ~default:"" (Server.Http.read_line b));
-          ("drain", fun b -> Server.Http.drain b; "drained");
+          ( "read_line",
+            fun b ->
+              ignore (Server.Http.read_line b);
+              Option.value ~default:"" (Server.Http.read_line b) );
+          ( "drain",
+            fun b ->
+              Server.Http.drain b;
+              "drained" );
         ])
     steps
 
@@ -267,10 +289,13 @@ let test_body_limit_same_byte () =
             let conn = conn_of_string ~limits ~step text in
             match Server.Http.read_request conn with
             | None -> "none"
-            | Some r -> Server.Http.read_all (Server.Http.body_of_request conn r)))
+            | Some r ->
+                Server.Http.read_all (Server.Http.body_of_request conn r)))
       steps
   in
-  let chunked body = "POST /batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" ^ body in
+  let chunked body =
+    "POST /batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" ^ body
+  in
   List.iter
     (fun (body, want) ->
       Alcotest.(check (list string)) body [ want; want ] (read (chunked body)))
@@ -282,7 +307,8 @@ let test_body_limit_same_byte () =
       ("5\r\nabcde\r\n5\r\nfghij\rX0\r\n\r\n", "400 missing LF after chunk");
       ("5\r\nabcde\r\n5\r\nfgh", "400 connection closed inside chunk");
     ];
-  Alcotest.(check (list string)) "content-length over the limit" [ "413"; "413" ]
+  Alcotest.(check (list string))
+    "content-length over the limit" [ "413"; "413" ]
     (read "POST /solve HTTP/1.1\r\nContent-Length: 11\r\n\r\n01234567890")
 
 let suite =

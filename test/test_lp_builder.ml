@@ -112,7 +112,8 @@ let test_one_sided_shared_risk () =
   let model = (Lp_builder.build asis).Lp_builder.model in
   let risk =
     List.filter
-      (fun i -> String.starts_with ~prefix:"risk_" (Lp.Model.constr_name model i))
+      (fun i ->
+        String.starts_with ~prefix:"risk_" (Lp.Model.constr_name model i))
       (List.init (Lp.Model.num_constrs model) Fun.id)
   in
   Alcotest.(check (list string)) "one row per target, pair (0, 2)"
@@ -120,6 +121,9 @@ let test_one_sided_shared_risk () =
     (List.map (Lp.Model.constr_name model) risk);
   let o = Solver.consolidate asis in
   Alcotest.(check (list string)) "served plan validates" []
+    (Placement.validate asis o.Solver.placement);
+  let o = Dr_planner.plan asis in
+  Alcotest.(check (list string)) "served DR plan validates" []
     (Placement.validate asis o.Solver.placement)
 
 let test_eos_objective_matches_curve () =

@@ -327,7 +327,10 @@ let test_number_to_string_matches_printf () =
     (fun f ->
       Alcotest.(check string) "integer" (ref_number f)
         (Service.Json.to_string (Service.Json.Num f)))
-    [ 0.0; -0.0; 7.0; -7.0; 10.0; 99999.0; 999999999999999.0; -999999999999999.0 ]
+    [
+      0.0; -0.0; 7.0; -7.0; 10.0; 99999.0; 999999999999999.0;
+      -999999999999999.0;
+    ]
 
 (* Unknown keys are ignored (Batch's contract), including the "milp"
    keys older clients may still send. *)
