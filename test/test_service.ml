@@ -1059,10 +1059,6 @@ let suite =
       test_fingerprint_pinned;
     Alcotest.test_case "fingerprint: unknown milp keys ignored" `Quick
       test_unknown_milp_keys_ignored;
-    Alcotest.test_case "keys: hex floats match Printf %h" `Quick
-      test_hex_floats_match_printf;
-    Alcotest.test_case "json: numbers match the Printf forms" `Quick
-      test_number_to_string_matches_printf;
     Alcotest.test_case "pool: lookups counted once per tier" `Quick
       test_pool_lookup_counts;
     Alcotest.test_case "pool: a full queue still answers local hits" `Quick
@@ -1077,4 +1073,8 @@ let suite =
       test_pool_shutdown_drains;
     Alcotest.test_case "batch: a DR job takes no fixed charges" `Quick
       test_dr_fixed_charges_rejected;
+    Alcotest.test_case "keys: hex floats match Printf %h" `Quick
+      test_hex_floats_match_printf;
+    Alcotest.test_case "json: numbers match the Printf forms" `Quick
+      test_number_to_string_matches_printf;
   ]
