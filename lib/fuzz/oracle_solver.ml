@@ -297,6 +297,72 @@ let milp_node_limited_vs_enumeration spec =
          and the probes then taper with the nodes left. *)
       check [ 1; 2; 3; 4; 9 ]
 
+(* ------------------------------------------------ gap-stop soundness *)
+
+(* [gap_tol] ends the search once the incumbent is within it of the least
+   open key, so a solve may stop with the optimum unproven, but never
+   unsoundly: its bound may not pass the enumerated optimum nor its
+   objective beat it, and an [Optimal] status means the objective is
+   within [gap_tol] of the optimum.  The stop also fires at the first
+   node where it may: re-solving at the reported gap of an [Optimal]
+   solve must stop at the same node with the same point, since the
+   earlier nodes' gaps all exceeded [gap_tol].  A rule that measures the
+   gap against the root key alone stops later than the popped key
+   allows and fails that. *)
+let arb_milp_gap_stop =
+  Check.arb
+    ~shrink:(Shrink.pair Gen_lp.shrink Shrink.float)
+    ~pp:(fun ppf (spec, gap_tol) ->
+      Format.fprintf ppf "gap_tol=%h@ %a" gap_tol Gen_lp.pp spec)
+    (Gen.pair milp_branching (Gen.float_range 0.0 0.2))
+
+let milp_gap_stop_vs_enumeration (spec, gap_tol) =
+  let model = Gen_lp.to_model spec in
+  let solve gap_tol =
+    Lp.Milp.solve ~options:{ exhaustive_options with Lp.Milp.gap_tol } model
+  in
+  let res = solve gap_tol in
+  let x = res.Lp.Milp.x and obj = res.Lp.Milp.obj in
+  let min_sense v = if spec.Gen_lp.minimize then v else -.v in
+  let le a b = min_sense a <= min_sense b +. (tol *. (1.0 +. Float.abs b)) in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        Error
+          (Printf.sprintf "gap_tol %g (%s, %d nodes, gap %g): %s" gap_tol
+             (Lp.Status.to_string res.Lp.Milp.status)
+             res.Lp.Milp.nodes res.Lp.Milp.gap s))
+      fmt
+  in
+  match enumerate_mixed spec model with
+  | Error _ as e -> e
+  | Ok None ->
+      if res.Lp.Milp.status = Lp.Status.Infeasible then Ok ()
+      else fail "enumeration says infeasible"
+  | Ok (Some (best, _)) ->
+      if res.Lp.Milp.status <> Lp.Status.Optimal then
+        fail "enumeration found optimum %g" best
+      else if not (point_feasible spec x && Lp.Milp.integral model x) then
+        fail "point is not a feasible mixed-integer point (obj %g)" obj
+      else if not (close (objective spec x) obj) then
+        fail "reported objective %g but the point evaluates to %g" obj
+          (objective spec x)
+      else if not (le res.Lp.Milp.bound best) then
+        fail "bound %g passes the enumerated optimum %g" res.Lp.Milp.bound best
+      else if not (le best obj) then
+        fail "objective %g beats the enumerated optimum %g" obj best
+      else if
+        min_sense obj -. min_sense best
+        > (gap_tol +. 1e-9) *. Float.max 1.0 (Float.abs obj)
+      then fail "objective %g is not within gap_tol of the optimum %g" obj best
+      else
+        let again = solve res.Lp.Milp.gap in
+        if again.Lp.Milp.nodes <> res.Lp.Milp.nodes || again.Lp.Milp.x <> x
+        then
+          fail "re-solved at its gap it ran %d nodes to objective %g"
+            again.Lp.Milp.nodes again.Lp.Milp.obj
+        else Ok ()
+
 (* ------------------------------------------------------ duality oracle *)
 
 (* The elastic LP of [input]: every row gets non-negative violation
@@ -1054,6 +1120,8 @@ let props =
       Gen_lp.arb_milp_mixed milp_mixed_vs_enumeration;
     prop ~count:200 ~smoke_count:40 "milp_node_limited_vs_enumeration"
       arb_milp_branching milp_node_limited_vs_enumeration;
+    prop ~count:200 ~smoke_count:40 "milp_gap_stop_vs_enumeration"
+      arb_milp_gap_stop milp_gap_stop_vs_enumeration;
     prop ~count:90 ~smoke_count:18 "lp_certificate" Gen_lp.arb_lp_bounded
       lp_certificate;
     prop ~count:200 ~smoke_count:48 "warm_memo_equivalence" arb_memo_case

@@ -106,8 +106,9 @@ type state = {
 
 (* Why the solve ended: the root LP did not solve to optimality, an LP at
    the root was integral (its key is then the optimum), or the tree
-   search stopped on a budget ([Some]) or ran out of open nodes ([None]),
-   with the least open key and the root key for the bound. *)
+   search stopped on a budget or within [gap_tol] ([Some]) or ran out of
+   open nodes ([None]), with the least open key and the root key for the
+   bound. *)
 type exit =
   | Root_failed of Status.t
   | Integral of float
@@ -548,12 +549,28 @@ let expand st bstate frontier nd (r : Simplex.result) =
          any, remains valid. *)
       ()
 
+(* The relative gap [finish] reports between the incumbent's key [ki] and
+   a bound key [b] capped at it. *)
+let rel_gap ki b = Float.abs (ki -. b) /. Float.max 1.0 (Float.abs ki)
+
+(* Whether the incumbent is already within [gap_tol] of the bound that an
+   open node of key [k] leaves, the least open key when [k] was just
+   popped: every node the search would still expand can improve the
+   incumbent by no more than the tolerance. *)
+let within_gap st ~root_key k =
+  match st.incumbent with
+  | Some (ki, _) ->
+      rel_gap ki (Float.min (Float.max root_key k) ki) <= st.options.gap_tol
+  | None -> false
+
 (* Best-first branch and bound over the open-node frontier, branching by
    [Branching]'s reliability rule.  The tree's root node is the root LP:
    it carries the root basis, so the first pop is a no-op repair, not a
    second cold solve of the same relaxation.  A node stopped by a budget,
    before or during its LP, goes back on the frontier, so its key still
-   feeds the reported bound. *)
+   feeds the reported bound.  The search also ends, with the popped node
+   back on the frontier, once the incumbent is within [gap_tol] of the
+   least open key. *)
 let tree st (root : Simplex.result) =
   let bstate = Branching.create ~nvars:st.input0.Simplex.nvars in
   let root_key = key st root.Simplex.obj_value in
@@ -571,6 +588,10 @@ let tree st (root : Simplex.result) =
           | None -> false
         in
         if pruned then search ()
+        else if within_gap st ~root_key k then begin
+          Frontier.push frontier ~key:k nd;
+          Some Status.Optimal
+        end
         else if st.nodes >= st.options.node_limit then begin
           Frontier.push frontier ~key:k nd;
           Some Status.Node_limit
@@ -628,9 +649,7 @@ let finish st exit =
             if open_key = infinity then ki else Float.max root_key open_key
           in
           let bound_key = Float.min bound_key ki in
-          let gap =
-            Float.abs (ki -. bound_key) /. Float.max 1.0 (Float.abs ki)
-          in
+          let gap = rel_gap ki bound_key in
           let status =
             match reason with
             | None -> Status.Optimal

@@ -49,10 +49,14 @@ type options = {
           reports {!Status.Time_limit}; one stopped during the root LP
           also has an empty [relax_x]. *)
   gap_tol : float;
-      (** relative-gap tolerance for reporting (default [1e-6]).  It does
-          not stop the search early: a solve that ends on [node_limit] or
-          [time_limit] is reported {!Status.Optimal} when its final gap
-          is at most [gap_tol], and {!Status.Feasible} otherwise *)
+      (** relative-gap tolerance (default [1e-6]).  The tree search
+          stops as soon as the incumbent is within [gap_tol] of the least
+          open node's bound, before [node_limit] or [time_limit] binds;
+          the solve is then reported {!Status.Optimal} with that gap.  A
+          solve that ends on [node_limit] or [time_limit] is reported
+          {!Status.Optimal} when its final gap is at most [gap_tol], and
+          {!Status.Feasible} otherwise, so {!Status.Optimal} means
+          exactly "final gap at most [gap_tol]" *)
   core : core;  (** ignored; see {!core} *)
 }
 

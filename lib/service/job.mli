@@ -30,9 +30,10 @@ type estate =
     }
 
 (** MILP budget overrides; [None] keeps
-    {!Etransform.Solver.default_milp_options}.  [gap_tol] sets when a
-    solve that stops on a node or time limit is still reported optimal
-    (see {!Lp.Milp.options}); it does not stop the search early. *)
+    {!Etransform.Solver.default_milp_options}.  [gap_tol] stops the
+    tree search once the incumbent is within it of the bound, and sets
+    when a solve that stops on a node or time limit is still reported
+    optimal (see {!Lp.Milp.options}). *)
 type milp_overrides = {
   node_limit : int option;
   time_limit : float option;

@@ -100,33 +100,52 @@ let multi_knapsack ~n ~cap =
     (le (Array.to_list (Array.mapi (fun i x -> Model.Linexpr.term values.(i) x) xs)));
   m
 
-let test_gap_tol_labels_limited_solve () =
-  (* [gap_tol] does not stop the search; it only decides how a solve
-     that ran out of nodes is labelled: Optimal exactly when the final
-     gap is at most [gap_tol], Feasible otherwise.  On this knapsack the
-     root cuts leave a fractional bound at one node while the root
-     heuristics still land an incumbent. *)
+let test_gap_tol_stops_limited_solve () =
+  (* [gap_tol] ends the search as soon as the incumbent is within it of
+     the least open key, and a solve is Optimal exactly when its final
+     gap is at most [gap_tol].  On this knapsack the root cuts leave a
+     fractional bound while the root heuristics still land an incumbent,
+     so the root gap [g] (the gap at node budget 0) is positive.  Below
+     [g] the one-node solve runs as at [gap_tol] 0; from [g] on it stops
+     on the root node before expanding it. *)
   let m = multi_knapsack ~n:16 ~cap:29.0 in
-  let solve gap_tol =
+  let solve ?(node_limit = 1) gap_tol =
     Milp.solve
-      ~options:
-        { Milp.default_options with Milp.node_limit = 1; gap_tol }
+      ~options:{ Milp.default_options with Milp.node_limit; gap_tol }
       m
   in
+  let g = (solve ~node_limit:0 0.0).Milp.gap in
+  Alcotest.(check bool) "positive root gap" true (g > 0.0);
   let r0 = solve 0.0 in
   Alcotest.(check bool) "incumbent found" true (Array.length r0.Milp.x > 0);
-  Alcotest.(check bool) "positive final gap" true (r0.Milp.gap > 0.0);
-  let g = r0.Milp.gap in
+  Alcotest.(check int) "one node at gap_tol 0" 1 r0.Milp.nodes;
+  let g1 = r0.Milp.gap in
   List.iter
     (fun tol ->
       let r = solve tol in
       let name = Printf.sprintf "gap_tol %h" tol in
-      Alcotest.(check (float 0.0)) (name ^ ": same gap") g r.Milp.gap;
       Alcotest.(check int) (name ^ ": same nodes") r0.Milp.nodes r.Milp.nodes;
+      Alcotest.(check (float 0.0)) (name ^ ": same gap") g1 r.Milp.gap;
+      Alcotest.(check (array (float 0.0))) (name ^ ": same point") r0.Milp.x
+        r.Milp.x;
       Alcotest.(check string) (name ^ ": status")
-        (if g <= tol then "optimal" else "feasible")
+        (if g1 <= tol then "optimal" else "feasible")
         (Status.to_string r.Milp.status))
-    [ 0.0; Float.pred g; g; Float.succ g; 1.0 ]
+    (List.sort_uniq compare
+       (List.filter
+          (fun tol -> tol < g)
+          [ 0.0; Float.pred g1; g1; Float.succ g1; Float.pred g ]));
+  List.iter
+    (fun tol ->
+      let r = solve tol in
+      let name = Printf.sprintf "gap_tol %h" tol in
+      Alcotest.(check bool) (name ^ ": fewer nodes") true
+        (r.Milp.nodes < r0.Milp.nodes);
+      Alcotest.(check string) (name ^ ": status") "optimal"
+        (Status.to_string r.Milp.status);
+      Alcotest.(check bool) (name ^ ": gap within tol") true
+        (r.Milp.gap <= tol))
+    [ g; Float.succ g; 1.0 ]
 
 let brute_force_knapsack weights values cap =
   let n = Array.length weights in
@@ -690,8 +709,8 @@ let suite =
       test_deadline_terminates;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
-    Alcotest.test_case "gap_tol labels a node-limited solve" `Quick
-      test_gap_tol_labels_limited_solve;
+    Alcotest.test_case "gap_tol stops a node-limited solve" `Quick
+      test_gap_tol_stops_limited_solve;
     Alcotest.test_case "pinned literal: MILP solves" `Quick test_pinned_literal;
     Alcotest.test_case "pinned literal: MILP simplex iterations" `Quick
       test_pinned_iterations;
