@@ -101,7 +101,7 @@ let estate_key = function
 let canonical job =
   let base =
     [
-      "v3";
+      "v4";
       estate_key job.estate;
       (if job.dr then "dr" else "nodr");
       (if job.economies_of_scale then "eos" else "noeos");

@@ -238,7 +238,7 @@ let test_fingerprint_pinned () =
       {|{"id":"pin","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20},"dr":false}|}
   in
   Alcotest.(check string)
-    "pinned fingerprint" "4fd1af45cdd5155174ebe2c6fd69ecc2"
+    "pinned fingerprint" "0f075dd1a7bef8a3869dfbac5137bb3c"
     (Service.Job.fingerprint job)
 
 (* Keys and result lines print floats through the runtime's primitives
