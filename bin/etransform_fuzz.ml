@@ -69,7 +69,14 @@ let () =
                 exit 2)
           (List.rev names)
   in
-  let ok =
-    Check.run ?seed:!seed ~smoke:!smoke ?count:!count props
+  let seed =
+    match !seed with
+    | Some n -> n
+    | None -> (
+        try Check.default_seed ()
+        with Invalid_argument msg ->
+          prerr_endline ("etransform_fuzz: " ^ msg);
+          exit 2)
   in
+  let ok = Check.run ~seed ~smoke:!smoke ?count:!count props in
   exit (if ok then 0 else 1)

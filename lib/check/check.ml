@@ -56,6 +56,8 @@ module Gen = struct
     let n = Prng.int rng (max + 1) in
     List.init n (fun _ -> g rng)
 
+  let list_repeat n g rng = List.init n (fun _ -> g rng)
+
   let array ~max g rng =
     let n = Prng.int rng (max + 1) in
     Array.init n (fun _ -> g rng)
@@ -78,15 +80,15 @@ module Shrink = struct
 
   let nil _ = Seq.empty
 
+  (* Candidate [n - d] for the distance [d = n, n/2, n/4, ..., ±1]: 0,
+     then halvings toward n, then the final step toward 0.  [d] keeps the
+     sign of [n] and truncation halves it toward 0 on either side, so a
+     negative [n] mirrors the positive one and nothing overflows. *)
   let int n =
-    if n = 0 then Seq.empty
-    else
-      let rec candidates cur () =
-        (* 0, then halvings toward n, then the final decrement. *)
-        if cur = n then Seq.Nil
-        else Seq.Cons (cur, candidates (cur + ((n - cur + 1) / 2)))
-      in
-      candidates 0
+    let rec candidates d () =
+      if d = 0 then Seq.Nil else Seq.Cons (n - d, candidates (d / 2))
+    in
+    candidates n
 
   let float f =
     if f = 0.0 || Float.is_nan f then Seq.empty
@@ -95,6 +97,15 @@ module Shrink = struct
         (List.filter
            (fun c -> c <> f && Float.abs c < Float.abs f)
            [ 0.0; f /. 4.0; f /. 2.0; Float.of_int (Float.to_int f) ])
+
+  let list_each elt l =
+    Seq.concat
+      (Seq.mapi
+         (fun i y ->
+           Seq.map
+             (fun x -> List.mapi (fun j z -> if j = i then x else z) l)
+             (elt y))
+         (List.to_seq l))
 
   let list ?(elt = nil) l =
     let n = List.length l in
@@ -109,15 +120,8 @@ module Shrink = struct
     let singles =
       Seq.init n (fun i -> remove_run i 1)
     in
-    let pointwise =
-      Seq.concat
-        (Seq.init n (fun i ->
-             Seq.map
-               (fun x -> List.mapi (fun j y -> if j = i then x else y) l)
-               (elt (List.nth l i))))
-    in
     if n = 0 then Seq.empty
-    else Seq.append halves (Seq.append singles pointwise)
+    else Seq.append halves (Seq.append singles (list_each elt l))
 
   let array ?elt a =
     Seq.map Array.of_list (list ?elt (Array.to_list a))
@@ -126,6 +130,13 @@ module Shrink = struct
     Seq.append
       (Seq.map (fun a' -> (a', b)) (sa a))
       (Seq.map (fun b' -> (a, b')) (sb b))
+
+  let triple sa sb sc (a, b, c) =
+    Seq.append
+      (Seq.map (fun a' -> (a', b, c)) (sa a))
+      (Seq.append
+         (Seq.map (fun b' -> (a, b', c)) (sb b))
+         (Seq.map (fun c' -> (a, b, c')) (sc c)))
 end
 
 type 'a arb = {
@@ -171,13 +182,16 @@ type outcome = {
   failure : failure option;
 }
 
+(* An empty value counts as unset: [Unix.putenv] cannot unset a
+   variable, so restoring an unset one leaves it empty. *)
 let default_seed () =
-  match Sys.getenv_opt "CHECK_SEED" with
+  match Option.map String.trim (Sys.getenv_opt "CHECK_SEED") with
+  | None | Some "" -> 0xe7ca5e
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
+      match int_of_string_opt s with
       | Some n -> n
-      | None -> 0xe7ca5e)
-  | None -> 0xe7ca5e
+      | None ->
+          invalid_arg (Printf.sprintf "CHECK_SEED=%S is not an integer" s))
 
 (* Evaluate the body defensively: exceptions are failures, not crashes of
    the whole run. *)
@@ -291,19 +305,16 @@ let run_one ?seed ?(smoke = false) ?count (Prop p) =
   }
 
 let pp_failure ppf f =
+  let section title =
+    Option.iter (fun s ->
+        Format.fprintf ppf "@,%s:@,%s" title (String.trim s))
+  in
   Format.fprintf ppf
-    "@[<v>property %s FAILED (seed=%d case=%d shrink-steps=%d)@,reason: %s@]"
+    "@[<v>property %s FAILED (seed=%d case=%d shrink-steps=%d)@,reason: %s"
     f.prop f.seed f.case f.shrink_steps f.reason;
-  (match f.counterexample with
-  | Some s ->
-      Format.fprintf ppf "@,@[<v>counterexample:@,%s@]" (String.trim s)
-  | None -> ());
-  (match f.original with
-  | Some s ->
-      Format.fprintf ppf "@,@[<v>before shrinking:@,%s@]" (String.trim s)
-  | None -> ());
-  Format.fprintf ppf "@,reproduce: CHECK_SEED=%d etransform_fuzz --only %s"
-    f.seed f.prop
+  section "counterexample" f.counterexample;
+  section "before shrinking" f.original;
+  Format.fprintf ppf "@]"
 
 let run ?seed ?(smoke = false) ?count ?(out = stdout) props =
   let seed = match seed with Some s -> s | None -> default_seed () in
@@ -319,7 +330,9 @@ let run ?seed ?(smoke = false) ?count ?(out = stdout) props =
           ok := false;
           Printf.fprintf out "FAIL %-34s cases=%-4d stream=%s\n%!" o.name
             o.cases o.stream;
-          Printf.fprintf out "%s\n%!"
-            (Format.asprintf "%a" pp_failure f)))
+          Printf.fprintf out "%s\n%!" (Format.asprintf "%a" pp_failure f);
+          Printf.fprintf out
+            "reproduce: CHECK_SEED=%d etransform_fuzz --only %s\n%!" f.seed
+            f.prop))
     props;
   !ok

@@ -1,7 +1,9 @@
 (** Seeded property-based testing, dependency-free.
 
-    The testing substrate for the fuzz oracles ([lib/fuzz],
-    [bin/etransform_fuzz]): combinator generators over the splittable
+    The one property-testing framework of the repository: it drives the
+    fuzz oracles ([lib/fuzz], [bin/etransform_fuzz]) and, through an
+    adapter in the test fixtures, the properties of the alcotest
+    suites.  Combinator generators over the splittable
     {!Datasets.Prng}, greedy shrinking, and a runner whose output is a
     pure function of the seed — running twice with the same seed prints
     byte-identical reports, and every failure line carries the seed and
@@ -48,6 +50,9 @@ module Gen : sig
   (** [list ~max g] has uniform length [0..max]. *)
   val list : max:int -> 'a t -> 'a list t
 
+  (** [list_repeat n g] has exactly [n] elements. *)
+  val list_repeat : int -> 'a t -> 'a list t
+
   val array : max:int -> 'a t -> 'a array t
   val char_range : char -> char -> char t
   val string_of : max:int -> char t -> string t
@@ -64,7 +69,9 @@ module Shrink : sig
 
   val nil : 'a t
 
-  (** Toward 0: [0], halvings, then decrement. *)
+  (** Toward 0: [0], halvings toward [n], then [n - 1] for positive [n]
+      and [n + 1] for negative [n].  Every candidate is closer to 0 than
+      [n], and none repeats. *)
   val int : int t
 
   (** [0.], halvings, and the integer truncation. *)
@@ -74,8 +81,14 @@ module Shrink : sig
       element shrinking with [elt]. *)
   val list : ?elt:'a t -> 'a list t
 
+  (** Pointwise element shrinking only: the length never changes, for
+      lists whose length other fields fix, such as {!Gen.list_repeat}
+      draws. *)
+  val list_each : 'a t -> 'a list t
+
   val array : ?elt:'a t -> 'a array t
   val pair : 'a t -> 'b t -> ('a * 'b) t
+  val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 end
 
 (** A generator bundled with its shrinker and printer. *)
@@ -126,13 +139,19 @@ type outcome = {
   failure : failure option;
 }
 
-(** 0xe7ca5e, unless [CHECK_SEED] is set to an integer. *)
+(** 0xe7ca5e, unless [CHECK_SEED] is set and not empty.
+    @raise Invalid_argument naming the value when [CHECK_SEED] is not
+    an integer: a mistyped replay seed must not run the default one. *)
 val default_seed : unit -> int
 
 (** [run_one prop] runs the property's cases at [seed].  [smoke]
     selects the property's smoke count; [count] overrides both. *)
 val run_one : ?seed:int -> ?smoke:bool -> ?count:int -> prop -> outcome
 
+(** The failure report: property, seed, case index, reason and the
+    printed counterexample.  The line that replays it depends on where
+    the property runs, so each caller prints its own ({!run} prints the
+    fuzz driver's). *)
 val pp_failure : Format.formatter -> failure -> unit
 
 (** [run props] runs every property, printing one [ok]/[FAIL] line per

@@ -121,3 +121,57 @@ let off_budget asis ~budget_ms (p : Placement.t) =
         asis.Asis.targets;
       latency i j > budget_ms && latency i j > !fastest)
     (List.init (Asis.num_groups asis) Fun.id)
+
+(* A seed for [Datasets.Synth] or [synthetic], uniform over [0..hi]:
+   printed but not shrunk, since a nearby seed is no smaller an estate. *)
+let seed_arb hi =
+  Check.arb
+    ~pp:(fun ppf seed -> Format.fprintf ppf "seed %d" seed)
+    (Check.Gen.int_range 0 hi)
+
+let errorf fmt = Printf.ksprintf (fun s -> Error s) fmt
+
+(* A validator's problem list as a property verdict. *)
+let no_problems = function
+  | [] -> Ok ()
+  | problems -> Error (String.concat "; " problems)
+
+(* The suite and index of the alcotest case now running: the runner's
+   command line names a case by them ([test <suite> <index>]), so the
+   replay line of a failing property needs them.  [locate] stamps them
+   on every case of the runner's suite list. *)
+let running = ref None
+
+let locate suites =
+  List.map
+    (fun (suite, cases) ->
+      ( suite,
+        List.mapi
+          (fun index (name, speed, run) ->
+            ( name,
+              speed,
+              fun x ->
+                running := Some (suite, index);
+                run x ))
+          cases ))
+    suites
+
+(* A [Check] property as an alcotest case: its full count at
+   [Check.default_seed ()], which is [CHECK_SEED] or else a fixed seed,
+   so two runs of one tree test the same cases.  A failure fails the
+   case with the counterexample and the command that replays it. *)
+let property prop : unit Alcotest.test_case =
+  ( Check.prop_name prop,
+    `Slow,
+    fun () ->
+      match (Check.run_one prop).Check.failure with
+      | None -> ()
+      | Some f ->
+          let case =
+            match !running with
+            | Some (suite, index) -> Printf.sprintf " -- test %s %d" suite index
+            | None -> ""
+          in
+          Alcotest.failf
+            "%a@\nreproduce: CHECK_SEED=%d dune exec test/main.exe%s"
+            Check.pp_failure f f.Check.seed case )

@@ -127,19 +127,16 @@ let test_manual_worse_on_latency () =
     (greedy.Evaluate.cost.Evaluate.latency_penalty
     <= manual.Evaluate.cost.Evaluate.latency_penalty)
 
-let prop_greedy_feasible_across_seeds =
-  QCheck2.Test.make ~name:"greedy always returns feasible plans" ~count:30
-    QCheck2.Gen.(int_range 0 5000)
-    (fun seed ->
+let feasible_across_seeds name plan =
+  Check.prop ~count:30 name (Fixtures.seed_arb 5000) (fun seed ->
       let asis = Fixtures.synthetic ~seed () in
-      Placement.validate asis (Greedy.plan asis) = [])
+      Fixtures.no_problems (Placement.validate asis (plan asis)))
+
+let prop_greedy_feasible_across_seeds =
+  feasible_across_seeds "greedy always returns feasible plans" Greedy.plan
 
 let prop_manual_feasible_across_seeds =
-  QCheck2.Test.make ~name:"manual always returns feasible plans" ~count:30
-    QCheck2.Gen.(int_range 0 5000)
-    (fun seed ->
-      let asis = Fixtures.synthetic ~seed () in
-      Placement.validate asis (Manual.plan asis) = [])
+  feasible_across_seeds "manual always returns feasible plans" Manual.plan
 
 let suite =
   [
@@ -153,6 +150,6 @@ let suite =
     Alcotest.test_case "manual grows for capacity" `Quick test_manual_grows_sites_for_capacity;
     Alcotest.test_case "manual DR valid" `Quick test_manual_dr_valid;
     Alcotest.test_case "manual ignores latency" `Quick test_manual_worse_on_latency;
-    QCheck_alcotest.to_alcotest prop_greedy_feasible_across_seeds;
-    QCheck_alcotest.to_alcotest prop_manual_feasible_across_seeds;
+    Fixtures.property prop_greedy_feasible_across_seeds;
+    Fixtures.property prop_manual_feasible_across_seeds;
   ]

@@ -104,8 +104,18 @@ let test_check_seed_env () =
     (fun () ->
       Unix.putenv "CHECK_SEED" "4242";
       Alcotest.(check int) "env seed wins" 4242 (Check.default_seed ());
-      Unix.putenv "CHECK_SEED" "not-a-number";
-      Alcotest.(check int) "garbage falls back" 0xe7ca5e
+      (* A mistyped replay seed must not quietly run the default seed. *)
+      List.iter
+        (fun bad ->
+          Unix.putenv "CHECK_SEED" bad;
+          Alcotest.check_raises
+            (Printf.sprintf "%S rejected by name" bad)
+            (Invalid_argument
+               (Printf.sprintf "CHECK_SEED=%S is not an integer" bad))
+            (fun () -> ignore (Check.default_seed ())))
+        [ "12a"; "not-a-number" ];
+      Unix.putenv "CHECK_SEED" "";
+      Alcotest.(check int) "empty counts as unset" 0xe7ca5e
         (Check.default_seed ()))
 
 let test_exceptions_are_failures () =
@@ -120,6 +130,67 @@ let test_exceptions_are_failures () =
       Alcotest.(check bool) "reason mentions the exception" true
         (String.length f.Check.reason > 0)
 
+(* [Shrink.int n] for every n in -1000..1000: a finite sequence without
+   repeats, every candidate closer to 0 than n, ending one step from n
+   toward 0 — negative n mirroring positive n.  At most 64 candidates
+   are read, so a sequence that cycles fails instead of hanging. *)
+let test_shrink_int_terminates () =
+  let candidates n = List.of_seq (Seq.take 64 (Check.Shrink.int n)) in
+  Alcotest.(check (list int)) "5" [ 0; 3; 4 ] (candidates 5);
+  Alcotest.(check (list int)) "-5" [ 0; -3; -4 ] (candidates (-5));
+  Alcotest.(check (list int)) "-1" [ 0 ] (candidates (-1));
+  Alcotest.(check (list int)) "0" [] (candidates 0);
+  for n = -1000 to 1000 do
+    let cs = candidates n in
+    let fail what = Alcotest.failf "Shrink.int %d: %s" n what in
+    if List.length cs >= 64 then fail "does not end";
+    if List.length (List.sort_uniq compare cs) <> List.length cs then
+      fail "repeats a candidate";
+    if List.exists (fun c -> abs c >= abs n) cs then
+      fail "a candidate is no closer to 0";
+    if n <> 0 && List.nth cs (List.length cs - 1) <> n - compare n 0 then
+      fail "does not end one step from n"
+  done
+
+(* A failing property run through the test fixtures' adapter fails its
+   alcotest case with the property, seed, case index, counterexample and
+   the command that replays it from the test binary. *)
+let test_adapter_failure_replays () =
+  let prop =
+    Check.prop ~count:50 "too big"
+      (Check.arb ~shrink:Check.Shrink.int ~pp:Format.pp_print_int
+         (Check.Gen.int_range 0 100))
+      (fun x -> if x >= 10 then Fixtures.errorf "%d >= 10" x else Ok ())
+  in
+  let f =
+    match (Check.run_one prop).Check.failure with
+    | Some f -> f
+    | None -> Alcotest.fail "property should have failed"
+  in
+  let first = Alcotest.test_case "first" `Quick ignore in
+  let run =
+    match Fixtures.locate [ ("demo", [ first; Fixtures.property prop ]) ] with
+    | [ (_, [ _; (_, _, run) ]) ] -> run
+    | _ -> assert false
+  in
+  match run () with
+  | () -> Alcotest.fail "a failing property must fail its case"
+  | exception e ->
+      let msg = Printexc.to_string e in
+      let has what needle =
+        Alcotest.(check bool) what true (Astring_contains.contains msg needle)
+      in
+      has "property" "property too big FAILED";
+      has "seed and case"
+        (Printf.sprintf "seed=%d case=%d" f.Check.seed f.Check.case);
+      has "counterexample" "counterexample:\n10";
+      has "replay line"
+        (Printf.sprintf
+           "reproduce: CHECK_SEED=%d dune exec test/main.exe -- test demo 1"
+           f.Check.seed);
+      Alcotest.(check bool) "no fuzz driver line" false
+        (Astring_contains.contains msg "etransform_fuzz")
+
 let suite =
   [
     Alcotest.test_case "stream determinism" `Quick test_determinism;
@@ -132,4 +203,8 @@ let suite =
     Alcotest.test_case "CHECK_SEED env override" `Quick test_check_seed_env;
     Alcotest.test_case "exceptions are failures" `Quick
       test_exceptions_are_failures;
+    Alcotest.test_case "shrink int: finite, no repeats, mirrored" `Quick
+      test_shrink_int_terminates;
+    Alcotest.test_case "adapter failure names its replay" `Quick
+      test_adapter_failure_replays;
   ]

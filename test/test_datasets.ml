@@ -151,12 +151,12 @@ let test_groups_fit_targets () =
     (Etransform.Split.oversized asis)
 
 let prop_synth_valid_across_seeds =
-  QCheck2.Test.make ~name:"synth output validates for any seed" ~count:25
-    QCheck2.Gen.(int_range 0 10_000)
+  Check.prop ~count:25 "synth output validates for any seed"
+    (Fixtures.seed_arb 10_000)
     (fun seed ->
       let cfg = { Datasets.Synth.default with Datasets.Synth.seed } in
       let asis = Datasets.Synth.generate cfg in
-      Etransform.Asis.validate asis = [])
+      Fixtures.no_problems (Etransform.Asis.validate asis))
 
 let suite =
   [
@@ -176,5 +176,5 @@ let suite =
     Alcotest.test_case "federal matches Table II" `Slow test_federal_shape;
     Alcotest.test_case "scaling" `Quick test_scaling;
     Alcotest.test_case "split preprocessing applied" `Quick test_groups_fit_targets;
-    QCheck_alcotest.to_alcotest prop_synth_valid_across_seeds;
+    Fixtures.property prop_synth_valid_across_seeds;
   ]

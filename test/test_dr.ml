@@ -165,12 +165,12 @@ let test_backup_capacity_respected () =
     asis.Asis.targets
 
 let prop_two_stage_feasible =
-  QCheck2.Test.make ~name:"two-stage DR plans always feasible" ~count:10
-    QCheck2.Gen.(int_range 0 2000)
+  Check.prop ~count:10 "two-stage DR plans always feasible"
+    (Fixtures.seed_arb 2000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed ~groups:15 ~targets:4 () in
       let o = Dr_planner.plan asis in
-      Placement.validate asis o.Solver.placement = [])
+      Fixtures.no_problems (Placement.validate asis o.Solver.placement))
 
 (* The stage-2 model of a 12-group DR line estate, written as LP text
    and hashed: variable and row names, coefficients and their order are
@@ -330,5 +330,5 @@ let suite =
     Alcotest.test_case "omega served" `Quick test_omega_served;
     Alcotest.test_case "latency budget served" `Quick test_latency_budget_served;
     Alcotest.test_case "pipeline: DR builder options" `Quick test_pipeline_dr_builder;
-    QCheck_alcotest.to_alcotest prop_two_stage_feasible;
+    Fixtures.property prop_two_stage_feasible;
   ]

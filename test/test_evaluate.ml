@@ -126,8 +126,7 @@ let test_fixed_charges_counted_once () =
 (* Consistency: the evaluator's total equals the sum of its parts, for any
    feasible plan on a synthetic estate. *)
 let prop_total_is_sum =
-  QCheck2.Test.make ~name:"breakdown sums to total" ~count:50
-    QCheck2.Gen.(int_range 0 1000)
+  Check.prop ~count:50 "breakdown sums to total" (Fixtures.seed_arb 1000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed () in
       let p = Greedy.plan asis in
@@ -138,16 +137,18 @@ let prop_total_is_sum =
         +. c.Evaluate.labor +. c.Evaluate.fixed +. c.Evaluate.latency_penalty
         +. c.Evaluate.backup_capex +. c.Evaluate.backup_ops
       in
-      Float.abs (parts -. Evaluate.total c) < 1e-6 *. (1.0 +. parts))
+      if Float.abs (parts -. Evaluate.total c) < 1e-6 *. (1.0 +. parts) then
+        Ok ()
+      else Fixtures.errorf "parts %g, total %g" parts (Evaluate.total c))
 
 let prop_moving_to_cheaper_dc_never_counted_wrong =
   (* Evaluating the same plan twice is deterministic. *)
-  QCheck2.Test.make ~name:"evaluation deterministic" ~count:20
-    QCheck2.Gen.(int_range 0 1000)
+  Check.prop ~count:20 "evaluation deterministic" (Fixtures.seed_arb 1000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed () in
       let p = Greedy.plan asis in
-      total asis p = total asis p)
+      let a = total asis p and b = total asis p in
+      if a = b then Ok () else Fixtures.errorf "total %h, then %h" a b)
 
 (* Every entry of the pair table has the bits of a direct call, and an
    estate derived with [{ asis with ... }] gets a table of its own. *)
@@ -206,6 +207,6 @@ let suite =
     Alcotest.test_case "fixed charges once per site" `Quick test_fixed_charges_counted_once;
     Alcotest.test_case "pair table matches direct costs" `Quick
       test_pair_table_matches_direct;
-    QCheck_alcotest.to_alcotest prop_total_is_sum;
-    QCheck_alcotest.to_alcotest prop_moving_to_cheaper_dc_never_counted_wrong;
+    Fixtures.property prop_total_is_sum;
+    Fixtures.property prop_moving_to_cheaper_dc_never_counted_wrong;
   ]

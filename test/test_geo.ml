@@ -80,24 +80,42 @@ let test_places_regions () =
     (List.length (Geo.Places.in_region Geo.Places.Europe) >= 5)
 
 let prop_rtt_monotone =
-  QCheck2.Test.make ~name:"rtt grows with distance" ~count:100
-    QCheck2.Gen.(pair (float_bound_inclusive 20000.0) (float_bound_inclusive 20000.0))
+  let dist = Check.Gen.float_range 0.0 20000.0 in
+  Check.prop ~count:100 "rtt grows with distance"
+    (Check.arb
+       ~shrink:Check.Shrink.(pair float float)
+       ~pp:Fmt.(Dump.pair (fmt "%.17g") (fmt "%.17g"))
+       (Check.Gen.pair dist dist))
     (fun (a, b) ->
       let lo = Float.min a b and hi = Float.max a b in
-      Geo.Latency_model.rtt_ms lo <= Geo.Latency_model.rtt_ms hi +. 1e-9)
+      let rtt_lo = Geo.Latency_model.rtt_ms lo
+      and rtt_hi = Geo.Latency_model.rtt_ms hi in
+      if rtt_lo <= rtt_hi +. 1e-9 then Ok ()
+      else
+        Fixtures.errorf "rtt %g ms at %g km > %g ms at %g km" rtt_lo lo rtt_hi
+          hi)
 
 let prop_triangle_inequality =
   let gen_loc =
-    QCheck2.Gen.(
-      let* lat = float_range (-80.0) 80.0 in
-      let* lon = float_range (-180.0) 180.0 in
-      return (Geo.Location.v ~name:"x" ~lat ~lon))
+    Check.Gen.pair
+      (Check.Gen.float_range (-80.0) 80.0)
+      (Check.Gen.float_range (-180.0) 180.0)
   in
-  QCheck2.Test.make ~name:"haversine triangle inequality" ~count:100
-    QCheck2.Gen.(triple gen_loc gen_loc gen_loc)
+  let shrink_loc = Check.Shrink.(pair float float) in
+  let pp_loc = Fmt.(Dump.pair (fmt "%.17g") (fmt "%.17g")) in
+  Check.prop ~count:100 "haversine triangle inequality"
+    (Check.arb
+       ~shrink:Check.Shrink.(triple shrink_loc shrink_loc shrink_loc)
+       ~pp:Fmt.(Dump.list pp_loc |> using (fun (a, b, c) -> [ a; b; c ]))
+       (Check.Gen.triple gen_loc gen_loc gen_loc))
     (fun (a, b, c) ->
-      Geo.Location.distance_km a c
-      <= Geo.Location.distance_km a b +. Geo.Location.distance_km b c +. 1e-6)
+      let loc (lat, lon) = Geo.Location.v ~name:"x" ~lat ~lon in
+      let a = loc a and b = loc b and c = loc c in
+      let ac = Geo.Location.distance_km a c
+      and ab = Geo.Location.distance_km a b
+      and bc = Geo.Location.distance_km b c in
+      if ac <= ab +. bc +. 1e-6 then Ok ()
+      else Fixtures.errorf "d(a,c) %g > d(a,b) %g + d(b,c) %g" ac ab bc)
 
 let suite =
   [
@@ -110,6 +128,6 @@ let suite =
     Alcotest.test_case "paper latency classes" `Quick test_paper_classes;
     Alcotest.test_case "line topology" `Quick test_line_topology;
     Alcotest.test_case "gazetteer" `Quick test_places_regions;
-    QCheck_alcotest.to_alcotest prop_rtt_monotone;
-    QCheck_alcotest.to_alcotest prop_triangle_inequality;
+    Fixtures.property prop_rtt_monotone;
+    Fixtures.property prop_triangle_inequality;
   ]

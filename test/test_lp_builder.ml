@@ -180,13 +180,10 @@ let test_lp_file_export () =
 (* On random small instances the MILP optimum must match brute force over
    all assignments (linear objective, no EoS). *)
 let prop_matches_brute_force =
-  QCheck2.Test.make ~name:"builder MILP matches brute force" ~count:20
-    QCheck2.Gen.(int_range 0 2000)
+  Check.prop ~count:20 "builder MILP matches brute force"
+    (Fixtures.seed_arb 2000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed ~groups:6 ~targets:3 () in
-      let built, r = solve asis in
-      if r.Lp.Milp.status <> Lp.Status.Optimal then
-        QCheck2.Test.fail_reportf "status %s" (Lp.Status.to_string r.Lp.Milp.status);
       let m = Asis.num_groups asis and n = Asis.num_targets asis in
       let best = ref infinity in
       let assign = Array.make m 0 in
@@ -209,10 +206,13 @@ let prop_matches_brute_force =
           done
       in
       enum 0;
-      if Float.abs (r.Lp.Milp.obj -. !best) > 1e-5 *. (1.0 +. Float.abs !best)
-      then QCheck2.Test.fail_reportf "milp %g vs brute %g" r.Lp.Milp.obj !best;
-      ignore built;
-      true)
+      let _, r = solve asis in
+      if r.Lp.Milp.status <> Lp.Status.Optimal then
+        Fixtures.errorf "status %s" (Lp.Status.to_string r.Lp.Milp.status)
+      else if
+        Float.abs (r.Lp.Milp.obj -. !best) > 1e-5 *. (1.0 +. Float.abs !best)
+      then Fixtures.errorf "milp %g vs brute %g" r.Lp.Milp.obj !best
+      else Ok ())
 
 (* The LP text of two built models, pinned: variable and row names and the
    order of every row's and the objective's terms. *)
@@ -374,5 +374,5 @@ let suite =
     Alcotest.test_case "LP text pinned" `Quick test_lp_text_pinned;
     Alcotest.test_case "solver input pinned" `Quick test_solver_input_pinned;
     Alcotest.test_case "no forced minor collection" `Quick test_no_forced_collection;
-    QCheck_alcotest.to_alcotest prop_matches_brute_force;
+    Fixtures.property prop_matches_brute_force;
   ]

@@ -165,19 +165,37 @@ let test_validate_non_finite_rhs () =
   Alcotest.(check int) "nothing else" 2 (List.length problems)
 
 let prop_random_models_roundtrip =
-  let gen =
-    QCheck2.Gen.(
-      let* n = int_range 1 6 in
-      let* rows = int_range 0 5 in
-      let* coeffs = list_repeat ((rows + 1) * n) (int_range (-9) 9) in
-      let* rhss = list_repeat (max rows 1) (int_range (-20) 20) in
-      let* senses = list_repeat (max rows 1) (int_range 0 2) in
-      let* kinds = list_repeat n (int_range 0 2) in
-      return (n, rows, Array.of_list coeffs, Array.of_list rhss,
-              Array.of_list senses, Array.of_list kinds))
+  let gen rng =
+    let open Check.Gen in
+    let n = int_range 1 6 rng in
+    let rows = int_range 0 5 rng in
+    let coeffs = list_repeat ((rows + 1) * n) (int_range (-9) 9) rng in
+    let rhss = list_repeat (max rows 1) (int_range (-20) 20) rng in
+    let senses = list_repeat (max rows 1) (int_range 0 2) rng in
+    let kinds = list_repeat n (int_range 0 2) rng in
+    (n, rows, coeffs, rhss, senses, kinds)
   in
-  QCheck2.Test.make ~name:"random models round-trip through LP format"
-    ~count:80 gen (fun (n, rows, coeffs, rhss, senses, kinds) ->
+  (* Coefficients and right-hand sides pointwise toward 0; the shape
+     stays. *)
+  let shrink (n, rows, coeffs, rhss, senses, kinds) =
+    let each = Check.Shrink.list_each Check.Shrink.int in
+    let with_coeffs coeffs = (n, rows, coeffs, rhss, senses, kinds)
+    and with_rhss rhss = (n, rows, coeffs, rhss, senses, kinds) in
+    Seq.append
+      (Seq.map with_coeffs (each coeffs))
+      (Seq.map with_rhss (each rhss))
+  in
+  let pp ppf (n, rows, coeffs, rhss, senses, kinds) =
+    let ints = Fmt.(Dump.list int) in
+    Format.fprintf ppf
+      "n=%d rows=%d@\ncoeffs %a@\nrhs %a@\nsenses %a@\nkinds %a" n rows
+      ints coeffs ints rhss ints senses ints kinds
+  in
+  Check.prop ~count:80 "random models round-trip through LP format"
+    (Check.arb ~shrink ~pp gen)
+    (fun (n, rows, coeffs, rhss, senses, kinds) ->
+      let coeffs = Array.of_list coeffs and rhss = Array.of_list rhss in
+      let senses = Array.of_list senses and kinds = Array.of_list kinds in
       let m = Model.create () in
       let vars =
         Array.init n (fun i ->
@@ -210,14 +228,14 @@ let prop_random_models_roundtrip =
       let m' = Lp_parse.model_of_string (Lp_format.model_to_string m) in
       let r1 = Milp.solve m and r2 = Milp.solve m' in
       if r1.Milp.status <> r2.Milp.status then
-        QCheck2.Test.fail_reportf "status %s vs %s"
+        Fixtures.errorf "status %s vs %s"
           (Status.to_string r1.Milp.status)
-          (Status.to_string r2.Milp.status);
-      if
+          (Status.to_string r2.Milp.status)
+      else if
         r1.Milp.status = Status.Optimal
         && Float.abs (r1.Milp.obj -. r2.Milp.obj) > 1e-6
-      then QCheck2.Test.fail_reportf "objective %g vs %g" r1.Milp.obj r2.Milp.obj;
-      true)
+      then Fixtures.errorf "objective %g vs %g" r1.Milp.obj r2.Milp.obj
+      else Ok ())
 
 (* [Model.Linexpr.terms] against the sort-and-merge it replaced for
    descending input: keep the input order when ids ascend, otherwise sort
@@ -333,5 +351,5 @@ let suite =
       test_validate_non_finite_rhs;
     Alcotest.test_case "terms match sort-and-merge" `Quick
       test_terms_match_reference;
-    QCheck_alcotest.to_alcotest prop_random_models_roundtrip;
+    Fixtures.property prop_random_models_roundtrip;
   ]

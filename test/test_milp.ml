@@ -163,16 +163,29 @@ let brute_force_knapsack weights values cap =
   !best
 
 let prop_knapsack_matches_brute_force =
-  let gen =
-    QCheck2.Gen.(
-      let* n = int_range 3 10 in
-      let* ws = list_repeat n (int_range 1 9) in
-      let* vs = list_repeat n (int_range 1 9) in
-      let* cap = int_range 5 25 in
-      return (Array.of_list ws, Array.of_list vs, cap))
+  let gen rng =
+    let open Check.Gen in
+    let n = int_range 3 10 rng in
+    let ws = list_repeat n (int_range 1 9) rng in
+    let vs = list_repeat n (int_range 1 9) rng in
+    let cap = int_range 5 25 rng in
+    (ws, vs, cap)
   in
-  QCheck2.Test.make ~name:"binary knapsack matches brute force" ~count:60 gen
+  (* Weights, values and the capacity toward 0: a zero weight or value
+     is still a knapsack, and the brute force sees the same instance. *)
+  let shrink =
+    let each = Check.Shrink.list_each Check.Shrink.int in
+    Check.Shrink.triple each each Check.Shrink.int
+  in
+  let pp ppf (ws, vs, cap) =
+    let ints = Fmt.(Dump.list int) in
+    Format.fprintf ppf "weights %a@\nvalues %a@\ncapacity %d" ints ws ints vs
+      cap
+  in
+  Check.prop ~count:60 "binary knapsack matches brute force"
+    (Check.arb ~shrink ~pp gen)
     (fun (ws, vs, cap) ->
+      let ws = Array.of_list ws and vs = Array.of_list vs in
       let n = Array.length ws in
       let m = Model.create () in
       let xs =
@@ -200,25 +213,40 @@ let prop_knapsack_matches_brute_force =
       in
       let r = Milp.solve m in
       if r.Milp.status <> Status.Optimal then
-        QCheck2.Test.fail_reportf "status %s" (Status.to_string r.Milp.status);
-      if Float.abs (r.Milp.obj -. expected) > 1e-6 then
-        QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj expected;
-      true)
+        Fixtures.errorf "status %s" (Status.to_string r.Milp.status)
+      else if Float.abs (r.Milp.obj -. expected) > 1e-6 then
+        Fixtures.errorf "milp %g, brute force %g" r.Milp.obj expected
+      else Ok ())
 
 (* Small generalized-assignment instances: the exact shape used by the
    consolidation planner (assignment rows + capacity rows). *)
 let prop_assignment_matches_brute_force =
-  let gen =
-    QCheck2.Gen.(
-      let* groups = int_range 2 6 in
-      let* dcs = int_range 2 3 in
-      let* sizes = list_repeat groups (int_range 1 4) in
-      let* costs = list_repeat (groups * dcs) (int_range 1 20) in
-      let* cap = int_range 6 14 in
-      return (groups, dcs, Array.of_list sizes, Array.of_list costs, float_of_int cap))
+  let gen rng =
+    let open Check.Gen in
+    let groups = int_range 2 6 rng in
+    let dcs = int_range 2 3 rng in
+    let sizes = list_repeat groups (int_range 1 4) rng in
+    let costs = list_repeat (groups * dcs) (int_range 1 20) rng in
+    let cap = int_range 6 14 rng in
+    (dcs, sizes, costs, cap)
   in
-  QCheck2.Test.make ~name:"assignment MILP matches brute force" ~count:60 gen
-    (fun (groups, dcs, sizes, costs, cap) ->
+  (* Sizes and costs pointwise toward 0; the shape and capacity stay. *)
+  let shrink (dcs, sizes, costs, cap) =
+    let each = Check.Shrink.list_each Check.Shrink.int in
+    Seq.append
+      (Seq.map (fun sizes -> (dcs, sizes, costs, cap)) (each sizes))
+      (Seq.map (fun costs -> (dcs, sizes, costs, cap)) (each costs))
+  in
+  let pp ppf (dcs, sizes, costs, cap) =
+    let ints = Fmt.(Dump.list int) in
+    Format.fprintf ppf "sites %d capacity %d@\nsizes %a@\ncosts %a" dcs cap
+      ints sizes ints costs
+  in
+  Check.prop ~count:60 "assignment MILP matches brute force"
+    (Check.arb ~shrink ~pp gen)
+    (fun (dcs, sizes, costs, cap) ->
+      let groups = List.length sizes and cap = float_of_int cap in
+      let sizes = Array.of_list sizes and costs = Array.of_list costs in
       let m = Model.create () in
       let x =
         Array.init groups (fun i ->
@@ -270,19 +298,17 @@ let prop_assignment_matches_brute_force =
       in
       enum 0;
       let r = Milp.solve m in
-      (match (r.Milp.status, !best = infinity) with
-      | Status.Infeasible, true -> ()
+      match (r.Milp.status, !best = infinity) with
+      | Status.Infeasible, true -> Ok ()
       | Status.Infeasible, false ->
-          QCheck2.Test.fail_reportf "milp infeasible but brute force found %g"
-            !best
+          Fixtures.errorf "milp infeasible but brute force found %g" !best
       | Status.Optimal, true ->
-          QCheck2.Test.fail_reportf "milp optimal %g but instance infeasible"
-            r.Milp.obj
+          Fixtures.errorf "milp optimal %g but instance infeasible" r.Milp.obj
       | Status.Optimal, false ->
           if Float.abs (r.Milp.obj -. !best) > 1e-6 then
-            QCheck2.Test.fail_reportf "milp %g, brute force %g" r.Milp.obj !best
-      | s, _ -> QCheck2.Test.fail_reportf "status %s" (Status.to_string s));
-      true)
+            Fixtures.errorf "milp %g, brute force %g" r.Milp.obj !best
+          else Ok ()
+      | s, _ -> Fixtures.errorf "status %s" (Status.to_string s))
 
 (* Random generalized-assignment MILPs for the enumeration, deadline and
    pinned-literal checks: eq assignment rows + tight capacity rows give
@@ -692,7 +718,6 @@ let test_pinned_node_limited () =
     (digest_of limited_line rs)
 
 let suite =
-  let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "small knapsack" `Quick test_knapsack_small;
     Alcotest.test_case "general integers" `Quick test_integer_general;
@@ -707,8 +732,8 @@ let suite =
       test_tree_matches_enumeration;
     Alcotest.test_case "zero deadline ends a one-domain solve" `Quick
       test_deadline_terminates;
-    q prop_knapsack_matches_brute_force;
-    q prop_assignment_matches_brute_force;
+    Fixtures.property prop_knapsack_matches_brute_force;
+    Fixtures.property prop_assignment_matches_brute_force;
     Alcotest.test_case "gap_tol stops a node-limited solve" `Quick
       test_gap_tol_stops_limited_solve;
     Alcotest.test_case "pinned literal: MILP solves" `Quick test_pinned_literal;

@@ -91,16 +91,31 @@ let test_invalid_segments () =
 (* For any demand within total width, the MILP cost of the concave encoding
    must equal direct evaluation of the step curve. *)
 let prop_concave_matches_direct =
-  let gen =
-    QCheck2.Gen.(
-      let* k = int_range 1 4 in
-      let* widths = list_repeat k (int_range 2 10) in
-      let* c0 = int_range 5 12 in
-      let* drops = list_repeat k (int_range 0 3) in
-      let* q = float_bound_inclusive 1.0 in
-      return (widths, c0, drops, q))
+  let gen rng =
+    let open Check.Gen in
+    let k = int_range 1 4 rng in
+    let widths = list_repeat k (int_range 2 10) rng in
+    let c0 = int_range 5 12 rng in
+    let drops = list_repeat k (int_range 0 3) rng in
+    let q = float_range 0.0 1.0 rng in
+    (widths, c0, drops, q)
   in
-  QCheck2.Test.make ~name:"concave encoding equals direct curve" ~count:60 gen
+  (* Drops and the demand toward 0; widths and the first cost stay,
+     since a zero width is no segment. *)
+  let shrink (widths, c0, drops, q) =
+    Seq.append
+      (Seq.map
+         (fun drops -> (widths, c0, drops, q))
+         (Check.Shrink.list_each Check.Shrink.int drops))
+      (Seq.map (fun q -> (widths, c0, drops, q)) (Check.Shrink.float q))
+  in
+  let pp ppf (widths, c0, drops, q) =
+    let ints = Fmt.(Dump.list int) in
+    Format.fprintf ppf "widths %a@\nfirst cost %d@\ndrops %a@\ndemand %.17g"
+      ints widths c0 ints drops q
+  in
+  Check.prop ~count:60 "concave encoding equals direct curve"
+    (Check.arb ~shrink ~pp gen)
     (fun (widths, c0, drops, qfrac) ->
       let costs =
         List.rev
@@ -117,12 +132,12 @@ let prop_concave_matches_direct =
       let cost = Piecewise.concave_cost m ~name:"c" ~quantity:(Model.Linexpr.var qv) s in
       Model.set_objective m cost;
       let r = Milp.solve m in
-      if r.Milp.status <> Status.Optimal then
-        QCheck2.Test.fail_reportf "status %s" (Status.to_string r.Milp.status);
       let direct = Piecewise.cost_at s q in
-      if Float.abs (r.Milp.obj -. direct) > 1e-5 *. (1.0 +. direct) then
-        QCheck2.Test.fail_reportf "milp %g direct %g (q=%g)" r.Milp.obj direct q;
-      true)
+      if r.Milp.status <> Status.Optimal then
+        Fixtures.errorf "status %s" (Status.to_string r.Milp.status)
+      else if Float.abs (r.Milp.obj -. direct) > 1e-5 *. (1.0 +. direct) then
+        Fixtures.errorf "milp %g direct %g (q=%g)" r.Milp.obj direct q
+      else Ok ())
 
 let suite =
   [
@@ -132,5 +147,5 @@ let suite =
     Alcotest.test_case "convex encoding" `Quick test_convex;
     Alcotest.test_case "fixed charge" `Quick test_fixed_charge;
     Alcotest.test_case "invalid segments" `Quick test_invalid_segments;
-    QCheck_alcotest.to_alcotest prop_concave_matches_direct;
+    Fixtures.property prop_concave_matches_direct;
   ]

@@ -142,18 +142,38 @@ let test_duals_transportation () =
 (* Random feasible-by-construction LPs must solve to optimality with a
    verifiable KKT certificate and beat the seed point. *)
 let prop_random_feasible =
-  let gen =
-    QCheck2.Gen.(
-      let* n = int_range 2 6 in
-      let* rows = int_range 1 6 in
-      let* x0 = list_repeat n (float_bound_inclusive 3.0) in
-      let* objc = list_repeat n (float_range (-4.0) 4.0) in
-      let* coeffs = list_repeat (rows * n) (float_range (-5.0) 5.0) in
-      let* senses = list_repeat rows (int_range 0 2) in
-      return (n, rows, Array.of_list x0, Array.of_list objc, Array.of_list coeffs, Array.of_list senses))
+  let gen rng =
+    let open Check.Gen in
+    let n = int_range 2 6 rng in
+    let rows = int_range 1 6 rng in
+    let x0 = list_repeat n (float_range 0.0 3.0) rng in
+    let objc = list_repeat n (float_range (-4.0) 4.0) rng in
+    let coeffs = list_repeat (rows * n) (float_range (-5.0) 5.0) rng in
+    let senses = list_repeat rows (int_range 0 2) rng in
+    (x0, objc, coeffs, senses)
   in
-  QCheck2.Test.make ~name:"random feasible LPs solve optimally" ~count:150 gen
-    (fun (n, rows, x0, objc, coeffs, senses) ->
+  (* Pointwise toward 0: the seed point stays in its box and the lengths
+     keep the shape. *)
+  let shrink (x0, objc, coeffs, senses) =
+    let each = Check.Shrink.list_each Check.Shrink.float in
+    List.fold_left Seq.append Seq.empty
+      [
+        Seq.map (fun x0 -> (x0, objc, coeffs, senses)) (each x0);
+        Seq.map (fun objc -> (x0, objc, coeffs, senses)) (each objc);
+        Seq.map (fun coeffs -> (x0, objc, coeffs, senses)) (each coeffs);
+      ]
+  in
+  let pp ppf (x0, objc, coeffs, senses) =
+    let floats = Fmt.(Dump.list (fmt "%.17g")) in
+    Format.fprintf ppf "x0 %a@\nobjective %a@\nrows %a@\nsenses %a" floats x0
+      floats objc floats coeffs Fmt.(Dump.list int) senses
+  in
+  Check.prop ~count:150 "random feasible LPs solve optimally"
+    (Check.arb ~shrink ~pp gen)
+    (fun (x0, objc, coeffs, senses) ->
+      let n = List.length x0 and rows = List.length senses in
+      let x0 = Array.of_list x0 and objc = Array.of_list objc in
+      let coeffs = Array.of_list coeffs and senses = Array.of_list senses in
       let m = Model.create () in
       let vars =
         Array.init n (fun i -> Model.add_var m ~hi:5.0 (Printf.sprintf "v%d" i))
@@ -178,19 +198,19 @@ let prop_random_feasible =
       Model.set_objective m obj;
       let input = Simplex.of_model m in
       let r = Simplex.solve input in
-      if r.Simplex.status <> Status.Optimal then
-        QCheck2.Test.fail_reportf "status %s" (Status.to_string r.Simplex.status);
       let obj_at_x0 =
         Array.to_list (Array.mapi (fun j c -> c *. x0.(j)) objc)
         |> List.fold_left ( +. ) 0.0
       in
-      if r.Simplex.obj_value > obj_at_x0 +. 1e-6 then
-        QCheck2.Test.fail_reportf "optimum %g worse than seed %g"
-          r.Simplex.obj_value obj_at_x0;
-      (match Simplex.check_certificate input r with
-      | [] -> ()
-      | errs -> QCheck2.Test.fail_reportf "certificate: %s" (String.concat "; " errs));
-      true)
+      if r.Simplex.status <> Status.Optimal then
+        Fixtures.errorf "status %s" (Status.to_string r.Simplex.status)
+      else if r.Simplex.obj_value > obj_at_x0 +. 1e-6 then
+        Fixtures.errorf "optimum %g worse than seed %g" r.Simplex.obj_value
+          obj_at_x0
+      else
+        match Simplex.check_certificate input r with
+        | [] -> Ok ()
+        | errs -> Fixtures.errorf "certificate: %s" (String.concat "; " errs))
 
 (* ---- eta-file drift --------------------------------------------------- *)
 
@@ -982,7 +1002,6 @@ let test_factor () =
   test_factor_cut_rows rng
 
 let suite =
-  let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "textbook max LP" `Quick test_textbook;
     Alcotest.test_case "equality rows" `Quick test_equality_rows;
@@ -1013,7 +1032,7 @@ let suite =
       test_memo_two_domains;
     Alcotest.test_case "pinned literal: cold and warm solves" `Quick
       test_pinned_literal;
-    q prop_random_feasible;
+    Fixtures.property prop_random_feasible;
     Alcotest.test_case "pinned literal: B^-1 rows after cut rounds" `Quick
       test_pinned_basis_rows;
     Alcotest.test_case "key sort is Array.sort's permutation" `Quick

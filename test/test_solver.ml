@@ -272,14 +272,14 @@ let test_latency_budget_served () =
     (Fixtures.off_budget asis ~budget_ms:16.2 o.Solver.placement)
 
 let prop_solver_never_worse_than_greedy =
-  QCheck2.Test.make ~name:"engine never loses to greedy" ~count:12
-    QCheck2.Gen.(int_range 0 3000)
+  Check.prop ~count:12 "engine never loses to greedy" (Fixtures.seed_arb 3000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed ~groups:20 ~targets:4 () in
       let o = Solver.consolidate asis in
       let e = Evaluate.total o.Solver.summary.Evaluate.cost in
       let g = Evaluate.total (Evaluate.plan asis (Greedy.plan asis)).Evaluate.cost in
-      e <= g +. 1e-6)
+      if e <= g +. 1e-6 then Ok ()
+      else Fixtures.errorf "engine %g > greedy %g" e g)
 
 let suite =
   [
@@ -302,5 +302,5 @@ let suite =
     Alcotest.test_case "candidate branches pinned" `Quick
       test_candidate_branches_pinned;
     Alcotest.test_case "latency budget served" `Quick test_latency_budget_served;
-    QCheck_alcotest.to_alcotest prop_solver_never_worse_than_greedy;
+    Fixtures.property prop_solver_never_worse_than_greedy;
   ]

@@ -72,13 +72,20 @@ let test_current_placement_follows () =
     (Array.length fixed.Asis.current_placement)
 
 let prop_split_preserves_server_totals =
-  QCheck2.Test.make ~name:"split preserves server totals" ~count:30
-    QCheck2.Gen.(int_range 0 4000)
+  Check.prop ~count:30 "split preserves server totals" (Fixtures.seed_arb 4000)
     (fun seed ->
       let asis = Fixtures.synthetic ~seed ~groups:12 ~targets:3 () in
       let fixed = Split.ensure_fits ~max_fraction:0.3 asis in
-      Asis.total_servers fixed = Asis.total_servers asis
-      && Split.oversized ~max_fraction:0.3 fixed = [])
+      let before = Asis.total_servers asis
+      and after = Asis.total_servers fixed in
+      if after <> before then
+        Fixtures.errorf "%d servers before the split, %d after" before after
+      else
+        match Split.oversized ~max_fraction:0.3 fixed with
+        | [] -> Ok ()
+        | big ->
+            Fixtures.errorf "still oversized: groups %s"
+              (String.concat ", " (List.map string_of_int big)))
 
 let suite =
   [
@@ -87,5 +94,5 @@ let suite =
     Alcotest.test_case "totals preserved" `Quick test_split_preserves_totals;
     Alcotest.test_case "parts inherit and plan" `Quick test_split_parts_inherit;
     Alcotest.test_case "placement array tracks" `Quick test_current_placement_follows;
-    QCheck_alcotest.to_alcotest prop_split_preserves_server_totals;
+    Fixtures.property prop_split_preserves_server_totals;
   ]
